@@ -181,7 +181,3 @@ def reach_to_json(cfg: ControlFlowGraph, reach: ReachSets) -> str:
         ]
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-# re-export so the analysis namespace covers parsing too
-from .minic import MiniCError, parse_mini_c, to_dot  # noqa: E402,F401

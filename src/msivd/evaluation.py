@@ -1,9 +1,7 @@
 """Confusion-matrix metrics, the analytic random baseline, and the ablation harness.
 
-The standard F1 (harmonic mean of precision and recall) is the default; the
-variant with TP in place of FP in the denominator is available behind a flag
-for comparison but is inconsistent with the random-baseline rows it would
-have to reproduce.
+F1 is the standard harmonic mean of precision and recall, the form that
+reproduces the paper's random-baseline rows.
 """
 from __future__ import annotations
 
@@ -79,7 +77,7 @@ def confusion(labels, predictions) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def metrics(counts: ConfusionCounts, printed_f1_variant: bool = False) -> MetricValues:
+def metrics(counts: ConfusionCounts) -> MetricValues:
     """Precision, recall, F1 from counts; zero denominators give 0 with a flag."""
     if min(counts.tp, counts.fp, counts.tn, counts.fn) < 0:
         raise ValueError("negative confusion counts")
@@ -92,10 +90,7 @@ def metrics(counts: ConfusionCounts, printed_f1_variant: bool = False) -> Metric
         recall, zero = 0.0, True
     else:
         recall = counts.tp / (counts.tp + counts.fn)
-    if printed_f1_variant:
-        denom = counts.tp + 0.5 * (counts.tp + counts.fn)
-    else:
-        denom = counts.tp + 0.5 * (counts.fp + counts.fn)
+    denom = counts.tp + 0.5 * (counts.fp + counts.fn)
     if denom == 0:
         f1, zero = 0.0, True
     else:

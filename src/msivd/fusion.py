@@ -1,10 +1,13 @@
-"""Fused LLM+GNN binary classifier.
+"""Fused LLM+GNN binary classifier and its one read-out path.
 
-The frozen language model's hidden state at the answer position is
-concatenated with the graph embedding along the last dimension; a linear
-projection onto the yes/no label pair plus LogSoftmax yields the
-vulnerable/safe prediction. Code that the mini-C analyzer cannot parse falls
-back to a zero graph embedding and the prediction is flagged.
+Code becomes two inputs: the frozen language model's last hidden row of the
+round-1 prompt (``lm_row``), and the mini-C CFG with its dataflow node
+features (``graph_inputs``). ``fused_vector`` concatenates the row with the
+mean-pooled GGNN embedding of the graph; a linear projection onto the yes/no
+label pair plus LogSoftmax yields the vulnerable/safe prediction. Code that
+the mini-C analyzer cannot parse falls back to a zero graph embedding and the
+prediction is flagged. ``train.train_fused`` computes the two inputs once per
+sample and ``fused_vector`` on every step; ``predict`` runs the whole path.
 """
 from __future__ import annotations
 
@@ -16,21 +19,23 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import CodeSample
-from .dfa import FeatureSpec, build_node_features, reaching_definitions
+from .dfa import build_node_features, reaching_definitions
 from .dialogue import render_prompt
 from .gnn import Ggnn, GgnnConfig
 from .lm import ByteTokenizer, LmModel, TransformerConfig
-from .minic import MiniCError, parse_mini_c
+from .minic import ControlFlowGraph, MiniCError, parse_mini_c
 
 __all__ = [
     "Prediction",
     "FusedClassifier",
-    "fuse",
     "label_nll",
     "fused_input_width",
     "fused_layer_count",
-    "InferenceBundle",
+    "lm_row",
+    "graph_inputs",
     "graph_embedding",
+    "fused_vector",
+    "InferenceBundle",
     "predict",
     "write_predictions_jsonl",
 ]
@@ -53,37 +58,6 @@ def fused_input_width(lm_config: TransformerConfig, gnn_config: GgnnConfig | Non
 
 def fused_layer_count(lm_config: TransformerConfig, gnn_config: GgnnConfig | None) -> int:
     return lm_config.n_layers + (gnn_config.layer_count if gnn_config else 0)
-
-
-def fuse(
-    lm_hidden: Tensor,
-    gnn_embedding: Tensor | None,
-    valid_len: int | None = None,
-    broadcast: bool = False,
-) -> Tensor:
-    """Concatenate the final non-pad hidden state with the graph embedding.
-
-    ``valid_len`` is the number of non-pad positions (defaults to all).
-    With ``broadcast`` the graph embedding is instead appended to every
-    position, giving [T x (d + g)].
-    """
-    t = lm_hidden.shape[0]
-    if t < 1:
-        raise ag.ShapeError("fuse on empty hidden sequence")
-    if valid_len is None:
-        valid_len = t
-    if not 1 <= valid_len <= t:
-        raise ag.ShapeError(f"valid_len {valid_len} outside 1-{t}")
-    if broadcast:
-        if gnn_embedding is None:
-            return lm_hidden
-        ones = Tensor(np.ones((t, 1), dtype=lm_hidden.dtype))
-        tiled = ag.matmul(ones, ag.expand_row(gnn_embedding))
-        return ag.concat_last_dim([lm_hidden, tiled])
-    row = ag.select_row(lm_hidden, valid_len - 1)
-    if gnn_embedding is None:
-        return row
-    return ag.concat_last_dim([row, gnn_embedding])
 
 
 class FusedClassifier:
@@ -122,44 +96,62 @@ def label_nll(logits: Tensor, label: bool) -> Tensor:
     return ag.scale(ag.sum_all(ag.slice_last_dim(logp, idx, idx + 1)), -1.0)
 
 
+GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x width]
+
+
+def lm_row(code: str, lm: LmModel, tokenizer: ByteTokenizer) -> np.ndarray:
+    """The frozen LM's hidden state at the last position of the round-1 prompt."""
+    ids = render_prompt(code, tokenizer, lm.config.context_window)
+    return lm.forward(ids).hidden.data[-1].copy()
+
+
+def graph_inputs(code: str, width: int) -> GraphInputs | None:
+    """The code's CFG and its reaching-definitions node features, ``width``
+    wide; None when the mini-C analyzer rejects the code."""
+    try:
+        cfg = parse_mini_c(code)
+    except MiniCError:
+        return None
+    return cfg, build_node_features(cfg, reaching_definitions(cfg), width=width)
+
+
+def graph_embedding(graph: GraphInputs | None, gnn: Ggnn) -> Tensor:
+    """Mean-pooled GGNN embedding of ``graph``; a zero vector for the fallback."""
+    if graph is None:
+        return Tensor(np.zeros(gnn.config.state_dim, dtype=np.float32))
+    return gnn.forward(*graph)
+
+
+def fused_vector(row: np.ndarray, graph: GraphInputs | None, gnn: Ggnn | None) -> Tensor:
+    """The classifier input: ``row`` followed by the graph embedding, or
+    ``row`` alone without a GGNN."""
+    hidden = Tensor(row)
+    if gnn is None:
+        return hidden
+    return ag.concat_last_dim([hidden, graph_embedding(graph, gnn)])
+
+
 @dataclass
 class InferenceBundle:
     lm: LmModel
     tokenizer: ByteTokenizer
     classifier: FusedClassifier
     gnn: Ggnn | None = None
-    feature_spec: FeatureSpec | None = None
 
     @property
     def context_window(self) -> int:
         return self.lm.config.context_window
 
 
-def graph_embedding(code: str, gnn: Ggnn, spec: FeatureSpec | None = None) -> tuple[Tensor, bool]:
-    """GNN embedding for the code's CFG; zero vector + flag on parse failure."""
-    spec = spec or FeatureSpec()
-    try:
-        cfg = parse_mini_c(code)
-    except MiniCError:
-        zero = np.zeros(gnn.config.state_dim, dtype=np.float32)
-        return Tensor(zero), True
-    reach = reaching_definitions(cfg)
-    feats = build_node_features(cfg, reach, width=gnn.config.in_dim, spec=spec)
-    return gnn.forward(cfg, feats), False
-
-
 def predict(sample: CodeSample, bundle: InferenceBundle) -> Prediction:
-    """Render the round-1 prompt, read out the frozen LM, fuse, classify."""
-    ids = render_prompt(sample.code, bundle.tokenizer, bundle.context_window)
-    out = bundle.lm.forward(ids)
-    hidden_row = Tensor(out.hidden.data[-1].copy())
-    if bundle.gnn is None:
-        fused = hidden_row
-        flagged = False
-    else:
-        emb, flagged = graph_embedding(sample.code, bundle.gnn, bundle.feature_spec)
-        fused = ag.concat_last_dim([hidden_row, Tensor(emb.data.copy())])
-    return bundle.classifier.classify(fused, flagged=flagged)
+    """Read out the frozen LM and the graph, fuse, classify; ``flagged``
+    marks the zero-embedding fallback."""
+    row = lm_row(sample.code, bundle.lm, bundle.tokenizer)
+    graph = None
+    if bundle.gnn is not None:
+        graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
+    flagged = bundle.gnn is not None and graph is None
+    return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=flagged)
 
 
 def write_predictions_jsonl(rows: list[tuple[str, Prediction]], path) -> None:

@@ -1,7 +1,7 @@
 """Gated graph network over CFG nodes carrying dataflow features.
 
 Messages are MLP-transformed neighbor states summed along edge direction;
-node updates run a standard GRU cell; the graph embedding is the pooled
+node updates run a standard GRU cell; the graph embedding is the mean-pooled
 final node state.
 """
 from __future__ import annotations
@@ -28,22 +28,13 @@ class GgnnConfig:
     state_dim: int = 16
     steps: int = 5
     mlp_hidden: tuple[int, ...] = (16,)
-    pooling: str = "mean"  # mean | sum
-    feature_dim: int | None = None  # None: equals state_dim (no projection)
-    reverse_edges: bool = False
     profile: str = "desk"
 
     def __post_init__(self):
         if self.state_dim <= 0 or any(h <= 0 for h in self.mlp_hidden):
             raise ValueError("GGNN dims must be positive")
-        if self.pooling not in ("mean", "sum"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
         if self.profile == "paper" and self.state_dim != 256:
             raise ValueError("paper profile pins state_dim=256")
-
-    @classmethod
-    def desk(cls, **over) -> "GgnnConfig":
-        return cls(**over)
 
     @classmethod
     def paper(cls) -> "GgnnConfig":
@@ -53,10 +44,6 @@ class GgnnConfig:
     def layer_count(self) -> int:
         """MLP linear layers plus the GRU layer (paper profile: 2 + 1 = 3)."""
         return len(self.mlp_hidden) + 2
-
-    @property
-    def in_dim(self) -> int:
-        return self.feature_dim if self.feature_dim is not None else self.state_dim
 
 
 @dataclass
@@ -141,9 +128,6 @@ class Ggnn:
             wr=mat(d, d, d**-0.5), ur=mat(d, d, d**-0.5), br=vec(d),
             wh=mat(d, d, d**-0.5), uh=mat(d, d, d**-0.5), bh=vec(d),
         )
-        self.w_in: Tensor | None = None
-        if config.in_dim != d:
-            self.w_in = mat(d, config.in_dim, config.in_dim**-0.5)
 
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
@@ -152,29 +136,19 @@ class Ggnn:
             params[f"gnn.mlp{i}.b"] = b
         for name, t in self.gru.tensors().items():
             params[f"gnn.gru.{name}"] = t
-        if self.w_in is not None:
-            params["gnn.w_in"] = self.w_in
         return params
 
     def forward(self, cfg: ControlFlowGraph, features: np.ndarray) -> Tensor:
-        """Run ``steps`` rounds of aggregate+update and pool node states."""
-        edges = list(cfg.edges)
-        if self.config.reverse_edges:
-            edges = edges + [(d, s) for s, d in cfg.edges]
+        """Run ``steps`` rounds of aggregate+update and mean-pool node states."""
         n = len(cfg.nodes)
         if features.shape[0] != n:
             raise ValueError(f"features rows {features.shape[0]} != node count {n}")
+        if features.shape[1] != self.config.state_dim:
+            raise ValueError(f"feature width {features.shape[1]} != state dim {self.config.state_dim}")
         h = Tensor(np.asarray(features, dtype=self.mlp_layers[0][0].dtype))
-        if self.w_in is not None:
-            h = ag.matmul(h, ag.transpose(self.w_in))
-        elif features.shape[1] != self.config.state_dim:
-            raise ValueError(
-                f"feature width {features.shape[1]} != state dim {self.config.state_dim} "
-                "and no input projection configured"
-            )
+        edges = list(cfg.edges)
         for _ in range(self.config.steps):
             msg = mlp_aggregate(h, edges, self.mlp_layers)
             h = gru_update(h, msg, self.gru)
-        pool = np.full((1, n), 1.0 / n if self.config.pooling == "mean" else 1.0, dtype=h.dtype)
-        pooled = ag.matmul(Tensor(pool), h)
+        pooled = ag.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=h.dtype)), h)
         return ag.select_row(pooled, 0)

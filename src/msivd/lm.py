@@ -1,8 +1,8 @@
 """Byte-level tokenizer and a small decoder-only transformer with LoRA.
 
 The base weights are frozen; low-rank adapters on the attention query/value
-projections carry all of the fine-tuning signal. The multitask loss averages
-per-task mean-token negative log-likelihood across task groups.
+projections carry all of the fine-tuning signal. The task-averaged SIFT loss
+over these forwards (the paper's Eq. 2) is ``train.sift_batch_loss``.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "lora_forward",
     "LmOutput",
     "LmModel",
-    "multitask_loss",
     "generate_greedy",
 ]
 
@@ -93,10 +92,6 @@ class TransformerConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.profile == "paper" and (self.d_model, self.n_layers, self.context_window) != (4096, 8, 2048):
             raise ValueError("paper profile pins d_model=4096, n_layers=8, context_window=2048")
-
-    @classmethod
-    def desk(cls, **over) -> "TransformerConfig":
-        return cls(**over)
 
     @classmethod
     def paper(cls) -> "TransformerConfig":
@@ -228,9 +223,6 @@ class LmModel:
     def parameters(self) -> dict[str, Tensor]:
         return {**self.base_parameters(), **self.adapter_parameters()}
 
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {k: t for k, t in self.parameters().items() if t.requires_grad}
-
     # --- forward -------------------------------------------------------------
 
     def forward(self, token_ids) -> LmOutput:
@@ -271,51 +263,6 @@ class LmModel:
         hidden = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         logits = ag.matmul(hidden, ag.transpose(self.lm_head))
         return LmOutput(logits=logits, hidden=hidden)
-
-
-def _item_ids_mask(item):
-    if hasattr(item, "token_ids"):
-        return np.asarray(item.token_ids, dtype=np.int64), np.asarray(item.loss_mask, dtype=bool)
-    ids, mask = item
-    return np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=bool)
-
-
-def multitask_loss(model: LmModel, task_batches) -> Tensor:
-    """Mean over tasks of per-task mean-token NLL.
-
-    ``task_batches`` is a list of task groups; each group is a list of
-    rendered dialogues (or (token_ids, loss_mask) pairs). Within a task the
-    per-token losses over all samples pool into one mean; the final loss is
-    the plain average of the task means, so duplicating samples inside one
-    task leaves the value unchanged.
-    """
-    if len(task_batches) == 0:
-        raise ValueError("multitask_loss needs at least one task group")
-    task_losses: list[Tensor] = []
-    for ti, group in enumerate(task_batches):
-        if len(group) == 0:
-            raise ValueError(f"task {ti} has no samples")
-        sums: list[Tensor] = []
-        count = 0
-        for item in group:
-            ids, mask = _item_ids_mask(item)
-            shifted = mask[1:]
-            if ids.shape[0] < 2 or not shifted.any():
-                continue
-            out = model.forward(ids)
-            logits = ag.slice_rows(out.logits, 0, ids.shape[0] - 1)
-            sums.append(ag.cross_entropy(logits, ids[1:], shifted, reduction="sum"))
-            count += int(shifted.sum())
-        if count == 0:
-            raise ValueError(f"task {ti} contributes zero valid tokens")
-        total = sums[0]
-        for s in sums[1:]:
-            total = ag.add(total, s)
-        task_losses.append(ag.scale(total, 1.0 / count))
-    loss = task_losses[0]
-    for t in task_losses[1:]:
-        loss = ag.add(loss, t)
-    return ag.scale(loss, 1.0 / len(task_losses))
 
 
 def generate_greedy(model: LmModel, prompt_ids, max_new: int) -> list[int]:

@@ -1,10 +1,11 @@
 """Two-stage training: multitask SIFT of the LM, then fused classifier training.
 
 Stage one optimizes the LoRA adapters only under the task-averaged dialogue
-loss. Stage two freezes the language model entirely (its hidden states are
-cached once) and trains the graph network plus the label classifier. Both
-stages log one loss row per optimizer step and are bitwise deterministic for
-a fixed seed.
+loss (the paper's Eq. 2, ``sift_batch_loss``). Stage two freezes the language
+model entirely and trains the graph network plus the label classifier on the
+read-out path of ``fusion``: the LM row and the graph inputs are computed
+once per sample, the fused vector on every step. Both stages log one loss row
+per optimizer step and are bitwise deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -13,19 +14,28 @@ import logging
 import math
 import random
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import CodeSample
-from .dfa import FeatureSpec, build_node_features, reaching_definitions
-from .dialogue import DialogueRecord, RenderedDialogue, render, render_prompt
-from .fusion import FusedClassifier, label_nll
+from .dialogue import DialogueRecord, RenderedDialogue, render
+from .fusion import (
+    FusedClassifier,
+    InferenceBundle,
+    fused_input_width,
+    fused_vector,
+    graph_inputs,
+    label_nll,
+    lm_row,
+)
 from .gnn import Ggnn, GgnnConfig
 from .lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
-from .minic import MiniCError, parse_mini_c
+
+# Unused here: bench/tracer.py looks these names up on this module and patches them.
+from .fusion import build_node_features, parse_mini_c, reaching_definitions, render_prompt  # noqa: F401
 
 log = logging.getLogger("msivd.train")
 
@@ -50,7 +60,8 @@ SIFT_MODES = ("multi-round", "single-round", "label-only")
 TASK_GROUPINGS = ("round", "objective")
 
 CKPT_MAGIC = b"MSIVDCKP"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+CKPT_DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
 
 @dataclass
@@ -168,32 +179,63 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a truncated or malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CKPT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"checkpoint version mismatch: file {version}, supported {CKPT_VERSION}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
-    tensors = {}
-    for name, meta in header["tensors"].items():
-        blob = payload[meta["offset"] : meta["offset"] + meta["nbytes"]]
-        arr = np.frombuffer(blob, dtype=meta["dtype"]).reshape(meta["shape"]).copy()
-        tensors[name] = arr.astype(np.float64 if meta["dtype"] == "<f8" else np.float32)
+        raw = fh.read()
+    magic = raw[:8]
+    if magic != CKPT_MAGIC:
+        raise CheckpointError(f"bad checkpoint magic {magic!r}")
+    if len(raw) < 16:
+        raise CheckpointError("checkpoint truncated before the end of its header length")
+    version, header_len = struct.unpack_from("<II", raw, 8)
+    if version != CKPT_VERSION:
+        raise CheckpointError(f"checkpoint version mismatch: file {version}, supported {CKPT_VERSION}")
+    payload_start = 16 + header_len
+    if len(raw) < payload_start:
+        raise CheckpointError("checkpoint truncated inside its header")
+    try:
+        header = json.loads(raw[16:payload_start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"checkpoint header is not UTF-8 JSON: {exc}") from exc
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("config"), dict)
+        and isinstance(header.get("tensors"), dict)
+        and isinstance(header.get("metrics_history"), list)
+    ):
+        raise CheckpointError("checkpoint header needs a config, a tensor directory and a metrics history")
+    payload = raw[payload_start:]
     return Checkpoint(
         version=version,
         config=header["config"],
-        tensors=tensors,
+        tensors={name: _read_tensor(name, meta, payload) for name, meta in header["tensors"].items()},
         metrics_history=header["metrics_history"],
     )
 
 
-def _apply_state(params: dict[str, Tensor], tensors: dict[str, np.ndarray], prefix: str) -> None:
-    for name, tensor in params.items():
-        key = prefix + name
+def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
+    """One tensor of the directory, checked against its shape and the payload."""
+    if not isinstance(meta, dict) or meta.get("dtype") not in CKPT_DTYPES:
+        raise CheckpointError(f"tensor {name!r}: dtype must be one of {sorted(CKPT_DTYPES)}")
+    shape, offset, nbytes = meta.get("shape"), meta.get("offset"), meta.get("nbytes")
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise CheckpointError(f"tensor {name!r}: bad shape {shape!r}")
+    if not (type(offset) is int and type(nbytes) is int and 0 <= offset and 0 <= nbytes
+            and offset + nbytes <= len(payload)):
+        raise CheckpointError(f"tensor {name!r}: bytes {offset!r}+{nbytes!r} outside the {len(payload)}-byte payload")
+    if nbytes != math.prod(shape) * np.dtype(meta["dtype"]).itemsize:
+        raise CheckpointError(f"tensor {name!r}: {nbytes} bytes do not hold shape {shape} of {meta['dtype']}")
+    blob = payload[offset : offset + nbytes]
+    return np.frombuffer(blob, dtype=meta["dtype"]).reshape(shape).astype(CKPT_DTYPES[meta["dtype"]])
+
+
+def _apply_state(params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint tensors into model parameters, both keyed by checkpoint
+    name; every tensor must have a parameter and every parameter a tensor."""
+    unknown = sorted(set(tensors) - set(params))
+    if unknown:
+        raise CheckpointError(f"checkpoint tensors that no model part consumes: {unknown}")
+    for key, tensor in params.items():
         if key not in tensors:
             raise CheckpointError(f"checkpoint missing tensor {key!r}")
         arr = tensors[key]
@@ -299,10 +341,11 @@ def _span_shift_mask(span: tuple[int, int], t: int) -> np.ndarray:
     return m[1:]
 
 
-def sift_batch_loss(model: LmModel, streams: list[TrainingStream], accumulate: bool = True) -> float:
-    """Task-averaged loss over a batch of streams, Eq.-style pooling: per-task
-    summed NLL over all spans divided by the task's valid-token count, then
-    the plain mean over tasks present in the batch.
+def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
+    """The task-averaged SIFT loss of the paper's Eq. 2 over a batch of
+    streams: per task, the summed NLL over all of its spans divided by the
+    task's valid-token count, then the plain mean over the tasks present in
+    the batch. Duplicating a task's streams leaves the value unchanged.
 
     Each stream is forwarded once and backpropagated immediately so only one
     computation graph is alive at a time; gradients accumulate across streams.
@@ -333,8 +376,7 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream], accumulate: b
             contribs = part if contribs is None else ag.add(contribs, part)
         if contribs is None:
             continue
-        if accumulate:
-            ag.backward(contribs)
+        ag.backward(contribs)
         total += contribs.item()
     return total
 
@@ -403,7 +445,7 @@ def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None 
         )
     lora_cfg = LoraConfig(**train_cfg["lora_config"]) if train_cfg.get("lora_config") else None
     model = LmModel(lm_cfg, seed=train_cfg.get("seed", 0), lora=lora_cfg)
-    _apply_state(model.parameters(), ckpt.tensors, "lm.")
+    _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, ckpt.tensors)
     return model
 
 
@@ -417,8 +459,9 @@ def train_fused(
 ) -> tuple[Checkpoint, LossCurve]:
     """Train the GNN and label classifier against the frozen language model.
 
-    The LM (base and adapters) receives no gradient; its read-out hidden
-    states are computed once per sample and cached for the whole loop.
+    The LM (base and adapters) receives no gradient; its read-out row and
+    the graph inputs are computed once per sample and cached for the whole
+    loop, so each step runs only the GGNN and the classifier.
     """
     if not samples:
         raise ValueError("train_fused needs at least one sample")
@@ -428,34 +471,17 @@ def train_fused(
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
 
-    window = lm.config.context_window
-    hidden_cache: list[np.ndarray] = []
-    for s in samples:
-        out = lm.forward(render_prompt(s.code, tokenizer, window))
-        hidden_cache.append(out.hidden.data[-1].copy())
-
+    rows = [lm_row(s.code, lm, tokenizer) for s in samples]
     gnn: Ggnn | None = None
-    spec = FeatureSpec()
-    graph_cache: list[tuple] = []
-    in_dim = lm.config.d_model
+    graphs = [None] * len(samples)
     if config.use_gnn:
         gnn = Ggnn(config.gnn_config, seed=config.seed)
-        in_dim += config.gnn_config.state_dim
-        n_flagged = 0
-        for s in samples:
-            try:
-                cfg_graph = parse_mini_c(s.code)
-            except MiniCError:
-                graph_cache.append(None)
-                n_flagged += 1
-                continue
-            reach = reaching_definitions(cfg_graph)
-            feats = build_node_features(cfg_graph, reach, width=gnn.config.in_dim, spec=spec)
-            graph_cache.append((cfg_graph, feats))
+        graphs = [graph_inputs(s.code, gnn.config.state_dim) for s in samples]
+        n_flagged = sum(g is None for g in graphs)
         if n_flagged:
             log.warning("%d/%d samples fell back to zero graph embeddings", n_flagged, len(samples))
 
-    classifier = FusedClassifier(in_dim, seed=config.seed + 1)
+    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=config.seed + 1)
     trainable: dict[str, Tensor] = dict(classifier.parameters())
     if gnn is not None:
         trainable.update(gnn.parameters())
@@ -472,16 +498,7 @@ def train_fused(
             optimizer.zero_grad()
             total = None
             for si in batch:
-                hidden_row = Tensor(hidden_cache[si])
-                if gnn is None:
-                    fused = hidden_row
-                else:
-                    cached = graph_cache[si]
-                    if cached is None:
-                        emb = Tensor(np.zeros(gnn.config.state_dim, dtype=np.float32))
-                    else:
-                        emb = gnn.forward(cached[0], cached[1])
-                    fused = ag.concat_last_dim([hidden_row, emb])
+                fused = fused_vector(rows[si], graphs[si], gnn)
                 nll = label_nll(classifier.logits(fused), samples[si].label)
                 total = nll if total is None else ag.add(total, nll)
             loss = ag.scale(total, 1.0 / len(batch))
@@ -511,22 +528,20 @@ def train_fused(
     return ckpt, curve
 
 
-def build_bundle_from_checkpoint(ckpt: Checkpoint):
+def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     """Reconstruct the inference bundle (LM + optional GNN + classifier)."""
-    from .fusion import InferenceBundle
-
     if ckpt.config.get("stage") != "fused":
         raise CheckpointError("inference needs a fused-stage checkpoint")
     train_cfg = ckpt.config["train"]
-    lm = build_lm_from_checkpoint(ckpt)
-    use_gnn = ckpt.config.get("use_gnn", True)
+    lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
+    lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
     gnn = None
-    in_dim = lm.config.d_model
-    if use_gnn:
+    if ckpt.config.get("use_gnn", True):
         gnn_cfg = GgnnConfig(**{**train_cfg["gnn_config"], "mlp_hidden": tuple(train_cfg["gnn_config"]["mlp_hidden"])})
         gnn = Ggnn(gnn_cfg, seed=train_cfg.get("seed", 0))
-        _apply_state(gnn.parameters(), ckpt.tensors, "")
-        in_dim += gnn_cfg.state_dim
-    classifier = FusedClassifier(in_dim, seed=train_cfg.get("seed", 0) + 1)
-    _apply_state(classifier.parameters(), ckpt.tensors, "")
+    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=train_cfg.get("seed", 0) + 1)
+    heads = dict(classifier.parameters())
+    if gnn is not None:
+        heads.update(gnn.parameters())
+    _apply_state(heads, {k: v for k, v in ckpt.tensors.items() if k not in lm_tensors})
     return InferenceBundle(lm=lm, tokenizer=ByteTokenizer(), classifier=classifier, gnn=gnn)

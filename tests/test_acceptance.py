@@ -11,6 +11,7 @@ import numpy as np
 
 from helpers_corpus import uniform_samples
 from helpers_dfa import enumerate_reaching, random_cfg
+from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
 from msivd.autograd import Tensor
 from msivd.corpus import (
@@ -39,15 +40,16 @@ from msivd.lm import (
     LoraConfig,
     TransformerConfig,
     lora_forward,
-    multitask_loss,
 )
 from msivd.synth import make_synthetic_corpus
 from msivd.train import (
+    CKPT_VERSION,
     Checkpoint,
     TrainConfig,
     build_bundle_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
+    sift_batch_loss,
     train_fused,
     train_sift,
 )
@@ -190,10 +192,10 @@ def test_eq2_multitask_loss_laws():
         # reduction to single-task cross-entropy
         ids = [10, 11, 12, 13, 14]
         mask = [False, False, True, True, False]
-        single = multitask_loss(model, [[(ids, mask)]])
+        single = sift_batch_loss(model, task_streams([[(ids, mask)]]))
         out = model.forward(ids)
         ref = ag.cross_entropy(ag.slice_rows(out.logits, 0, 4), ids[1:], mask[1:])
-        assert abs(single.item() - ref.item()) <= 1e-9
+        assert abs(single - ref.item()) <= 1e-9
 
         # mean of per-task mean-token NLL
         tasks = [
@@ -201,23 +203,12 @@ def test_eq2_multitask_loss_laws():
             [([8, 9, 10, 11], [False, True, True, True])],
             [([12, 13], [False, True])],
         ]
-        combined = multitask_loss(model, tasks)
-        per_task = []
-        for group in tasks:
-            nll, count = 0.0, 0
-            for ids_g, mask_g in group:
-                out = model.forward(ids_g)
-                logp = ag.log_softmax(out.logits).data
-                for pos in range(1, len(ids_g)):
-                    if mask_g[pos]:
-                        nll -= logp[pos - 1, ids_g[pos]]
-                        count += 1
-            per_task.append(nll / count)
-        assert abs(combined.item() - sum(per_task) / len(per_task)) <= 1e-9
+        combined = sift_batch_loss(model, task_streams(tasks))
+        assert abs(combined - eq2_reference(model, tasks)) <= 1e-9
 
         # invariance to duplicating one task's samples
         doubled = [tasks[0] + tasks[0], tasks[1], tasks[2]]
-        assert abs(multitask_loss(model, doubled).item() - combined.item()) <= 1e-9
+        assert abs(sift_batch_loss(model, task_streams(doubled)) - combined) <= 1e-9
 
 
 def test_dimension_bookkeeping():
@@ -329,7 +320,7 @@ def test_checkpoint_and_determinism(tmp_path):
         # bitwise round-trip
         rng = np.random.default_rng(1)
         ckpt = Checkpoint(
-            version=1,
+            version=CKPT_VERSION,
             config={"stage": "sift", "train": {"seed": 0}},
             tensors={"lm.w": rng.standard_normal((5, 3)).astype(np.float32)},
             metrics_history=[],

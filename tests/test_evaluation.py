@@ -52,15 +52,6 @@ def test_metrics_zero_tp_flagged():
     assert m.zero_division
 
 
-def test_printed_f1_variant_differs():
-    counts = ConfusionCounts(tp=3, fp=1, tn=2, fn=1)
-    standard = metrics(counts).f1
-    printed = metrics(counts, printed_f1_variant=True).f1
-    assert standard == pytest.approx(0.75)
-    assert printed == pytest.approx(3 / (3 + 0.5 * (3 + 1)))
-    assert standard != printed
-
-
 def test_coin_flip_counts_reproduce_random_row():
     # expected counts for prevalence 0.06 and predict rate 0.5 over 10000 samples
     n = 10_000

@@ -5,15 +5,18 @@ import pytest
 
 from msivd import autograd as ag
 from msivd.autograd import Tensor
+from msivd.dialogue import render_prompt
 from msivd.fusion import (
     FusedClassifier,
     InferenceBundle,
     Prediction,
-    fuse,
     fused_input_width,
     fused_layer_count,
+    fused_vector,
     graph_embedding,
+    graph_inputs,
     label_nll,
+    lm_row,
     predict,
 )
 from msivd.gnn import Ggnn, GgnnConfig
@@ -26,30 +29,21 @@ TINY = TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=384)
 
 def test_fuse_widths():
     rng = np.random.default_rng(0)
-    hidden = Tensor(rng.normal(0, 1, (5, 8)).astype(np.float32))
-    emb = Tensor(rng.normal(0, 1, 4).astype(np.float32))
-    fused = fuse(hidden, emb)
-    assert fused.shape == (12,)
+    row = rng.normal(0, 1, 8).astype(np.float32)
+    gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
+    assert fused_vector(row, graph_inputs("x = 1; use(x);", 16), gnn).shape == (24,)
+    assert fused_vector(row, None, None).shape == (8,)
 
 
-def test_fuse_selects_final_non_pad_row():
-    rng = np.random.default_rng(1)
-    hidden = Tensor(rng.normal(0, 1, (6, 8)).astype(np.float32))
-    emb = Tensor(np.zeros(4, dtype=np.float32))
-    fused = fuse(hidden, emb, valid_len=4)
-    assert np.array_equal(fused.data[:8], hidden.data[3])
-
-
-def test_changing_pad_region_token_leaves_fused_vector_unchanged():
+def test_lm_row_is_last_hidden_row_of_prompt():
     model = LmModel(TINY, seed=0)
-    base_ids = [10, 11, 12, 13, 14, 15]
-    pad = ByteTokenizer.PAD
-    a = model.forward(base_ids + [pad, pad]).hidden
-    b = model.forward(base_ids + [pad, 99]).hidden
-    emb = Tensor(np.zeros(4, dtype=np.float32))
-    fa = fuse(a, emb, valid_len=6)
-    fb = fuse(b, emb, valid_len=6)
-    assert np.array_equal(fa.data, fb.data)
+    code = "x = 1; use(x);"
+    tok = ByteTokenizer()
+    hidden = model.forward(render_prompt(code, tok, TINY.context_window)).hidden.data
+    row = lm_row(code, model, tok)
+    assert np.array_equal(row, hidden[-1])
+    gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
+    assert np.array_equal(fused_vector(row, None, gnn).data[: TINY.d_model], hidden[-1])
 
 
 def test_paper_profile_dimension_bookkeeping():
@@ -112,12 +106,12 @@ def test_prediction_probabilities_normalized():
 
 def test_graph_embedding_flags_unparseable_code():
     gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
-    emb, flagged = graph_embedding("int *p = malloc(8);", gnn)
-    assert flagged
+    assert graph_inputs("int *p = malloc(8);", 16) is None
+    emb = graph_embedding(None, gnn)
     assert np.array_equal(emb.data, np.zeros(16, dtype=np.float32))
-    emb2, flagged2 = graph_embedding("x = 1; use(x);", gnn)
-    assert not flagged2
-    assert emb2.shape == (16,)
+    graph = graph_inputs("x = 1; use(x);", 16)
+    assert graph is not None
+    assert graph_embedding(graph, gnn).shape == (16,)
 
 
 @pytest.fixture(scope="module")
@@ -172,20 +166,6 @@ def test_predict_sets_flag_on_unparseable_code(overfit_bundle):
     assert predict(bad, bundle).flagged is True
     good = [s for s in corpus if not s.label][0]
     assert predict(good, bundle).flagged is False
-
-
-def test_fuse_broadcast_mode():
-    rng = np.random.default_rng(4)
-    hidden = Tensor(rng.normal(0, 1, (5, 8)).astype(np.float32))
-    emb = Tensor(rng.normal(0, 1, 4).astype(np.float32))
-    out = fuse(hidden, emb, broadcast=True)
-    assert out.shape == (5, 12)
-    assert np.allclose(out.data[:, 8:], np.tile(emb.data, (5, 1)))
-
-
-def test_fuse_empty_sequence_errors():
-    with pytest.raises(ag.ShapeError):
-        fuse(Tensor(np.zeros((0, 4), dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)))
 
 
 def test_predictions_jsonl_schema(tmp_path):

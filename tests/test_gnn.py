@@ -221,25 +221,7 @@ def test_paper_profile_layer_bookkeeping():
     assert cfg.layer_count == 3
 
 
-def test_input_projection_when_widths_differ():
-    cfg_graph = chain_cfg(3)
-    g = Ggnn(GgnnConfig(state_dim=6, steps=1, feature_dim=4), seed=5)
-    out = g.forward(cfg_graph, np.ones((3, 4), dtype=np.float32))
-    assert out.shape == (6,)
-
-
 def test_width_mismatch_without_projection_errors():
     g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
     with pytest.raises(ValueError, match="state dim"):
         g.forward(chain_cfg(3), np.ones((3, 4), dtype=np.float32))
-
-
-def test_reverse_edges_flag_changes_message_flow():
-    rng = np.random.default_rng(10)
-    cfg_graph = chain_cfg(3)
-    feats = rng.normal(0, 1, (3, 8)).astype(np.float32)
-    forward_only = Ggnn(GgnnConfig(state_dim=8, steps=1), seed=7)
-    both_ways = Ggnn(GgnnConfig(state_dim=8, steps=1, reverse_edges=True), seed=7)
-    a = forward_only.forward(cfg_graph, feats).data
-    b = both_ways.forward(cfg_graph, feats).data
-    assert not np.allclose(a, b)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
 from msivd.autograd import Tensor, backward
 from msivd.lm import (
@@ -16,8 +17,8 @@ from msivd.lm import (
     generate_greedy,
     lora_forward,
     make_adapter,
-    multitask_loss,
 )
+from msivd.train import sift_batch_loss
 
 TINY = TransformerConfig(d_model=16, n_layers=1, n_heads=2, context_window=64)
 
@@ -149,7 +150,7 @@ def test_paper_profile_pins_dimensions():
         TransformerConfig(d_model=64, n_layers=2, n_heads=4, profile="paper")
 
 
-# --- multitask loss -----------------------------------------------------------------
+# --- task-averaged SIFT loss (Eq. 2) over the LM ------------------------------------
 
 
 class _FixedLogits:
@@ -160,7 +161,7 @@ class _FixedLogits:
 
     def forward(self, ids):
         t = len(ids)
-        logits = Tensor(np.tile(self._logits, (t, 1)))
+        logits = Tensor(np.tile(self._logits, (t, 1)), requires_grad=True)
         return LmOutput(logits=logits, hidden=logits)
 
 
@@ -174,10 +175,10 @@ def test_single_task_reduces_to_cross_entropy():
     model = LmModel(TINY, seed=5, dtype=np.float64)
     ids = [10, 11, 12, 13]
     mask = [False, False, True, True]
-    loss = multitask_loss(model, [[(ids, mask)]])
+    loss = sift_batch_loss(model, task_streams([[(ids, mask)]]))
     out = model.forward(ids)
     ref = ag.cross_entropy(ag.slice_rows(out.logits, 0, 3), ids[1:], mask[1:], reduction="mean")
-    assert abs(loss.item() - ref.item()) <= 1e-9
+    assert abs(loss - ref.item()) <= 1e-9
 
 
 def test_mean_of_task_means():
@@ -187,10 +188,10 @@ def test_mean_of_task_means():
     m1 = _FixedLogits(np.log([p1, 1 - p1]))
     m3 = _FixedLogits(np.log([p3, 1 - p3]))
 
-    l1 = multitask_loss(m1, [[_item(3)]])
-    l3 = multitask_loss(m3, [[_item(3)]])
-    assert l1.item() == pytest.approx(1.0, abs=1e-9)
-    assert l3.item() == pytest.approx(3.0, abs=1e-9)
+    l1 = sift_batch_loss(m1, task_streams([[_item(3)]]))
+    l3 = sift_batch_loss(m3, task_streams([[_item(3)]]))
+    assert l1 == pytest.approx(1.0, abs=1e-9)
+    assert l3 == pytest.approx(3.0, abs=1e-9)
 
     class _TwoTask:
         def forward(self, ids):
@@ -200,8 +201,8 @@ def test_mean_of_task_means():
     ids1, mask1 = _item(3)
     ids3 = [1] + [0] * 4
     mask3 = [False] + [True] * 4
-    combined = multitask_loss(_TwoTask(), [[(ids1, mask1)], [(ids3, mask3)]])
-    assert combined.item() == pytest.approx(2.0, abs=1e-9)
+    combined = sift_batch_loss(_TwoTask(), task_streams([[(ids1, mask1)], [(ids3, mask3)]]))
+    assert combined == pytest.approx(2.0, abs=1e-9)
 
 
 def test_duplication_invariance():
@@ -209,21 +210,20 @@ def test_duplication_invariance():
     a = ([1, 2, 3, 4], [False, True, True, False])
     b = ([5, 6, 7], [False, False, True])
     c = ([8, 9, 10], [False, True, True])
-    base = multitask_loss(model, [[a, b], [c]])
-    doubled = multitask_loss(model, [[a, b, a, b], [c]])
-    assert abs(base.item() - doubled.item()) <= 1e-9
+    base = sift_batch_loss(model, task_streams([[a, b], [c]]))
+    doubled = sift_batch_loss(model, task_streams([[a, b, a, b], [c]]))
+    assert abs(base - doubled) <= 1e-9
+    assert abs(base - eq2_reference(model, [[a, b], [c]])) <= 1e-9
 
 
 def test_zero_token_task_errors():
     model = LmModel(TINY, seed=7)
-    with pytest.raises(ValueError, match="task 1"):
-        multitask_loss(model, [[([1, 2], [False, True])], [([3, 4], [False, False])]])
-
-
-def test_empty_task_group_errors():
-    model = LmModel(TINY, seed=8)
-    with pytest.raises(ValueError, match="task 0"):
-        multitask_loss(model, [[]])
+    empty = ([3, 4], [False, False])
+    with pytest.raises(ValueError, match="zero valid tokens"):
+        sift_batch_loss(model, task_streams([[empty]]))
+    # beside a task with tokens, a zero-token task is left out of the mean
+    live = ([1, 2], [False, True])
+    assert sift_batch_loss(model, task_streams([[live], [empty]])) == sift_batch_loss(model, task_streams([[live]]))
 
 
 # --- generation --------------------------------------------------------------------

@@ -1,19 +1,26 @@
+import dataclasses
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from helpers_loss import eq2_reference
 from msivd.corpus import make_split, SplitSpec
 from msivd.dialogue import build_dialogue, build_negative_dialogue
 from msivd.gnn import GgnnConfig
 from msivd.lm import LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
 from msivd.train import (
+    CKPT_VERSION,
     Checkpoint,
     CheckpointError,
     LossCurve,
     TrainConfig,
+    build_bundle_from_checkpoint,
+    build_lm_from_checkpoint,
     load_checkpoint,
     render_training_streams,
     save_checkpoint,
@@ -77,7 +84,7 @@ def test_invalid_config_rejected():
 def test_checkpoint_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     ckpt = Checkpoint(
-        version=1,
+        version=CKPT_VERSION,
         config={"stage": "sift", "train": {"seed": 1}},
         tensors={
             "lm.a": rng.standard_normal((3, 4)).astype(np.float32),
@@ -111,6 +118,68 @@ def test_version_mismatch_errors(tmp_path):
     save_checkpoint(Checkpoint(9, {}, {"x": np.zeros(2, dtype=np.float32)}), p)
     with pytest.raises(CheckpointError, match="version mismatch"):
         load_checkpoint(p)
+
+
+def _sift_checkpoint():
+    """An untrained SIFT checkpoint of the tiny LM."""
+    from msivd.lm import LmModel
+
+    config = tiny_config()
+    model = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
+    tensors = {f"lm.{k}": t.data.copy() for k, t in model.parameters().items()}
+    return Checkpoint(CKPT_VERSION, {"stage": "sift", "train": config.snapshot()}, tensors)
+
+
+def _first_entry(header: dict) -> dict:
+    return header["tensors"][min(header["tensors"])]
+
+
+def _rewrite(edit):
+    """A corruption that edits the JSON header; the payload stays as saved."""
+
+    def corrupt(raw: bytes) -> bytes:
+        (header_len,) = struct.unpack_from("<I", raw, 12)
+        header = json.loads(raw[16 : 16 + header_len])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :]
+
+    return corrupt
+
+
+def _header_bytes(fill: bytes):
+    def corrupt(raw: bytes) -> bytes:
+        (header_len,) = struct.unpack_from("<I", raw, 12)
+        return raw[:16] + fill * header_len + raw[16 + header_len :]
+
+    return corrupt
+
+
+EXTRA = {"lm.extra": {"shape": [2], "dtype": "<f4", "offset": 0, "nbytes": 8}}
+CORRUPTIONS = {
+    "cut-in-version": lambda raw: raw[:10],
+    "cut-in-header-length": lambda raw: raw[:14],
+    "cut-in-header": lambda raw: raw[: 16 + struct.unpack_from("<I", raw, 12)[0] // 2],
+    "non-utf8-header": _header_bytes(b"\xff"),
+    "header-not-json": _header_bytes(b"{"),
+    "cut-in-payload": lambda raw: raw[:-3],
+    "negative-offset": _rewrite(lambda h: _first_entry(h).update(offset=-4)),
+    "offset-past-payload": _rewrite(lambda h: _first_entry(h).update(offset=10**9)),
+    "nbytes-not-shape": _rewrite(lambda h: _first_entry(h).update(nbytes=4)),
+    "object-dtype": _rewrite(lambda h: _first_entry(h).update(dtype="|O")),
+    "no-tensor-directory": _rewrite(lambda h: h.pop("tensors")),
+    "extra-tensor": _rewrite(lambda h: h["tensors"].update(EXTRA)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, corruption):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(_sift_checkpoint(), p)
+    build_lm_from_checkpoint(load_checkpoint(p))  # the intact file loads
+    p.write_bytes(CORRUPTIONS[corruption](p.read_bytes()))
+    with pytest.raises(CheckpointError):
+        build_lm_from_checkpoint(load_checkpoint(p))
 
 
 def test_loading_into_different_d_model_errors(tmp_path, small_corpus):
@@ -181,10 +250,10 @@ def test_objective_grouping_gives_two_tasks(small_corpus):
 
 
 def test_stream_loss_matches_multitask_loss():
-    """The per-stream training path equals the task-grouped loss when nothing
-    is truncated (same Eq.-style pooling)."""
+    """The per-stream training path equals the task-grouped Eq. 2 loss, each
+    round rendered on its own, when nothing is truncated."""
     from msivd.dialogue import render
-    from msivd.lm import ByteTokenizer, LmModel, multitask_loss
+    from msivd.lm import ByteTokenizer, LmModel
 
     corpus = make_synthetic_corpus(n=8, seed=9)
     dialogues = dialogues_from(corpus)
@@ -192,7 +261,7 @@ def test_stream_loss_matches_multitask_loss():
     tok = ByteTokenizer()
     model = LmModel(config.lm_config, seed=1, lora=config.lora_config)
     streams = render_training_streams(dialogues, tok, config)
-    stream_value = sift_batch_loss(model, streams, accumulate=False)
+    stream_value = sift_batch_loss(model, streams)
 
     groups = [[], [], []]
     for d in dialogues:
@@ -201,7 +270,7 @@ def test_stream_loss_matches_multitask_loss():
                 groups[r - 1].append(render(d, tok, up_to_round=r, context_window=1024, mask_rounds={r}))
         else:
             groups[0].append(render(d, tok, up_to_round=1, context_window=1024, mask_rounds={1}))
-    reference = multitask_loss(model, [g for g in groups if g]).item()
+    reference = eq2_reference(model, [[(r.token_ids, r.loss_mask) for r in g] for g in groups if g])
     assert stream_value == pytest.approx(reference, rel=1e-5)
 
 
@@ -250,6 +319,23 @@ def test_fused_without_gnn_trains_lm_only_head(small_corpus):
     ckpt, curve = train_fused(small_corpus, None, config)
     assert not any(k.startswith("gnn.") for k in ckpt.tensors)
     assert curve.losses()[-1] < curve.losses()[0]
+
+
+@pytest.mark.parametrize("case", ["gnn", "no-gnn", "mini-c-rejects"])
+def test_train_and_predict_read_out_alike(case):
+    """The loss logged for one sample, one step, at a negligible learning rate
+    is -log p(label) of that sample under predict on the rebuilt bundle."""
+    from msivd.fusion import predict
+
+    sample = [s for s in make_synthetic_corpus(n=4, seed=2) if s.label][0]
+    if case == "mini-c-rejects":  # mini-C has no for loops
+        sample = dataclasses.replace(sample, code=sample.code + "\nfor (i = 0; i < n; i = i + 1) { g(i); }")
+    config = tiny_config(stage="fused", use_gnn=case != "no-gnn", learning_rate=1e-12, batch_size=1, epochs=1)
+    ckpt, curve = train_fused([sample], None, config)
+    pred = predict(sample, build_bundle_from_checkpoint(ckpt))
+    assert pred.flagged == (case == "mini-c-rejects")
+    log_p = pred.log_probs[0 if sample.label else 1]
+    assert curve.losses()[0] == pytest.approx(-log_p, abs=1e-6)
 
 
 def test_overfit_single_dialogue_reproduces_teacher_answer():
