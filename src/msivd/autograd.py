@@ -6,6 +6,8 @@ Storage is 32-bit by default; gradient verification runs the same kernels on
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -134,8 +136,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw():
         g = _out.grad
-        _accum(a, _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if a.requires_grad:
+            _accum(a, _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.requires_grad:
+            _accum(b, _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     _out = _result(out, (a, b), bw)
     return _out
@@ -370,6 +374,60 @@ def softmax(x: Tensor) -> Tensor:
         _accum(x, out * (g - dot))
 
     _out = _result(out, (x,), bw)
+    return _out
+
+
+# Not in __all__: bench/tracer.py traces exactly __all__, pinned to BENCHMARK.json; its time shows under lm.self_s.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention of [T x d] inputs; the output is [T x d].
+
+    Head h reads the h-th block of d / n_heads columns of q, k and v and
+    computes softmax(q_h k_hᵀ / sqrt(d / n_heads) + mask) v_h, where the mask
+    is -inf above the diagonal; the head outputs fill the same column blocks
+    of the result. Only the attention probabilities are kept for backward.
+    """
+    if q.ndim != 2:
+        raise ShapeError(f"causal_attention needs [T x d] inputs, got {q.shape}")
+    if k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"causal_attention q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    t, d = q.shape
+    if t == 0:
+        raise ShapeError("causal_attention on zero rows")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"causal_attention width {d} not divisible by n_heads {n_heads}")
+    dh = d // n_heads
+    c = q.data.dtype.type(1.0 / math.sqrt(dh))
+
+    def split(x):  # [T x d] -> [H x T x dh]
+        return x.reshape(t, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # [H x T x dh] -> [T x d]
+        return x.transpose(1, 0, 2).reshape(t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p *= c
+    p += np.triu(np.full((t, t), -np.inf, dtype=p.dtype), k=1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(p, vh))
+
+    def bw():
+        g = split(_out.grad)
+        if v.requires_grad:
+            _accum(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(g, np.swapaxes(vh, -1, -2))
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= c
+            if q.requires_grad:
+                _accum(q, merge(np.matmul(ds, kh)))
+            if k.requires_grad:
+                _accum(k, merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), ds), -1, -2)))
+
+    _out = _result(out, (q, k, v), bw)
     return _out
 
 

@@ -6,7 +6,6 @@ over these forwards (the paper's Eq. 2) is ``train.sift_batch_loss``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +165,6 @@ class LmModel:
     ):
         self.config = config
         self.lora_config = lora
-        self.dtype = dtype
         rng = np.random.default_rng(seed)
         d = config.d_model
 
@@ -232,27 +230,14 @@ class LmModel:
             raise ag.ShapeError("forward on empty token sequence")
         if t > self.config.context_window:
             raise ag.ShapeError(f"sequence length {t} exceeds context window {self.config.context_window}")
-        d = self.config.d_model
-        n_heads = self.config.n_heads
-        dh = d // n_heads
-
         x = ag.add(ag.embedding_lookup(self.tok_emb, ids), ag.embedding_lookup(self.pos_emb, np.arange(t)))
-        mask = Tensor(np.triu(np.full((t, t), -np.inf, dtype=self.dtype), k=1))
-        inv_sqrt = 1.0 / math.sqrt(dh)
 
         for i, layer in enumerate(self.layers):
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             q = lora_forward(xn, layer["wq"], self.adapters.get(f"layer{i}.wq"))
             k = ag.matmul(xn, ag.transpose(layer["wk"]))
             v = lora_forward(xn, layer["wv"], self.adapters.get(f"layer{i}.wv"))
-            heads = []
-            for h in range(n_heads):
-                qh = ag.slice_last_dim(q, h * dh, (h + 1) * dh)
-                kh = ag.slice_last_dim(k, h * dh, (h + 1) * dh)
-                vh = ag.slice_last_dim(v, h * dh, (h + 1) * dh)
-                scores = ag.add(ag.scale(ag.matmul(qh, ag.transpose(kh)), inv_sqrt), mask)
-                heads.append(ag.matmul(ag.softmax(scores), vh))
-            attn_out = ag.matmul(ag.concat_last_dim(heads), ag.transpose(layer["wo"]))
+            attn_out = ag.matmul(ag.causal_attention(q, k, v, self.config.n_heads), ag.transpose(layer["wo"]))
             x = ag.add(x, attn_out)
 
             xn2 = ag.layer_norm(x, layer["ln2_g"], layer["ln2_b"])

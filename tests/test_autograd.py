@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_attention import per_head_attention
 from msivd import autograd as ag
 from msivd.autograd import Tensor
 
@@ -202,6 +203,20 @@ KERNEL_CASES = {
 }
 
 
+def _attention_case(t, n_heads):
+    def case(rng):
+        w = Tensor(rng.standard_normal((t, 4)), dtype=np.float64)
+        return (
+            lambda q, k, v: ag.sum_all(ag.mul(ag.causal_attention(q, k, v, n_heads), w)),
+            [rand((t, 4), rng), rand((t, 4), rng), rand((t, 4), rng)],
+        )
+
+    return case
+
+
+KERNEL_CASES.update({f"causal_attention_t{t}_h{h}": _attention_case(t, h) for t in (1, 5) for h in (1, 2)})
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_kernel_gradients(name):
     rng = np.random.default_rng(hash(name) % 2**32)
@@ -254,3 +269,50 @@ def test_determinism_bitwise(n, m):
     o1 = ag.softmax(ag.matmul(a1, b1))
     o2 = ag.softmax(ag.matmul(a2, b2))
     assert np.array_equal(o1.data, o2.data)
+
+
+# --- causal_attention against the per-head composition ------------------------------
+
+
+def _attention_grads(attend, t, d, n_heads, k_requires_grad=True):
+    """Output and q/k/v gradients of ``attend`` under one fixed upstream gradient."""
+    rng = np.random.default_rng(8)
+    q, k, v = (rand((t, d), rng) for _ in range(3))
+    k.requires_grad = k_requires_grad
+    upstream = Tensor(rng.standard_normal((t, d)).astype(np.float32))
+    out = attend(q, k, v, n_heads)
+    ag.backward(ag.sum_all(ag.mul(out, upstream)))
+    return out.data, q.grad, k.grad, v.grad
+
+
+def test_causal_attention_matches_per_head_composition_bitwise():
+    fused = _attention_grads(ag.causal_attention, 512, 64, 4)
+    reference = _attention_grads(per_head_attention, 512, 64, 4)
+    assert fused[0].dtype == np.float32
+    for a, b in zip(fused, reference):
+        assert np.array_equal(a, b)
+
+
+def test_causal_attention_frozen_key_gets_no_grad():
+    out, q_grad, k_grad, v_grad = _attention_grads(ag.causal_attention, 6, 8, 2)
+    frozen = _attention_grads(ag.causal_attention, 6, 8, 2, k_requires_grad=False)
+    assert k_grad is not None and frozen[2] is None
+    assert np.array_equal(frozen[0], out)
+    assert np.array_equal(frozen[1], q_grad)
+    assert np.array_equal(frozen[3], v_grad)
+
+
+@pytest.mark.parametrize(
+    "shapes, n_heads, match",
+    [
+        (((2, 3, 4),) * 3, 2, "T x d"),
+        (((3, 4), (3, 4), (2, 4)), 2, "shapes differ"),
+        (((3, 6),) * 3, 4, "not divisible"),
+        (((0, 4),) * 3, 2, "zero rows"),
+    ],
+    ids=["not_2d", "shapes_differ", "width_not_divisible", "zero_rows"],
+)
+def test_causal_attention_rejects_bad_shapes(shapes, n_heads, match):
+    rng = np.random.default_rng(9)
+    with pytest.raises(ag.ShapeError, match=match):
+        ag.causal_attention(*(rand(s, rng) for s in shapes), n_heads)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from msivd.lm import (
     ByteTokenizer,
     LmModel,
     LmOutput,
+    LoraAdapter,
     LoraConfig,
     TransformerConfig,
     generate_greedy,
@@ -95,8 +97,6 @@ def test_lora_layer_gradcheck():
     b = Tensor(rng.normal(0, 0.2, (5, 2)), requires_grad=True, dtype=np.float64)
 
     def f(x_, a_, b_):
-        from msivd.lm import LoraAdapter
-
         return ag.sum_all(ag.sigmoid(lora_forward(x_, w0, LoraAdapter(a=a_, b=b_, rank=2, alpha=16.0))))
 
     assert ag.grad_check(f, [x64, a, b], h=1e-4) <= 1e-4
@@ -261,3 +261,41 @@ def test_attention_block_gradcheck():
         return ag.sum_all(ag.tanh(ag.matmul(att, ag.transpose(wo_))))
 
     assert ag.grad_check(f, [x, wq, wk, wv, wo], h=1e-4) <= 1e-4
+
+
+def _next_token_loss(model, ids):
+    out = model.forward(ids)
+    return ag.cross_entropy(out.logits, ids[1:] + [0], [True] * (len(ids) - 1) + [False])
+
+
+def test_model_forward_gradcheck_through_adapter():
+    """Finite differences through LmModel.forward with respect to layer 0's
+    query adapter; with two layers, the gradient also passes through layer 1's
+    attention keys."""
+    rng = np.random.default_rng(12)
+    model = LmModel(replace(TINY, n_layers=2), seed=12, lora=LoraConfig(rank=2), dtype=np.float64)
+    adapter = model.adapters["layer0.wq"]
+    adapter.b.data[:] = rng.normal(0, 0.5, adapter.b.shape)
+    ids = [3, 1, 4, 1, 5, 9]
+
+    def f(a_, b_):
+        model.adapters["layer0.wq"] = LoraAdapter(a=a_, b=b_, rank=adapter.rank, alpha=adapter.alpha)
+        return _next_token_loss(model, ids)
+
+    assert ag.grad_check(f, [adapter.a, adapter.b], h=1e-5) <= 1e-4
+
+
+def _tape_size(loss) -> int:
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_tape_size_does_not_grow_with_heads():
+    ids = [1, 2, 3, 4, 5, 6, 7, 8]
+    sizes = {h: _tape_size(_next_token_loss(LmModel(replace(TINY, n_heads=h), seed=13), ids)) for h in (1, 4)}
+    assert sizes[1] == sizes[4]
