@@ -12,7 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msivd.corpus import SplitSpec, make_split, write_samples_jsonl, write_splits_json
-from msivd.dialogue import build_dialogue, build_negative_dialogue, serialize_jsonl
+from msivd.dialogue import build_dialogues, serialize_jsonl
 from msivd.evaluation import ABLATION_MODES, AblationDataset, run_ablation
 from msivd.synth import make_synthetic_corpus
 from msivd.train import TrainConfig
@@ -36,8 +36,7 @@ def main() -> int:
     write_samples_jsonl(corpus, out / "samples.jsonl")
     train, eval_set, test_set = make_split(corpus, SplitSpec(seed=args.seed))
     write_splits_json(train, eval_set, test_set, out / "splits.json")
-    dialogues = [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in corpus]
-    serialize_jsonl(dialogues, out / "dialogues.jsonl")
+    serialize_jsonl(build_dialogues(corpus), out / "dialogues.jsonl")
     print(f"corpus: {len(train)} train / {len(eval_set)} eval / {len(test_set)} test")
 
     dataset = AblationDataset(name="synthetic-desk", train=train, eval=eval_set, test=test_set)

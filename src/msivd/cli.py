@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .corpus import (
     write_samples_jsonl,
     write_splits_json,
 )
-from .dialogue import build_dialogue, build_negative_dialogue, parse_jsonl, serialize_jsonl
+from .dialogue import build_dialogues, parse_jsonl, serialize_jsonl
 from .evaluation import ABLATION_MODES, AblationDataset, run_ablation
 from .fusion import predict as fusion_predict
 from .gnn import GgnnConfig
@@ -65,7 +65,6 @@ class RunConfig:
     batch_size: int | None = None
     epochs: int | None = None
     sift_mode: str = "multi-round"
-    task_grouping: str = "round"
     use_gnn: bool = True
     d_model: int = 64
     n_layers: int = 2
@@ -79,7 +78,6 @@ class RunConfig:
     mix_preset: str | None = None
     cutoff: str = "2023-01-01"
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    paths: dict = field(default_factory=dict)
 
     def lm_config(self) -> TransformerConfig:
         if self.profile == "paper":
@@ -104,9 +102,7 @@ class RunConfig:
             batch_size=self.batch_size if self.batch_size is not None else 4,
             epochs=self.epochs,
             seed=self.seed,
-            profile=self.profile,
             sift_mode=self.sift_mode,
-            task_grouping=self.task_grouping,
             use_gnn=self.use_gnn,
             lm_config=self.lm_config(),
             gnn_config=self.gnn_config(),
@@ -124,6 +120,7 @@ class UsageError(Exception):
 
 
 def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
+    field_names = RunConfig.__dataclass_fields__
     settings: dict = {"command": command}
     settings["profile"] = os.environ.get("MSIVD_PROFILE", "desk")
     config_path = getattr(args, "config", None)
@@ -135,15 +132,19 @@ def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
             file_cfg = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc.msg}")
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"config file {path} must hold a JSON object, not {type(file_cfg).__name__}")
+        settable = set(field_names) - {"command"}
+        unknown = sorted(set(file_cfg) - settable)
+        if unknown:
+            raise UsageError(f"config file {path} has unknown keys {unknown}; valid: {sorted(settable)}")
         settings.update(file_cfg)
-    field_names = set(RunConfig.__dataclass_fields__)
     for key, value in vars(args).items():
         if key in field_names and value is not None:
             settings[key] = value
-    known = {k: v for k, v in settings.items() if k in field_names}
-    if "ratios" in known and not isinstance(known["ratios"], tuple):
-        known["ratios"] = tuple(known["ratios"])
-    return RunConfig(**known)
+    if "ratios" in settings and not isinstance(settings["ratios"], tuple):
+        settings["ratios"] = tuple(settings["ratios"])
+    return RunConfig(**settings)
 
 
 def _write_provenance(artifact: Path, run: RunConfig) -> None:
@@ -241,7 +242,7 @@ def cmd_prepare(args: argparse.Namespace, run: RunConfig) -> int:
     splits_path = out_dir / "splits.json"
     write_splits_json(train, eval_set, test_set, splits_path)
 
-    dialogues = [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in samples]
+    dialogues = build_dialogues(samples)
     dialogues_path = out_dir / "dialogues.jsonl"
     serialize_jsonl(dialogues, dialogues_path)
     for artifact in (splits_path, dialogues_path):

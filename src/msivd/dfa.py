@@ -23,12 +23,17 @@ __all__ = [
     "gen_kill",
     "reaching_definitions",
     "build_node_features",
-    "FeatureSpec",
     "reach_to_json",
 ]
 
 # statement kinds that can define a variable
 DEFINING_KINDS = ("assign", "call")
+
+# Feature layout: N_SLOTS variable slots x DEFINING_KINDS, TOP_K thermometer
+# cells per (slot, kind) bucket.
+N_SLOTS = 2
+TOP_K = 4
+N_CELLS = N_SLOTS * len(DEFINING_KINDS) * TOP_K
 
 
 @dataclass(frozen=True)
@@ -113,42 +118,24 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachSets:
     )
 
 
-@dataclass
-class FeatureSpec:
-    """Layout of the bucketed multi-hot dataflow embedding."""
-
-    n_slots: int = 2
-    top_k: int = 4
-    kinds: tuple[str, ...] = DEFINING_KINDS
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_slots * len(self.kinds) * self.top_k
-
-
-def build_node_features(
-    cfg: ControlFlowGraph,
-    reach: ReachSets,
-    width: int,
-    spec: FeatureSpec | None = None,
-) -> np.ndarray:
+def build_node_features(cfg: ControlFlowGraph, reach: ReachSets, width: int) -> np.ndarray:
     """Encode each node's IN set as a fixed-width multi-hot vector.
 
     Buckets are (variable slot, defining-statement kind); each bucket holds
-    ``top_k`` thermometer cells, so counts beyond top_k saturate. Variable
-    slots are assigned by first-definition order modulo ``n_slots``.
+    ``TOP_K`` thermometer cells, so counts beyond TOP_K saturate. Variable
+    slots are assigned by first-definition order modulo ``N_SLOTS``. Cells
+    past the first ``N_CELLS`` stay zero.
     """
-    spec = spec or FeatureSpec()
-    if width < spec.n_cells:
-        raise ValueError(f"feature width {width} < required {spec.n_cells} cells")
+    if width < N_CELLS:
+        raise ValueError(f"feature width {width} < required {N_CELLS} cells")
 
     defs = {d.def_id: d for d in definitions(cfg)}
     var_order: list[str] = []
     for n in sorted(cfg.nodes, key=lambda n: n.id):
         if n.defines is not None and n.defines not in var_order:
             var_order.append(n.defines)
-    slot = {v: i % spec.n_slots for i, v in enumerate(var_order)}
-    kind_idx = {k: i for i, k in enumerate(spec.kinds)}
+    slot = {v: i % N_SLOTS for i, v in enumerate(var_order)}
+    kind_idx = {k: i for i, k in enumerate(DEFINING_KINDS)}
 
     feats = np.zeros((len(cfg.nodes), width), dtype=np.float32)
     for row, n in enumerate(cfg.nodes):
@@ -161,8 +148,8 @@ def build_node_features(
             key = (slot[d.variable], kind_idx[k])
             counts[key] = counts.get(key, 0) + 1
         for (s, k), c in counts.items():
-            base = (s * len(spec.kinds) + k) * spec.top_k
-            feats[row, base : base + min(c, spec.top_k)] = 1.0
+            base = (s * len(DEFINING_KINDS) + k) * TOP_K
+            feats[row, base : base + min(c, TOP_K)] = 1.0
     return feats
 
 

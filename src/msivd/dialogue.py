@@ -24,6 +24,7 @@ __all__ = [
     "NEGATIVE_ANSWER",
     "build_dialogue",
     "build_negative_dialogue",
+    "build_dialogues",
     "render",
     "render_prompt",
     "serialize_jsonl",
@@ -77,7 +78,6 @@ class DialogueRecord:
 class RenderedDialogue:
     token_ids: np.ndarray  # int64 [T]
     loss_mask: np.ndarray  # bool [T]
-    round_boundaries: list[int] = field(default_factory=list)  # start index of each round
     teacher_spans: list[tuple[int, int]] = field(default_factory=list)  # [start, end) per round
 
     def __post_init__(self):
@@ -129,39 +129,37 @@ def build_negative_dialogue(sample: CodeSample) -> DialogueRecord:
     return DialogueRecord(sample_id=sample.sample_id, system_text=SYSTEM_PROMPT, rounds=rounds, label=False)
 
 
+def build_dialogues(samples: list[CodeSample]) -> list[DialogueRecord]:
+    """One dialogue per sample: three rounds for positives, one for negatives."""
+    return [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in samples]
+
+
 def render(
     dialogue: DialogueRecord,
     tokenizer: ByteTokenizer,
     up_to_round: int | None = None,
     context_window: int = 2048,
-    mask_rounds: set[int] | None = None,
 ) -> RenderedDialogue:
     """Token stream [system][student_1][teacher_1]... with a teacher-only mask.
 
     ``up_to_round`` truncates the conversation after that round (1-based;
-    default all rounds). ``mask_rounds`` restricts the loss mask to the given
-    rounds (default: all rendered rounds). Overlong streams are truncated
-    from the left; the final teacher span is never split.
+    default all rounds). Overlong streams are truncated from the left; the
+    final teacher span is never split.
     """
     n_rounds = len(dialogue.rounds)
     if up_to_round is None:
         up_to_round = n_rounds
     if not 1 <= up_to_round <= n_rounds:
         raise DialogueError(f"up_to_round {up_to_round} outside 1-{n_rounds}")
-    if mask_rounds is None:
-        mask_rounds = set(range(1, up_to_round + 1))
 
     ids: list[int] = [tokenizer.SYSTEM]
     mask: list[bool] = [False]
-    boundaries: list[int] = []
     sys_ids = tokenizer.encode(dialogue.system_text)
     ids.extend(sys_ids)
     mask.extend([False] * len(sys_ids))
 
     spans: list[tuple[int, int]] = []
-    for r in range(1, up_to_round + 1):
-        rnd = dialogue.rounds[r - 1]
-        boundaries.append(len(ids))
+    for rnd in dialogue.rounds[:up_to_round]:
         stu = tokenizer.encode(rnd.student_text)
         ids.append(tokenizer.STUDENT)
         ids.extend(stu)
@@ -171,7 +169,7 @@ def render(
         mask.append(False)
         start = len(ids)
         ids.extend(tea)
-        mask.extend([r in mask_rounds] * len(tea))
+        mask.extend([True] * len(tea))
         spans.append((start, len(ids)))
 
     if len(ids) > context_window:
@@ -184,13 +182,11 @@ def render(
         drop = len(ids) - context_window
         ids = ids[drop:]
         mask = mask[drop:]
-        boundaries = [max(b - drop, 0) for b in boundaries]
         spans = [(max(s - drop, 0), max(e - drop, 0)) for s, e in spans]
 
     return RenderedDialogue(
         token_ids=np.asarray(ids, dtype=np.int64),
         loss_mask=np.asarray(mask, dtype=bool),
-        round_boundaries=boundaries,
         teacher_spans=spans,
     )
 

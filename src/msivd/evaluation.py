@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import CodeSample
-from .dialogue import build_dialogue, build_negative_dialogue, render_prompt
+from .dialogue import build_dialogues, render_prompt
 from .fusion import NO_INDEX, YES_INDEX, Prediction, predict
 from .lm import ByteTokenizer, LmModel
 from .train import TrainConfig, build_bundle_from_checkpoint, train_fused, train_sift
@@ -173,10 +173,6 @@ def predict_pretrained(lm: LmModel, tokenizer: ByteTokenizer, sample: CodeSample
     )
 
 
-def _dialogues(samples: list[CodeSample]):
-    return [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in samples]
-
-
 def _run_mode(
     mode: str,
     dataset: AblationDataset,
@@ -195,7 +191,7 @@ def _run_mode(
             "multi-round-sift-gnn": "multi-round",
         }[mode]
         s_cfg = replace(sift_config, stage="sift", sift_mode=sift_mode)
-        sift_ckpt, _ = train_sift(_dialogues(dataset.train), s_cfg)
+        sift_ckpt, _ = train_sift(build_dialogues(dataset.train), s_cfg)
         use_gnn = mode == "multi-round-sift-gnn"
         f_cfg = replace(fused_config, stage="fused", use_gnn=use_gnn)
         fused_ckpt, _ = train_fused(dataset.train, sift_ckpt, f_cfg)

@@ -18,6 +18,7 @@ __all__ = [
     "GgnnConfig",
     "GruParams",
     "Ggnn",
+    "adjacency",
     "mlp_aggregate",
     "gru_update",
 ]
@@ -72,22 +73,28 @@ def mlp_forward(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
     return h
 
 
+def adjacency(n: int, edges: list[tuple[int, int]], dtype=np.float32) -> np.ndarray:
+    """Dense in-edge counts of an ``n``-node graph: entry [dst, src] is the
+    number of (src, dst) edges, so duplicate edges count twice (multiset
+    semantics)."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        src, dst = pairs[bad[0]]
+        raise ValueError(f"edge ({src}, {dst}) references missing node (n={n})")
+    adj_t = np.zeros((n, n), dtype=dtype)
+    np.add.at(adj_t, (pairs[:, 1], pairs[:, 0]), 1.0)
+    return adj_t
+
+
 def mlp_aggregate(
     states: Tensor,
-    edges: list[tuple[int, int]],
+    adj_t: np.ndarray,
     mlp_layers: list[tuple[Tensor, Tensor]],
 ) -> Tensor:
-    """Per-node incoming message: sum over in-neighbors of MLP(state).
-
-    Duplicate edges count twice (multiset semantics); isolated nodes get a
-    zero message.
-    """
-    n = states.shape[0]
-    adj_t = np.zeros((n, n), dtype=states.dtype)
-    for src, dst in edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"edge ({src}, {dst}) references missing node (n={n})")
-        adj_t[dst, src] += 1.0
+    """Per-node incoming message: sum over in-neighbors of MLP(state), with
+    the in-neighbors given as ``adjacency`` counts; isolated nodes get a zero
+    message."""
     transformed = mlp_forward(states, mlp_layers)
     return ag.matmul(Tensor(adj_t), transformed)
 
@@ -146,9 +153,9 @@ class Ggnn:
         if features.shape[1] != self.config.state_dim:
             raise ValueError(f"feature width {features.shape[1]} != state dim {self.config.state_dim}")
         h = Tensor(np.asarray(features, dtype=self.mlp_layers[0][0].dtype))
-        edges = list(cfg.edges)
+        adj_t = adjacency(n, cfg.edges, dtype=h.dtype)
         for _ in range(self.config.steps):
-            msg = mlp_aggregate(h, edges, self.mlp_layers)
+            msg = mlp_aggregate(h, adj_t, self.mlp_layers)
             h = gru_update(h, msg, self.gru)
         pooled = ag.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=h.dtype)), h)
         return ag.select_row(pooled, 0)

@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 SIFT_MODES = ("multi-round", "single-round", "label-only")
-TASK_GROUPINGS = ("round", "objective")
+
+CLIP_NORM = 1.0  # global gradient-norm bound of both stages
 
 CKPT_MAGIC = b"MSIVDCKP"
 CKPT_VERSION = 2
@@ -71,12 +72,8 @@ class TrainConfig:
     batch_size: int = 4
     epochs: int | None = None  # stage default: 10 sift, 5 fused
     seed: int = 0
-    profile: str = "desk"
     sift_mode: str = "multi-round"
-    task_grouping: str = "round"
     use_gnn: bool = True
-    clip_norm: float | None = 1.0
-    momentum: float = 0.0
     lm_config: TransformerConfig = field(default_factory=TransformerConfig)
     gnn_config: GgnnConfig = field(default_factory=GgnnConfig)
     lora_config: LoraConfig = field(default_factory=LoraConfig)
@@ -92,11 +89,6 @@ class TrainConfig:
             raise ValueError("learning rate, batch size and epochs must be positive")
         if self.sift_mode not in SIFT_MODES:
             raise ValueError(f"unknown sift_mode {self.sift_mode!r}; have {SIFT_MODES}")
-        if self.task_grouping not in TASK_GROUPINGS:
-            raise ValueError(f"unknown task_grouping {self.task_grouping!r}")
-        if self.profile == "paper":
-            self.lm_config = TransformerConfig.paper()
-            self.gnn_config = GgnnConfig.paper()
 
     def snapshot(self) -> dict:
         """JSON-safe view of the full configuration (nested configs included)."""
@@ -293,18 +285,12 @@ class Sgd:
 # --- stage 1: multitask SIFT ------------------------------------------------------------
 
 
-def _task_index(round_no: int, grouping: str) -> int:
-    if grouping == "round":
-        return round_no - 1
-    return 0 if round_no == 1 else 1  # detection vs explanation
-
-
 @dataclass
 class TrainingStream:
     """One dialogue rendered once, with its teacher spans mapped to tasks."""
 
     rendered: RenderedDialogue
-    tasks: list[tuple[int, tuple[int, int]]]  # (task index, [start, end) span)
+    tasks: list[tuple[int, tuple[int, int]]]  # (task index = round - 1, [start, end) span)
 
 
 def render_training_streams(
@@ -314,22 +300,18 @@ def render_training_streams(
 ) -> list[TrainingStream]:
     """Each complete dialogue becomes a single training stream.
 
-    Multi-round mode keeps all rounds, mapping each teacher span to its task
-    group; single-round and label-only modes keep round 1 only. Negatives
-    always train their single round under task 0 (detection).
+    Multi-round mode keeps all rounds, the teacher span of round r being
+    task r - 1; single-round and label-only modes keep round 1 only.
+    Negatives always train their single round under task 0 (detection).
     """
     window = config.lm_config.context_window
     streams: list[TrainingStream] = []
     for d in dialogues:
         if d.label and config.sift_mode == "multi-round":
             rendered = render(d, tokenizer, context_window=window)
-            tasks = [
-                (_task_index(r, config.task_grouping), span)
-                for r, span in enumerate(rendered.teacher_spans, start=1)
-            ]
         else:
-            rendered = render(d, tokenizer, up_to_round=1, context_window=window, mask_rounds={1})
-            tasks = [(0, rendered.teacher_spans[0])]
+            rendered = render(d, tokenizer, up_to_round=1, context_window=window)
+        tasks = list(enumerate(rendered.teacher_spans))
         streams.append(TrainingStream(rendered=rendered, tasks=tasks))
     return streams
 
@@ -389,19 +371,13 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
     model = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
     streams = render_training_streams(dialogues, tokenizer, config)
 
-    if config.sift_mode == "multi-round":
-        n_tasks = 3 if config.task_grouping == "round" else 2
-    else:
-        n_tasks = 1
+    n_tasks = 3 if config.sift_mode == "multi-round" else 1
     present = {t for s in streams for t, _ in s.tasks}
     missing = sorted(set(range(n_tasks)) - present)
     if missing:
         raise ValueError(f"empty task group(s): {missing}")
 
-    optimizer = Sgd(
-        model.adapter_parameters(), lr=config.learning_rate,
-        momentum=config.momentum, clip_norm=config.clip_norm,
-    )
+    optimizer = Sgd(model.adapter_parameters(), lr=config.learning_rate, clip_norm=CLIP_NORM)
     curve = LossCurve()
     order_rng = random.Random(config.seed)
     step = 0
@@ -416,7 +392,6 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
             curve.append(step, loss_value)
             step += 1
 
-    masked_rounds = 3 if config.sift_mode == "multi-round" else 1
     ckpt = Checkpoint(
         version=CKPT_VERSION,
         config={"stage": "sift", "train": config.snapshot()},
@@ -426,7 +401,7 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
                 "stage": "sift",
                 "mode": config.sift_mode,
                 "n_tasks": n_tasks,
-                "masked_rounds": masked_rounds,
+                "masked_rounds": n_tasks,
                 "steps": step,
                 "final_loss": curve.rows[-1][1],
             }
@@ -485,7 +460,7 @@ def train_fused(
     trainable: dict[str, Tensor] = dict(classifier.parameters())
     if gnn is not None:
         trainable.update(gnn.parameters())
-    optimizer = Sgd(trainable, lr=config.learning_rate, momentum=config.momentum, clip_norm=config.clip_norm)
+    optimizer = Sgd(trainable, lr=config.learning_rate, clip_norm=CLIP_NORM)
 
     curve = LossCurve()
     order_rng = random.Random(config.seed)

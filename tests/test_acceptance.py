@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 import random
 import time
+import zlib
 from contextlib import contextmanager
 from datetime import date
 
@@ -23,7 +24,7 @@ from msivd.corpus import (
     make_split,
 )
 from msivd.dfa import reaching_definitions
-from msivd.dialogue import build_dialogue, build_negative_dialogue
+from msivd.dialogue import build_dialogues
 from msivd.evaluation import (
     ABLATION_MODES,
     AblationDataset,
@@ -96,7 +97,7 @@ def test_gradient_suite():
         start = time.monotonic()
         # every autograd kernel
         for name in sorted(KERNEL_CASES):
-            rng = np.random.default_rng(hash(name) % 2**32)
+            rng = np.random.default_rng(zlib.crc32(name.encode()))
             f, xs = KERNEL_CASES[name](rng)
             err = ag.grad_check(f, xs, h=1e-3)
             assert err <= 1e-4, f"kernel {name}: {err}"
@@ -225,7 +226,7 @@ def test_end_to_end_desk_training():
         start = time.monotonic()
         corpus = make_synthetic_corpus(n=200, seed=0)
         train, eval_set, test_set = make_split(corpus, SplitSpec(seed=0))
-        dialogues = [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in train]
+        dialogues = build_dialogues(train)
 
         sift_cfg = TrainConfig(
             stage="sift", learning_rate=5e-3, batch_size=len(dialogues), epochs=10, seed=0,
@@ -270,7 +271,7 @@ def test_ablation_harness_all_modes():
                 assert 0.0 <= value <= 1.0
 
         # round-masking contract of the two SIFT shapes
-        dialogues = [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in train]
+        dialogues = build_dialogues(train)
         multi_ckpt, _ = train_sift(dialogues, sift_cfg)
         assert multi_ckpt.metrics_history[0]["masked_rounds"] == 3
         from dataclasses import replace
@@ -332,7 +333,7 @@ def test_checkpoint_and_determinism(tmp_path):
 
         # identical seed -> identical loss_curve.csv bytes
         corpus = make_synthetic_corpus(n=12, seed=6)
-        dialogues = [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in corpus]
+        dialogues = build_dialogues(corpus)
         blobs = []
         for run in range(2):
             cfg = TrainConfig(

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ KERNEL_CASES.update({f"causal_attention_t{t}_h{h}": _attention_case(t, h) for t 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_kernel_gradients(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     f, xs = KERNEL_CASES[name](rng)
     assert ag.grad_check(f, xs, h=1e-3) <= 1e-4
 

@@ -1,10 +1,11 @@
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
 from helpers_corpus import VULN_PRE, VULN_POST, fixture_dump, fixture_entry
-from msivd.cli import main
+from msivd.cli import RunConfig, main
 from msivd.corpus import read_samples_jsonl
 from msivd.synth import make_synthetic_corpus, safe_code, vulnerable_code
 from msivd.corpus import write_samples_jsonl
@@ -137,6 +138,31 @@ def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
     assert main(["prepare", "--samples", str(samples_path), "--out-dir", str(out)]) == 0
     prov = json.loads((out / "splits.json.provenance.json").read_text())
     assert prov["config"]["profile"] == "paper"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"epochs": 1, "task_grouping": "round", "command": "eval"}, "unknown keys ['command', 'task_grouping']"),
+        ([1, 2], "must hold a JSON object, not list"),
+        ("x", "must hold a JSON object, not str"),
+    ],
+    ids=["unknown_keys", "array", "string"],
+)
+def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(content))
+    out = tmp_path / "samples.jsonl"
+    code = main(["ingest", "--nvd-dump", str(make_dump(tmp_path)), "--out", str(out), "--config", str(cfg_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_schema_lists_exactly_the_config_file_keys():
+    schema_path = Path(__file__).resolve().parents[1] / "schemas" / "run_config.schema.json"
+    schema = json.loads(schema_path.read_text(encoding="utf-8"))
+    assert set(schema["properties"]) == set(RunConfig.__dataclass_fields__) - {"command"}
 
 
 def test_unknown_eval_mode_lists_valid(tmp_path, capsys):

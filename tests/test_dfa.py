@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers_dfa import enumerate_reaching, random_cfg
 from msivd.dfa import (
-    FeatureSpec,
     build_node_features,
     definitions,
     gen_kill,
@@ -235,14 +234,16 @@ def test_equal_in_sets_give_identical_vectors():
 
 
 def test_saturation_beyond_top_k():
-    # 6 defs of distinct variables all mapping into 2 slots, same kind
-    code = "; ".join(f"v{i} = {i}" for i in range(6)) + "; use(v0);"
+    # 10 assign defs of distinct variables alternate between the 2 slots
+    code = "; ".join(f"v{i} = {i}" for i in range(10)) + "; use(v0);"
     cfg, reach = _reach(code)
-    spec = FeatureSpec(n_slots=2, top_k=2)
-    feats = build_node_features(cfg, reach, width=spec.n_cells, spec=spec)
+    feats = build_node_features(cfg, reach, width=16)
     use_row = [i for i, n in enumerate(cfg.nodes) if n.kind == "call"][0]
-    # 3 defs per slot saturate the 2 thermometer cells of the assign bucket
-    assert feats[use_row].sum() == 4.0
+    # 5 defs per slot saturate the 4 thermometer cells of each slot's assign
+    # bucket (cells 0-3 and 8-11); the call buckets (4-7, 12-15) stay empty
+    expected = np.zeros(16, dtype=np.float32)
+    expected[0:4] = expected[8:12] = 1.0
+    assert np.array_equal(feats[use_row], expected)
 
 
 def test_width_too_small_errors():

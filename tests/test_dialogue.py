@@ -13,6 +13,7 @@ from msivd.dialogue import (
     DialogueRecord,
     DialogueRound,
     build_dialogue,
+    build_dialogues,
     build_negative_dialogue,
     parse_jsonl,
     render,
@@ -123,16 +124,6 @@ def test_three_disjoint_mask_spans():
     r = render(build_dialogue(positive()), TOK, up_to_round=3, context_window=2048)
     runs = np.diff(np.concatenate([[0], r.loss_mask.astype(int), [0]]))
     assert (runs == 1).sum() == 3  # three maximal true-runs
-    assert len(r.round_boundaries) == 3
-
-
-def test_mask_rounds_restriction():
-    r = render(build_dialogue(positive()), TOK, up_to_round=3, context_window=2048,
-               mask_rounds={2})
-    runs = np.diff(np.concatenate([[0], r.loss_mask.astype(int), [0]]))
-    assert (runs == 1).sum() == 1
-    masked_text = TOK.decode(r.token_ids[r.loss_mask])
-    assert masked_text.startswith("The vulnerability is: ")
 
 
 def test_left_truncation_arithmetic():
@@ -192,10 +183,8 @@ def test_mask_true_runs_equal_up_to_round(k):
 
 
 def test_jsonl_round_trip(tmp_path):
-    dialogues = []
-    for i in range(100):
-        s = make_sample(i, i % 3 == 0, date(2022, 6, 1))
-        dialogues.append(build_dialogue(s) if s.label else build_negative_dialogue(s))
+    dialogues = build_dialogues([make_sample(i, i % 3 == 0, date(2022, 6, 1)) for i in range(100)])
+    assert [len(d.rounds) for d in dialogues[:3]] == [3, 1, 1]
     p = tmp_path / "dialogues.jsonl"
     serialize_jsonl(dialogues, p)
     again = parse_jsonl(p)

@@ -3,7 +3,7 @@ import pytest
 
 from msivd import autograd as ag
 from msivd.autograd import Tensor
-from msivd.gnn import Ggnn, GgnnConfig, GruParams, gru_update, mlp_aggregate, mlp_forward
+from msivd.gnn import Ggnn, GgnnConfig, GruParams, adjacency, gru_update, mlp_aggregate, mlp_forward
 from msivd.minic import CfgNode, ControlFlowGraph
 
 
@@ -35,7 +35,7 @@ def zero_gru(dim, dtype=np.float32):
 def test_no_edges_gives_zero_messages():
     rng = np.random.default_rng(0)
     states = Tensor(rng.normal(0, 1, (4, 3)).astype(np.float32))
-    msgs = mlp_aggregate(states, [], tiny_mlp(rng, 3))
+    msgs = mlp_aggregate(states, adjacency(4, []), tiny_mlp(rng, 3))
     assert np.array_equal(msgs.data, np.zeros((4, 3), dtype=np.float32))
 
 
@@ -43,8 +43,10 @@ def test_duplicate_edge_counts_twice():
     rng = np.random.default_rng(1)
     states = Tensor(rng.normal(0, 1, (3, 4)).astype(np.float32))
     mlp = tiny_mlp(rng, 4)
-    once = mlp_aggregate(states, [(0, 2)], mlp)
-    twice = mlp_aggregate(states, [(0, 2), (0, 2)], mlp)
+    assert adjacency(3, [(1, 2), (1, 2)])[2, 1] == 2.0
+    once = mlp_aggregate(states, adjacency(3, [(1, 2)]), mlp)
+    twice = mlp_aggregate(states, adjacency(3, [(1, 2), (1, 2)]), mlp)
+    assert np.abs(once.data[2]).max() > 1e-3  # nonzero, so a dropped duplicate shows
     assert np.allclose(twice.data[2], 2 * once.data[2], atol=1e-6)
 
 
@@ -52,7 +54,7 @@ def test_chain_message_matches_dense_unroll():
     rng = np.random.default_rng(2)
     states = Tensor(rng.normal(0, 1, (3, 4)).astype(np.float32))
     mlp = tiny_mlp(rng, 4)
-    msgs = mlp_aggregate(states, [(0, 1), (1, 2)], mlp)
+    msgs = mlp_aggregate(states, adjacency(3, [(0, 1), (1, 2)]), mlp)
     # hand-unrolled dense reference for node 2: MLP(state_1)
     s1 = states.data[1]
     h = np.maximum(s1 @ mlp[0][0].data.T + mlp[0][1].data, 0)
@@ -62,10 +64,10 @@ def test_chain_message_matches_dense_unroll():
 
 
 def test_edge_referencing_missing_node_errors():
-    rng = np.random.default_rng(3)
-    states = Tensor(rng.normal(0, 1, (2, 3)).astype(np.float32))
-    with pytest.raises(ValueError, match="missing node"):
-        mlp_aggregate(states, [(0, 5)], tiny_mlp(rng, 3))
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) references missing node"):
+        adjacency(2, [(0, 1), (0, 5), (-1, 0)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) references missing node"):
+        adjacency(2, [(-1, 0)])
 
 
 def test_gru_zero_params_halves_state():

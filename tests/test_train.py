@@ -9,7 +9,7 @@ import pytest
 
 from helpers_loss import eq2_reference
 from msivd.corpus import make_split, SplitSpec
-from msivd.dialogue import build_dialogue, build_negative_dialogue
+from msivd.dialogue import build_dialogues, build_negative_dialogue
 from msivd.gnn import GgnnConfig
 from msivd.lm import LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
@@ -46,10 +46,6 @@ def tiny_config(**over):
     )
     base.update(over)
     return TrainConfig(**base)
-
-
-def dialogues_from(samples):
-    return [build_dialogue(s) if s.label else build_negative_dialogue(s) for s in samples]
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +179,7 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, corruption):
 
 
 def test_loading_into_different_d_model_errors(tmp_path, small_corpus):
-    dialogues = dialogues_from(small_corpus[:6])
+    dialogues = build_dialogues(small_corpus[:6])
     ckpt, _ = train_sift(dialogues, tiny_config(epochs=1))
     other = tiny_config(
         stage="fused",
@@ -197,7 +193,7 @@ def test_loading_into_different_d_model_errors(tmp_path, small_corpus):
 
 
 def test_sift_smoke_loss_decreases(small_corpus):
-    dialogues = dialogues_from(small_corpus)
+    dialogues = build_dialogues(small_corpus)
     config = tiny_config(learning_rate=5e-3, batch_size=len(dialogues), epochs=10)
     ckpt, curve = train_sift(dialogues, config)
     losses = curve.losses()
@@ -206,7 +202,7 @@ def test_sift_smoke_loss_decreases(small_corpus):
 
 
 def test_sift_base_weights_bitwise_unchanged(small_corpus):
-    dialogues = dialogues_from(small_corpus[:8])
+    dialogues = build_dialogues(small_corpus[:8])
     config = tiny_config(epochs=1, batch_size=4, learning_rate=1e-2)
     from msivd.lm import LmModel
 
@@ -225,7 +221,7 @@ def test_sift_base_weights_bitwise_unchanged(small_corpus):
 
 
 def test_label_only_mode_masks_one_round(small_corpus):
-    dialogues = dialogues_from(small_corpus[:8])
+    dialogues = build_dialogues(small_corpus[:8])
     config = tiny_config(sift_mode="label-only", epochs=1)
     ckpt, _ = train_sift(dialogues, config)
     assert ckpt.metrics_history[0]["masked_rounds"] == 1
@@ -233,30 +229,22 @@ def test_label_only_mode_masks_one_round(small_corpus):
 
 
 def test_multi_round_mode_masks_three_rounds(small_corpus):
-    dialogues = dialogues_from(small_corpus[:8])
+    dialogues = build_dialogues(small_corpus[:8])
     config = tiny_config(sift_mode="multi-round", epochs=1)
     ckpt, _ = train_sift(dialogues, config)
     assert ckpt.metrics_history[0]["masked_rounds"] == 3
     assert ckpt.metrics_history[0]["n_tasks"] == 3
 
 
-def test_objective_grouping_gives_two_tasks(small_corpus):
-    from msivd.lm import ByteTokenizer
-
-    dialogues = dialogues_from(small_corpus[:8])
-    streams = render_training_streams(dialogues, ByteTokenizer(), tiny_config(task_grouping="objective"))
-    tasks = {t for s in streams for t, _ in s.tasks}
-    assert tasks == {0, 1}
-
-
 def test_stream_loss_matches_multitask_loss():
-    """The per-stream training path equals the task-grouped Eq. 2 loss, each
-    round rendered on its own, when nothing is truncated."""
+    """The per-stream training path equals the Eq. 2 loss with one task per
+    round, each round rendered on its own and masked over its own teacher
+    span, when nothing is truncated."""
     from msivd.dialogue import render
     from msivd.lm import ByteTokenizer, LmModel
 
     corpus = make_synthetic_corpus(n=8, seed=9)
-    dialogues = dialogues_from(corpus)
+    dialogues = build_dialogues(corpus)
     config = tiny_config(lm_config=TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=1024))
     tok = ByteTokenizer()
     model = LmModel(config.lm_config, seed=1, lora=config.lora_config)
@@ -265,24 +253,26 @@ def test_stream_loss_matches_multitask_loss():
 
     groups = [[], [], []]
     for d in dialogues:
-        if d.label:
-            for r in (1, 2, 3):
-                groups[r - 1].append(render(d, tok, up_to_round=r, context_window=1024, mask_rounds={r}))
-        else:
-            groups[0].append(render(d, tok, up_to_round=1, context_window=1024, mask_rounds={1}))
-    reference = eq2_reference(model, [[(r.token_ids, r.loss_mask) for r in g] for g in groups if g])
+        for r in range(1, len(d.rounds) + 1):
+            rendered = render(d, tok, up_to_round=r, context_window=1024)
+            mask = np.zeros_like(rendered.loss_mask)
+            start, end = rendered.teacher_spans[r - 1]
+            mask[start:end] = True
+            groups[r - 1].append((rendered.token_ids, mask))
+    assert all(groups)
+    reference = eq2_reference(model, groups)
     assert stream_value == pytest.approx(reference, rel=1e-5)
 
 
 def test_negative_only_corpus_multiround_errors():
     negs = [s for s in make_synthetic_corpus(n=12, seed=5) if not s.label][:4]
-    dialogues = dialogues_from(negs)
+    dialogues = build_dialogues(negs)
     with pytest.raises(ValueError, match="empty task group"):
         train_sift(dialogues, tiny_config(sift_mode="multi-round", epochs=1))
 
 
 def test_sift_determinism_bytewise(tmp_path, small_corpus):
-    dialogues = dialogues_from(small_corpus[:8])
+    dialogues = build_dialogues(small_corpus[:8])
     paths = []
     for run in range(2):
         config = tiny_config(epochs=2, batch_size=4, seed=11)
@@ -301,7 +291,7 @@ def test_sift_determinism_bytewise(tmp_path, small_corpus):
 
 
 def test_fused_lm_bytes_identical_and_step_count(small_corpus):
-    dialogues = dialogues_from(small_corpus)
+    dialogues = build_dialogues(small_corpus)
     sift_ckpt, _ = train_sift(dialogues, tiny_config(epochs=1, batch_size=8))
     lm_before = {k: v.tobytes() for k, v in sift_ckpt.tensors.items() if k.startswith("lm.")}
 
