@@ -379,19 +379,27 @@ def softmax(x: Tensor) -> Tensor:
 
 # Not in __all__: bench/tracer.py traces exactly __all__, pinned to BENCHMARK.json; its time shows under lm.self_s.
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention of [T x d] inputs; the output is [T x d].
+    """Multi-head causal attention of [Tq x d] queries over [Tk x d] keys and
+    values, Tq <= Tk; the output is [Tq x d].
 
-    Head h reads the h-th block of d / n_heads columns of q, k and v and
-    computes softmax(q_h k_hᵀ / sqrt(d / n_heads) + mask) v_h, where the mask
-    is -inf above the diagonal; the head outputs fill the same column blocks
-    of the result. Only the attention probabilities are kept for backward.
+    Query row i sits at position Tk - Tq + i, so with Tq < Tk the queries are
+    the last Tq positions of the sequence. Head h reads the h-th block of
+    d / n_heads columns of q, k and v and computes
+    softmax(q_h k_hᵀ / sqrt(d / n_heads) + mask) v_h, where the mask is -inf
+    on keys after the query's position; the head outputs fill the same column
+    blocks of the result. Only the attention probabilities are kept for
+    backward.
     """
-    if q.ndim != 2:
-        raise ShapeError(f"causal_attention needs [T x d] inputs, got {q.shape}")
-    if k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"causal_attention q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    t, d = q.shape
-    if t == 0:
+    if q.ndim != 2 or k.ndim != 2:
+        raise ShapeError(f"causal_attention needs [T x d] inputs, got {q.shape}, {k.shape}")
+    if v.shape != k.shape:
+        raise ShapeError(f"causal_attention k/v shapes differ: {k.shape}, {v.shape}")
+    (tq, d), tk = q.shape, k.shape[0]
+    if k.shape[1] != d:
+        raise ShapeError(f"causal_attention q/k widths differ: {q.shape}, {k.shape}")
+    if tq > tk:
+        raise ShapeError(f"causal_attention has more query rows than keys: {q.shape}, {k.shape}")
+    if tq == 0:
         raise ShapeError("causal_attention on zero rows")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"causal_attention width {d} not divisible by n_heads {n_heads}")
@@ -399,15 +407,15 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     c = q.data.dtype.type(1.0 / math.sqrt(dh))
 
     def split(x):  # [T x d] -> [H x T x dh]
-        return x.reshape(t, n_heads, dh).transpose(1, 0, 2)
+        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
 
     def merge(x):  # [H x T x dh] -> [T x d]
-        return x.transpose(1, 0, 2).reshape(t, d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     p = np.matmul(qh, np.swapaxes(kh, -1, -2))
     p *= c
-    p += np.triu(np.full((t, t), -np.inf, dtype=p.dtype), k=1)
+    p += np.triu(np.full((tq, tk), -np.inf, dtype=p.dtype), k=tk - tq + 1)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

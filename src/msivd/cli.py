@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -119,6 +120,21 @@ class UsageError(Exception):
     """Bad invocation (exit code 2)."""
 
 
+def _json_fits(value, hint) -> bool:
+    """Whether a decoded JSON value fits a ``RunConfig`` field type. A bool
+    never fits a number, and a tuple field takes a list of the same length."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_json_fits, value, args))
+    if args:  # a union such as ``float | None``
+        return any(_json_fits(value, h) for h in args)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
     field_names = RunConfig.__dataclass_fields__
     settings: dict = {"command": command}
@@ -138,6 +154,12 @@ def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(file_cfg) - settable)
         if unknown:
             raise UsageError(f"config file {path} has unknown keys {unknown}; valid: {sorted(settable)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in file_cfg.items():
+            hint = hints[key]
+            if not _json_fits(value, hint):
+                want = hint.__name__ if isinstance(hint, type) else hint
+                raise UsageError(f"config file {path} key {key!r} must be {want}, got {json.dumps(value)}")
         settings.update(file_cfg)
     for key, value in vars(args).items():
         if key in field_names and value is not None:

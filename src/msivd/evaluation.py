@@ -161,7 +161,7 @@ def predict_pretrained(lm: LmModel, tokenizer: ByteTokenizer, sample: CodeSample
     """Label from the raw yes/no token logits at the answer position (no
     vulnerability-specific training at all)."""
     ids = render_prompt(sample.code, tokenizer, lm.config.context_window)
-    row = lm.forward(ids).logits.data[-1]
+    row = lm.forward(ids, last_only=True).logits.data[-1]
     pair = np.array([row[ByteTokenizer.YES], row[ByteTokenizer.NO]], dtype=np.float64)
     pair -= pair.max()
     probs = np.exp(pair) / np.exp(pair).sum()

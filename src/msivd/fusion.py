@@ -102,7 +102,7 @@ GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x wid
 def lm_row(code: str, lm: LmModel, tokenizer: ByteTokenizer) -> np.ndarray:
     """The frozen LM's hidden state at the last position of the round-1 prompt."""
     ids = render_prompt(code, tokenizer, lm.config.context_window)
-    return lm.forward(ids).hidden.data[-1].copy()
+    return lm.forward(ids, last_only=True).hidden.data[-1].copy()
 
 
 def graph_inputs(code: str, width: int) -> GraphInputs | None:

@@ -145,8 +145,8 @@ def lora_forward(x: Tensor, w0: Tensor, adapter: LoraAdapter | None) -> Tensor:
 
 @dataclass
 class LmOutput:
-    logits: Tensor  # [T x V]
-    hidden: Tensor  # [T x d_model], post final layer norm
+    logits: Tensor  # [T x V], or [1 x V] for the last position only
+    hidden: Tensor  # [T x d_model] post final layer norm, or [1 x d_model]
 
 
 class LmModel:
@@ -223,7 +223,14 @@ class LmModel:
 
     # --- forward -------------------------------------------------------------
 
-    def forward(self, token_ids) -> LmOutput:
+    def forward(self, token_ids, last_only: bool = False) -> LmOutput:
+        """Hidden states and next-token logits for every position, or with
+        ``last_only`` for the final position alone.
+
+        With ``last_only`` every layer still computes keys and values over all
+        positions, since the final one attends to them, but the last layer's
+        query, attention, MLP, the final layer norm and the head run on one row.
+        """
         ids = np.asarray(token_ids, dtype=np.int64)
         t = ids.shape[0]
         if t == 0:
@@ -233,11 +240,15 @@ class LmModel:
         x = ag.add(ag.embedding_lookup(self.tok_emb, ids), ag.embedding_lookup(self.pos_emb, np.arange(t)))
 
         for i, layer in enumerate(self.layers):
+            last = last_only and i == len(self.layers) - 1
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            q = lora_forward(xn, layer["wq"], self.adapters.get(f"layer{i}.wq"))
+            q = lora_forward(ag.slice_rows(xn, t - 1, t) if last else xn,
+                             layer["wq"], self.adapters.get(f"layer{i}.wq"))
             k = ag.matmul(xn, ag.transpose(layer["wk"]))
             v = lora_forward(xn, layer["wv"], self.adapters.get(f"layer{i}.wv"))
             attn_out = ag.matmul(ag.causal_attention(q, k, v, self.config.n_heads), ag.transpose(layer["wo"]))
+            if last:
+                x = ag.slice_rows(x, t - 1, t)
             x = ag.add(x, attn_out)
 
             xn2 = ag.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
@@ -262,7 +273,7 @@ def generate_greedy(model: LmModel, prompt_ids, max_new: int) -> list[int]:
     out: list[int] = []
     for _ in range(max_new):
         window = ids[-model.config.context_window:]
-        logits = model.forward(window).logits
+        logits = model.forward(window, last_only=True).logits
         nxt = int(np.argmax(logits.data[-1]))
         out.append(nxt)
         ids.append(nxt)

@@ -204,18 +204,21 @@ KERNEL_CASES = {
 }
 
 
-def _attention_case(t, n_heads):
+def _attention_case(tq, tk, n_heads):
     def case(rng):
-        w = Tensor(rng.standard_normal((t, 4)), dtype=np.float64)
+        w = Tensor(rng.standard_normal((tq, 4)), dtype=np.float64)
         return (
             lambda q, k, v: ag.sum_all(ag.mul(ag.causal_attention(q, k, v, n_heads), w)),
-            [rand((t, 4), rng), rand((t, 4), rng), rand((t, 4), rng)],
+            [rand((tq, 4), rng), rand((tk, 4), rng), rand((tk, 4), rng)],
         )
 
     return case
 
 
-KERNEL_CASES.update({f"causal_attention_t{t}_h{h}": _attention_case(t, h) for t in (1, 5) for h in (1, 2)})
+KERNEL_CASES.update({f"causal_attention_t{t}_h{h}": _attention_case(t, t, h) for t in (1, 5) for h in (1, 2)})
+KERNEL_CASES.update(
+    {f"causal_attention_tq{tq}_tk5_h{h}": _attention_case(tq, 5, h) for tq in (1, 3) for h in (1, 2)}
+)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -308,12 +311,30 @@ def test_causal_attention_frozen_key_gets_no_grad():
     [
         (((2, 3, 4),) * 3, 2, "T x d"),
         (((3, 4), (3, 4), (2, 4)), 2, "shapes differ"),
+        (((3, 4), (3, 4), (3, 6)), 2, "shapes differ"),
+        (((4, 4), (3, 4), (3, 4)), 2, "more query rows"),
+        (((3, 4), (3, 6), (3, 6)), 2, "widths differ"),
         (((3, 6),) * 3, 4, "not divisible"),
         (((0, 4),) * 3, 2, "zero rows"),
     ],
-    ids=["not_2d", "shapes_differ", "width_not_divisible", "zero_rows"],
+    ids=[
+        "not_2d", "shapes_differ", "kv_widths_differ", "more_queries_than_keys", "qk_widths_differ",
+        "width_not_divisible", "zero_rows",
+    ],
 )
 def test_causal_attention_rejects_bad_shapes(shapes, n_heads, match):
     rng = np.random.default_rng(9)
     with pytest.raises(ag.ShapeError, match=match):
         ag.causal_attention(*(rand(s, rng) for s in shapes), n_heads)
+
+
+@pytest.mark.parametrize("tq", [1, 3, 5])
+def test_causal_attention_suffix_queries_match_last_rows(tq):
+    """Tq queries over Tk keys are the last Tq positions: their output equals
+    the last Tq rows of full self-attention over the same keys."""
+    rng = np.random.default_rng(10)
+    q, k, v = (rand((5, 8), rng, dtype=np.float64) for _ in range(3))
+    full = ag.causal_attention(q, k, v, 2).data
+    suffix = ag.causal_attention(ag.slice_rows(q, 5 - tq, 5), k, v, 2).data
+    assert suffix.shape == (tq, 8)
+    assert np.max(np.abs(suffix - full[5 - tq:])) <= 1e-12

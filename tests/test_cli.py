@@ -146,8 +146,15 @@ def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
         ({"epochs": 1, "task_grouping": "round", "command": "eval"}, "unknown keys ['command', 'task_grouping']"),
         ([1, 2], "must hold a JSON object, not list"),
         ("x", "must hold a JSON object, not str"),
+        ({"ratios": 5}, "key 'ratios' must be tuple[float, float, float], got 5"),
+        ({"ratios": [0.8, 0.2]}, "key 'ratios' must be tuple[float, float, float], got [0.8, 0.2]"),
+        ({"epochs": "ten"}, "key 'epochs' must be int | None, got \"ten\""),
+        ({"seed": True}, "key 'seed' must be int, got true"),
+        ({"lora_alpha": False}, "key 'lora_alpha' must be float, got false"),
+        ({"use_gnn": 1}, "key 'use_gnn' must be bool, got 1"),
     ],
-    ids=["unknown_keys", "array", "string"],
+    ids=["unknown_keys", "array", "string", "ratios_int", "ratios_short", "epochs_str", "bool_seed",
+         "bool_float", "int_bool"],
 )
 def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     cfg_path = tmp_path / "config.json"
@@ -157,6 +164,24 @@ def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_with_every_key_accepted(tmp_path):
+    """Numbers may be JSON integers where the field is a float, and optional
+    fields may be null."""
+    settings = {
+        "profile": "desk", "seed": 3, "learning_rate": 1, "batch_size": None, "epochs": 2,
+        "sift_mode": "single-round", "use_gnn": False, "d_model": 32, "n_layers": 1, "n_heads": 2,
+        "context_window": 384, "gnn_state_dim": 8, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8,
+        "window_tokens": 2048, "mix_preset": None, "cutoff": "2023-01-01", "ratios": [1, 0, 0],
+    }
+    assert set(settings) == set(RunConfig.__dataclass_fields__) - {"command"}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(settings))
+    out = tmp_path / "samples.jsonl"
+    assert main(["ingest", "--nvd-dump", str(make_dump(tmp_path)), "--out", str(out), "--config", str(cfg_path)]) == 0
+    prov = json.loads((tmp_path / "samples.jsonl.provenance.json").read_text())
+    assert prov["config"] == {"command": "ingest", **settings}
 
 
 def test_config_schema_lists_exactly_the_config_file_keys():

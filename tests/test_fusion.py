@@ -39,11 +39,14 @@ def test_lm_row_is_last_hidden_row_of_prompt():
     model = LmModel(TINY, seed=0)
     code = "x = 1; use(x);"
     tok = ByteTokenizer()
-    hidden = model.forward(render_prompt(code, tok, TINY.context_window)).hidden.data
+    ids = render_prompt(code, tok, TINY.context_window)
+    last = model.forward(ids, last_only=True).hidden.data
     row = lm_row(code, model, tok)
-    assert np.array_equal(row, hidden[-1])
+    assert np.array_equal(row, last[-1])
+    # the one-row read-out sums in another order than the full forward
+    assert np.max(np.abs(row - model.forward(ids).hidden.data[-1])) <= 1e-5
     gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
-    assert np.array_equal(fused_vector(row, None, gnn).data[: TINY.d_model], hidden[-1])
+    assert np.array_equal(fused_vector(row, None, gnn).data[: TINY.d_model], last[-1])
 
 
 def test_paper_profile_dimension_bookkeeping():

@@ -285,6 +285,76 @@ def test_model_forward_gradcheck_through_adapter():
     assert ag.grad_check(f, [adapter.a, adapter.b], h=1e-5) <= 1e-4
 
 
+# --- last-position read-out ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("t", [1, 7, 512])
+def test_last_only_matches_last_row_of_full_forward(t, n_layers):
+    cfg = replace(TINY, n_layers=n_layers, context_window=512)
+    model = LmModel(cfg, seed=14)
+    ids = np.random.default_rng(t).integers(0, cfg.vocab_size, size=t)
+    full = model.forward(ids)
+    last = model.forward(ids, last_only=True)
+    assert last.hidden.shape == (1, cfg.d_model)
+    assert last.logits.shape == (1, cfg.vocab_size)
+    assert np.max(np.abs(last.hidden.data[0] - full.hidden.data[-1])) <= 1e-5
+    assert np.max(np.abs(last.logits.data[0] - full.logits.data[-1])) <= 1e-5
+
+
+def test_last_only_runs_final_layer_and_head_on_one_row(monkeypatch):
+    """Earlier layers attend with all T query rows, the final layer with one;
+    the LM head multiplies one row. Slicing a full forward at the end fails."""
+    cfg = replace(TINY, n_layers=3)
+    model = LmModel(cfg, seed=15)
+    rows = {"queries": [], "keys": [], "head": []}
+    attend, matmul = ag.causal_attention, ag.matmul
+
+    def recording_attention(q, k, v, n_heads):
+        rows["queries"].append(q.shape[0])
+        rows["keys"].append(k.shape[0])
+        return attend(q, k, v, n_heads)
+
+    def recording_matmul(a, b):
+        out = matmul(a, b)
+        if out.shape[-1] == cfg.vocab_size:
+            rows["head"].append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(ag, "causal_attention", recording_attention)
+    monkeypatch.setattr(ag, "matmul", recording_matmul)
+
+    def rows_of(last_only):
+        for calls in rows.values():
+            calls.clear()
+        model.forward(list(range(1, 8)), last_only=last_only)
+        return rows
+
+    assert rows_of(True) == {"queries": [7, 7, 1], "keys": [7, 7, 7], "head": [1]}
+    assert rows_of(False) == {"queries": [7, 7, 7], "keys": [7, 7, 7], "head": [7]}
+
+
+def test_last_only_gradcheck_through_adapters():
+    """Finite differences through ``forward(last_only=True)`` with respect to
+    the final layer's query and value adapters, whose rows the read-out cuts
+    to one and keeps whole, and layer 0's query adapter."""
+    rng = np.random.default_rng(16)
+    model = LmModel(replace(TINY, n_layers=2), seed=16, lora=LoraConfig(rank=2), dtype=np.float64)
+    names = ["layer0.wq", "layer1.wq", "layer1.wv"]
+    adapters = [model.adapters[n] for n in names]
+    for ad in adapters:
+        ad.b.data[:] = rng.normal(0, 0.5, ad.b.shape)
+    ids = [3, 1, 4, 1, 5, 9]
+
+    def f(*tensors):
+        for name, ad, a_, b_ in zip(names, adapters, tensors[::2], tensors[1::2]):
+            model.adapters[name] = LoraAdapter(a=a_, b=b_, rank=ad.rank, alpha=ad.alpha)
+        return ag.cross_entropy(model.forward(ids, last_only=True).logits, [2], [True])
+
+    params = [t for ad in adapters for t in (ad.a, ad.b)]
+    assert ag.grad_check(f, params, h=1e-5) <= 1e-4
+
+
 def _tape_size(loss) -> int:
     seen, stack = set(), [loss]
     while stack:
