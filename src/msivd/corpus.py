@@ -33,7 +33,6 @@ __all__ = [
     "apply_exclusion_filters",
     "classify_cwe",
     "make_split",
-    "filter_by_category",
     "mix_to_ratio",
     "MIX_PRESETS",
     "write_samples_jsonl",
@@ -497,10 +496,6 @@ def make_split(
     eval_set = post[:n_eval]
     test_set = post[n_eval : n_eval + n_test]
     return pre, eval_set, test_set
-
-
-def filter_by_category(samples: list[CodeSample], category: CweCategory) -> list[CodeSample]:
-    return [s for s in samples if s.cwe_category == category]
 
 
 MIX_PRESETS = {"bigvul": (94, 6), "precisebugs": (80, 20)}

@@ -11,7 +11,6 @@ sample and ``fused_vector`` on every step; ``predict`` runs the whole path.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +29,12 @@ __all__ = [
     "FusedClassifier",
     "label_nll",
     "fused_input_width",
-    "fused_layer_count",
     "lm_row",
     "graph_inputs",
     "graph_embedding",
     "fused_vector",
     "InferenceBundle",
     "predict",
-    "write_predictions_jsonl",
 ]
 
 YES_INDEX = 0  # vulnerable
@@ -54,10 +51,6 @@ class Prediction:
 
 def fused_input_width(lm_config: TransformerConfig, gnn_config: GgnnConfig | None) -> int:
     return lm_config.d_model + (gnn_config.state_dim if gnn_config else 0)
-
-
-def fused_layer_count(lm_config: TransformerConfig, gnn_config: GgnnConfig | None) -> int:
-    return lm_config.n_layers + (gnn_config.layer_count if gnn_config else 0)
 
 
 class FusedClassifier:
@@ -152,19 +145,3 @@ def predict(sample: CodeSample, bundle: InferenceBundle) -> Prediction:
         graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
     flagged = bundle.gnn is not None and graph is None
     return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=flagged)
-
-
-def write_predictions_jsonl(rows: list[tuple[str, Prediction]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sample_id, pred in rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "sample_id": sample_id,
-                        "label": pred.label,
-                        "score": pred.score,
-                        "flagged": pred.flagged,
-                    }
-                )
-                + "\n"
-            )

@@ -29,22 +29,15 @@ class GgnnConfig:
     state_dim: int = 16
     steps: int = 5
     mlp_hidden: tuple[int, ...] = (16,)
-    profile: str = "desk"
 
     def __post_init__(self):
         if self.state_dim <= 0 or any(h <= 0 for h in self.mlp_hidden):
             raise ValueError("GGNN dims must be positive")
-        if self.profile == "paper" and self.state_dim != 256:
-            raise ValueError("paper profile pins state_dim=256")
 
     @classmethod
     def paper(cls) -> "GgnnConfig":
-        return cls(state_dim=256, mlp_hidden=(256,), profile="paper")
-
-    @property
-    def layer_count(self) -> int:
-        """MLP linear layers plus the GRU layer (paper profile: 2 + 1 = 3)."""
-        return len(self.mlp_hidden) + 2
+        """The paper's dimensions: 256-wide states and one 256-wide MLP hidden layer."""
+        return cls(state_dim=256, mlp_hidden=(256,))
 
 
 @dataclass

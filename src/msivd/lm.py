@@ -22,7 +22,6 @@ __all__ = [
     "lora_forward",
     "LmOutput",
     "LmModel",
-    "generate_greedy",
 ]
 
 
@@ -84,17 +83,15 @@ class TransformerConfig:
     n_heads: int = 4
     context_window: int = 512
     vocab_size: int = ByteTokenizer.vocab_size
-    profile: str = "desk"
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.profile == "paper" and (self.d_model, self.n_layers, self.context_window) != (4096, 8, 2048):
-            raise ValueError("paper profile pins d_model=4096, n_layers=8, context_window=2048")
 
     @classmethod
     def paper(cls) -> "TransformerConfig":
-        return cls(d_model=4096, n_layers=8, n_heads=32, context_window=2048, profile="paper")
+        """The paper's dimensions: d_model 4096, 8 layers, a 2048-token window."""
+        return cls(d_model=4096, n_layers=8, n_heads=32, context_window=2048)
 
 
 @dataclass(frozen=True)
@@ -259,24 +256,3 @@ class LmModel:
         hidden = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         logits = ag.matmul(hidden, ag.transpose(self.lm_head))
         return LmOutput(logits=logits, hidden=hidden)
-
-
-def generate_greedy(model: LmModel, prompt_ids, max_new: int) -> list[int]:
-    """Argmax decoding from the prompt; stops at EOS or ``max_new`` tokens.
-
-    If the sequence outgrows the context window, the visible context slides
-    left (generation continues on the newest window).
-    """
-    ids = [int(i) for i in prompt_ids]
-    if len(ids) > model.config.context_window:
-        raise ag.ShapeError("prompt exceeds context window")
-    out: list[int] = []
-    for _ in range(max_new):
-        window = ids[-model.config.context_window:]
-        logits = model.forward(window, last_only=True).logits
-        nxt = int(np.argmax(logits.data[-1]))
-        out.append(nxt)
-        ids.append(nxt)
-        if nxt == ByteTokenizer.EOS:
-            break
-    return out

@@ -129,9 +129,6 @@ class ControlFlowGraph:
     def _reindex(self) -> None:
         self._index = {n.id: i for i, n in enumerate(self.nodes)}
 
-    def predecessors(self, node_id: int) -> list[int]:
-        return [s for s, d in self.edges if d == node_id]
-
     def successors(self, node_id: int) -> list[int]:
         return [d for s, d in self.edges if s == node_id]
 

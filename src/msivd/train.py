@@ -61,7 +61,7 @@ SIFT_MODES = ("multi-round", "single-round", "label-only")
 CLIP_NORM = 1.0  # global gradient-norm bound of both stages
 
 CKPT_MAGIC = b"MSIVDCKP"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 CKPT_DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
 
@@ -110,18 +110,6 @@ class LossCurve:
             fh.write("step,loss\n")
             for step, loss in self.rows:
                 fh.write(f"{step},{loss:.9e}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "LossCurve":
-        curve = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "step,loss":
-                raise ValueError(f"bad loss curve header {header!r}")
-            for line in fh:
-                step, loss = line.strip().split(",")
-                curve.append(int(step), float(loss))
-        return curve
 
 
 # --- checkpoint container -------------------------------------------------------
@@ -410,16 +398,40 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
     return ckpt, curve
 
 
+def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
+    """The ``train`` section of a checkpoint's config and its seed."""
+    train_cfg = ckpt.config.get("train")
+    if not isinstance(train_cfg, dict):
+        raise CheckpointError(f"checkpoint config needs a 'train' object, got {json.dumps(train_cfg)}")
+    seed = train_cfg.get("seed", 0)
+    if type(seed) is not int:
+        raise CheckpointError(f"checkpoint train.seed must be an integer, got {json.dumps(seed)}")
+    return train_cfg, seed
+
+
+def _header_config(train_cfg: dict, key: str, cls):
+    """``cls`` built from the checkpoint's ``train.<key>`` object, JSON lists
+    read back as tuples; a missing object, an unknown key or a value that
+    ``cls`` rejects raises CheckpointError naming ``key``."""
+    fields = train_cfg.get(key)
+    if not isinstance(fields, dict):
+        raise CheckpointError(f"checkpoint train.{key} must be an object, got {json.dumps(fields)}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)}: {exc}") from exc
+
+
 def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None = None) -> LmModel:
-    train_cfg = ckpt.config["train"]
-    lm_cfg = TransformerConfig(**train_cfg["lm_config"])
+    train_cfg, seed = _header_train(ckpt)
+    lm_cfg = _header_config(train_cfg, "lm_config", TransformerConfig)
     if expect is not None and expect != lm_cfg:
         raise CheckpointError(
             f"dimension mismatch between checkpoint and config: "
             f"checkpoint d_model={lm_cfg.d_model}, config d_model={expect.d_model}"
         )
-    lora_cfg = LoraConfig(**train_cfg["lora_config"]) if train_cfg.get("lora_config") else None
-    model = LmModel(lm_cfg, seed=train_cfg.get("seed", 0), lora=lora_cfg)
+    lora_cfg = _header_config(train_cfg, "lora_config", LoraConfig) if train_cfg.get("lora_config") else None
+    model = LmModel(lm_cfg, seed=seed, lora=lora_cfg)
     _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, ckpt.tensors)
     return model
 
@@ -507,14 +519,13 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     """Reconstruct the inference bundle (LM + optional GNN + classifier)."""
     if ckpt.config.get("stage") != "fused":
         raise CheckpointError("inference needs a fused-stage checkpoint")
-    train_cfg = ckpt.config["train"]
+    train_cfg, seed = _header_train(ckpt)
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
     lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
     gnn = None
     if ckpt.config.get("use_gnn", True):
-        gnn_cfg = GgnnConfig(**{**train_cfg["gnn_config"], "mlp_hidden": tuple(train_cfg["gnn_config"]["mlp_hidden"])})
-        gnn = Ggnn(gnn_cfg, seed=train_cfg.get("seed", 0))
-    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=train_cfg.get("seed", 0) + 1)
+        gnn = Ggnn(_header_config(train_cfg, "gnn_config", GgnnConfig), seed=seed)
+    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=seed + 1)
     heads = dict(classifier.parameters())
     if gnn is not None:
         heads.update(gnn.parameters())

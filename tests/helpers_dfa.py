@@ -13,6 +13,10 @@ import random
 from msivd.minic import CfgNode, ControlFlowGraph
 
 
+def predecessors(cfg: ControlFlowGraph, node_id: int) -> list[int]:
+    return [s for s, d in cfg.edges if d == node_id]
+
+
 def enumerate_reaching(cfg: ControlFlowGraph, max_visits: int = 2):
     """Brute-force IN/OUT sets by walking all bounded entry paths."""
     in_sets = {n.id: set() for n in cfg.nodes}

@@ -33,7 +33,7 @@ from msivd.evaluation import (
     random_baseline,
     run_ablation,
 )
-from msivd.fusion import fused_input_width, fused_layer_count, predict
+from msivd.fusion import fused_input_width, predict
 from msivd.gnn import GgnnConfig, GruParams, gru_update, mlp_forward
 from msivd.lm import (
     LmModel,
@@ -217,7 +217,9 @@ def test_dimension_bookkeeping():
         lm_cfg = TransformerConfig.paper()
         gnn_cfg = GgnnConfig.paper()
         assert fused_input_width(lm_cfg, gnn_cfg) == 4096 + 256 == 4352
-        assert fused_layer_count(lm_cfg, gnn_cfg) == 8 + 3 == 11
+        # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
+        assert lm_cfg.n_layers == 8
+        assert gnn_cfg.mlp_hidden == (256,)
         assert lm_cfg.context_window == 2048
 
 

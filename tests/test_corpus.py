@@ -22,7 +22,6 @@ from msivd.corpus import (
     SplitSpec,
     apply_exclusion_filters,
     classify_cwe,
-    filter_by_category,
     filter_patch_records,
     make_negative_sample,
     make_split,
@@ -303,7 +302,7 @@ def test_category_totals_partition_dataset():
         make_sample(i, i % 2 == 0, date(2022, 3, 1), cwe_id=f"CWE-{cwe}")
         for i, cwe in enumerate([125, 89, 415, 264, 190, 434, 770, 787, 20, 9999])
     ]
-    total = sum(len(filter_by_category(samples, cat)) for cat in CweCategory)
+    total = sum(len([s for s in samples if s.cwe_category == cat]) for cat in CweCategory)
     assert total == len(samples)
 
 
@@ -320,11 +319,10 @@ def test_category_shares_on_profile_fixture():
             samples.append(make_sample(i, False, date(2022, 5, 1), cwe_id=cwe))
             i += 1
     n_total = len(samples)
-    buffer_share = len(filter_by_category(samples, CweCategory.BUFFER_ERROR)) / n_total
-    resource_share = len(filter_by_category(samples, CweCategory.RESOURCE_ERROR)) / n_total
+    buffer_share = len([s for s in samples if s.cwe_category == CweCategory.BUFFER_ERROR]) / n_total
+    resource_share = len([s for s in samples if s.cwe_category == CweCategory.RESOURCE_ERROR]) / n_total
     assert buffer_share == pytest.approx(0.273, abs=0.005)
     assert resource_share == pytest.approx(0.212, abs=0.005)
-    assert filter_by_category([], CweCategory.BUFFER_ERROR) == []
 
 
 # --- make_split -------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_run_ablation_rejects_unknown_mode():
 def test_per_category_reports_mirror_type_rows(tmp_path):
     """Single-type runs: filter the corpus per CWE category, one report per
     category with the dataset label carrying the type."""
-    from msivd.corpus import CweCategory, filter_by_category, make_split, SplitSpec
+    from msivd.corpus import CweCategory, make_split, SplitSpec
     from msivd.evaluation import AblationDataset
     from msivd.synth import make_synthetic_corpus
 
@@ -163,7 +163,7 @@ def test_per_category_reports_mirror_type_rows(tmp_path):
     )
     reports = []
     for category in (CweCategory.BUFFER_ERROR, CweCategory.RESOURCE_ERROR):
-        subset = filter_by_category(corpus, category)
+        subset = [s for s in corpus if s.cwe_category == category]
         if not subset:
             reports.append(None)
             continue

