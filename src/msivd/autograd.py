@@ -51,7 +51,9 @@ class Tensor:
 
     Operations on tensors record their backward rule; ``backward`` on a
     scalar result replays the recorded tape once, accumulating into the
-    ``grad`` buffer of every ``requires_grad`` tensor it reaches.
+    ``grad`` buffer of every ``requires_grad`` tensor it reaches. A rule is
+    passed its output's gradient and holds only its inputs, so a graph has no
+    cycle and reference counting frees it when its last tensor goes.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "_consumed")
@@ -131,15 +133,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from exc
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         if a.requires_grad:
             _accum(a, _sum_to_shape(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
             _accum(b, _sum_to_shape(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
-    _out = _result(out, (a, b), bw)
-    return _out
+    return _result(out, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -148,11 +148,10 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose needs >=2-d operand, got {a.shape}")
     out = np.swapaxes(a.data, -1, -2)
 
-    def bw():
-        _accum(a, np.swapaxes(_out.grad, -1, -2))
+    def bw(g):
+        _accum(a, np.swapaxes(g, -1, -2))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -166,37 +165,32 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
     out = a.data + b.data
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         _accum(a, _sum_to_shape(g, a.shape))
         _accum(b, _sum_to_shape(g, b.shape))
 
-    _out = _result(out, (a, b), bw)
-    return _out
+    return _result(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
     out = a.data * b.data
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         _accum(a, _sum_to_shape(g * b.data, a.shape))
         _accum(b, _sum_to_shape(g * a.data, b.shape))
 
-    _out = _result(out, (a, b), bw)
-    return _out
+    return _result(out, (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = a.data * a.data.dtype.type(c)
 
-    def bw():
-        _accum(a, _out.grad * a.data.dtype.type(c))
+    def bw(g):
+        _accum(a, g * a.data.dtype.type(c))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -207,31 +201,28 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
 
-    def bw():
-        _accum(a, _out.grad * out * (1.0 - out))
+    def bw(g):
+        _accum(a, g * out * (1.0 - out))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
-    def bw():
-        _accum(a, _out.grad * (1.0 - out * out))
+    def bw(g):
+        _accum(a, g * (1.0 - out * out))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
 
-    def bw():
-        _accum(a, _out.grad * (a.data > 0))
+    def bw(g):
+        _accum(a, g * (a.data > 0))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def concat_last_dim(tensors) -> Tensor:
@@ -246,16 +237,14 @@ def concat_last_dim(tensors) -> Tensor:
             )
     out = np.concatenate([t.data for t in ts], axis=-1)
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         off = 0
         for t in ts:
             w = t.shape[-1]
             _accum(t, g[..., off : off + w])
             off += w
 
-    _out = _result(out, tuple(ts), bw)
-    return _out
+    return _result(out, tuple(ts), bw)
 
 
 def slice_last_dim(a: Tensor, start: int, stop: int) -> Tensor:
@@ -263,13 +252,12 @@ def slice_last_dim(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_last_dim [{start}:{stop}] out of range for {a.shape}")
     out = a.data[..., start:stop].copy()
 
-    def bw():
-        g = np.zeros_like(a.data)
-        g[..., start:stop] = _out.grad
-        _accum(a, g)
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[..., start:stop] = g
+        _accum(a, full)
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -277,13 +265,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
     out = a.data[start:stop].copy()
 
-    def bw():
-        g = np.zeros_like(a.data)
-        g[start:stop] = _out.grad
-        _accum(a, g)
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        _accum(a, full)
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def expand_row(a: Tensor) -> Tensor:
@@ -292,11 +279,10 @@ def expand_row(a: Tensor) -> Tensor:
         raise ShapeError(f"expand_row needs a 1-d vector, got {a.shape}")
     out = a.data.reshape(1, -1).copy()
 
-    def bw():
-        _accum(a, _out.grad.reshape(-1))
+    def bw(g):
+        _accum(a, g.reshape(-1))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def select_row(a: Tensor, index: int) -> Tensor:
@@ -304,13 +290,12 @@ def select_row(a: Tensor, index: int) -> Tensor:
         raise ShapeError(f"select_row {index} out of range for {a.shape}")
     out = a.data[index].copy()
 
-    def bw():
-        g = np.zeros_like(a.data)
-        g[index] = _out.grad
-        _accum(a, g)
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        _accum(a, full)
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -321,13 +306,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ShapeError(f"ids out of range for table of {table.shape[0]} rows")
     out = table.data[ids]
 
-    def bw():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, _out.grad)
-        _accum(table, g)
+    def bw(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        _accum(table, full)
 
-    _out = _result(out, (table,), bw)
-    return _out
+    return _result(out, (table,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -341,8 +325,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         lead = tuple(range(g.ndim - 1))
         _accum(gain, (g * xhat).sum(axis=lead))
         _accum(bias, g.sum(axis=lead))
@@ -351,8 +334,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _accum(x, inv * (dxhat - m1 - xhat * m2))
 
-    _out = _result(out, (x, gain, bias), bw)
-    return _out
+    return _result(out, (x, gain, bias), bw)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -365,13 +347,11 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(x.data - m)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         _accum(x, out * (g - dot))
 
-    _out = _result(out, (x,), bw)
-    return _out
+    return _result(out, (x,), bw)
 
 
 # Not in __all__: bench/tracer.py traces exactly __all__, pinned to BENCHMARK.json; its time shows under lm.self_s.
@@ -418,8 +398,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     p /= p.sum(axis=-1, keepdims=True)
     out = merge(np.matmul(p, vh))
 
-    def bw():
-        g = split(_out.grad)
+    def bw(g):
+        g = split(g)
         if v.requires_grad:
             _accum(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)))
         if q.requires_grad or k.requires_grad:
@@ -432,8 +412,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             if k.requires_grad:
                 _accum(k, merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), ds), -1, -2)))
 
-    _out = _result(out, (q, k, v), bw)
-    return _out
+    return _result(out, (q, k, v), bw)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -442,13 +421,11 @@ def log_softmax(x: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
 
-    def bw():
-        g = _out.grad
+    def bw(g):
         sm = np.exp(out)
         _accum(x, g - sm * g.sum(axis=-1, keepdims=True))
 
-    _out = _result(out, (x,), bw)
-    return _out
+    return _result(out, (x,), bw)
 
 
 def cross_entropy(logits: Tensor, targets, mask, reduction: str = "mean") -> Tensor:
@@ -483,35 +460,33 @@ def cross_entropy(logits: Tensor, targets, mask, reduction: str = "mean") -> Ten
     total = -(picked[mask].sum())
     out = np.asarray(total / n if reduction == "mean" else total, dtype=logits.data.dtype)
 
-    def bw():
-        g = float(_out.grad)
+    def bw(g):
         sm = np.exp(logp)
         d = sm.copy()
         d[np.arange(t), targets] -= 1.0
         d[~mask] = 0.0
         if reduction == "mean":
             d /= n
-        _accum(logits, (d * g).astype(logits.data.dtype))
+        _accum(logits, (d * float(g)).astype(logits.data.dtype))
 
-    _out = _result(out, (logits,), bw)
-    return _out
+    return _result(out, (logits,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=a.data.dtype)
 
-    def bw():
-        _accum(a, np.full_like(a.data, float(_out.grad)))
+    def bw(g):
+        _accum(a, np.full_like(a.data, float(g)))
 
-    _out = _result(out, (a,), bw)
-    return _out
+    return _result(out, (a,), bw)
 
 
 def backward(loss: Tensor) -> None:
     """Run the recorded tape in reverse from a scalar loss.
 
-    Each recorded operation is visited exactly once; afterwards the tape is
-    consumed and a second call on the same loss raises.
+    Each recorded operation is visited once, after all that read its output,
+    and its rule is called with that output's gradient; afterwards the tape
+    is consumed and a second call on the same loss raises.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -539,7 +514,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._bw is not None:
-            node._bw()
+            node._bw(node.grad)
     loss._consumed = True
 
 

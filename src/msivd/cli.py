@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-import typing
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -43,6 +42,7 @@ from .gnn import GgnnConfig
 from .lm import LoraConfig, TransformerConfig
 from .train import (
     TrainConfig,
+    _check_json_types,
     build_bundle_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -120,53 +120,30 @@ class UsageError(Exception):
     """Bad invocation (exit code 2)."""
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a decoded JSON value fits a ``RunConfig`` field type. A bool
-    never fits a number, and a tuple field takes a list of the same length."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and len(value) == len(args) and all(map(_json_fits, value, args))
-    if args:  # a union such as ``float | None``
-        return any(_json_fits(value, h) for h in args)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, hint)
-
-
 def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
     field_names = RunConfig.__dataclass_fields__
     settings: dict = {"command": command}
     settings["profile"] = os.environ.get("MSIVD_PROFILE", "desk")
     config_path = getattr(args, "config", None)
     if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc.msg}")
-        if not isinstance(file_cfg, dict):
-            raise UsageError(f"config file {path} must hold a JSON object, not {type(file_cfg).__name__}")
+        file_cfg = _read_json_object(config_path, "config file")
         settable = set(field_names) - {"command"}
         unknown = sorted(set(file_cfg) - settable)
         if unknown:
-            raise UsageError(f"config file {path} has unknown keys {unknown}; valid: {sorted(settable)}")
-        hints = typing.get_type_hints(RunConfig)
-        for key, value in file_cfg.items():
-            hint = hints[key]
-            if not _json_fits(value, hint):
-                want = hint.__name__ if isinstance(hint, type) else hint
-                raise UsageError(f"config file {path} key {key!r} must be {want}, got {json.dumps(value)}")
+            raise UsageError(f"config file {config_path} has unknown keys {unknown}; valid: {sorted(settable)}")
+        _check_json_types(file_cfg, RunConfig, f"config file {config_path}", UsageError)
         settings.update(file_cfg)
     for key, value in vars(args).items():
         if key in field_names and value is not None:
             settings[key] = value
     if "ratios" in settings and not isinstance(settings["ratios"], tuple):
         settings["ratios"] = tuple(settings["ratios"])
-    return RunConfig(**settings)
+    run = RunConfig(**settings)
+    try:
+        run.train_config("sift")  # builds every config class, so each checks its values here
+    except ValueError as exc:
+        raise UsageError(f"invalid settings: {exc}") from exc
+    return run
 
 
 def _write_provenance(artifact: Path, run: RunConfig) -> None:
@@ -181,6 +158,19 @@ def _require_file(path_str: str, what: str) -> Path:
     if not path.is_file():
         raise UsageError(f"{what} not found: {path}")
     return path
+
+
+def _read_json_object(path_str: str, what: str) -> dict:
+    """The JSON object a file holds; a file that is missing, is not JSON or
+    holds another JSON value raises UsageError naming it."""
+    path = _require_file(path_str, what)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -275,7 +265,7 @@ def cmd_prepare(args: argparse.Namespace, run: RunConfig) -> int:
 
 def _load_dataset(samples_path: str, splits_path: str, name: str) -> AblationDataset:
     samples = read_samples_jsonl(_require_file(samples_path, "samples file"))
-    splits = json.loads(_require_file(splits_path, "splits file").read_text(encoding="utf-8"))
+    splits = _read_json_object(splits_path, "splits file")
     parts: dict[str, list[CodeSample]] = {"train": [], "eval": [], "test": []}
     for s in samples:
         where = splits.get(s.sample_id)
@@ -287,7 +277,7 @@ def _load_dataset(samples_path: str, splits_path: str, name: str) -> AblationDat
 def cmd_train_sift(args: argparse.Namespace, run: RunConfig) -> int:
     dialogues = parse_jsonl(_require_file(args.dialogues, "dialogues file"))
     if args.splits:
-        splits = json.loads(_require_file(args.splits, "splits file").read_text(encoding="utf-8"))
+        splits = _read_json_object(args.splits, "splits file")
         dialogues = [d for d in dialogues if splits.get(d.sample_id) == "train"]
     config = run.train_config("sift")
     ckpt, curve = train_sift(dialogues, config)

@@ -14,6 +14,7 @@ import logging
 import math
 import random
 import struct
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -317,8 +318,10 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
     task's valid-token count, then the plain mean over the tasks present in
     the batch. Duplicating a task's streams leaves the value unchanged.
 
-    Each stream is forwarded once and backpropagated immediately so only one
-    computation graph is alive at a time; gradients accumulate across streams.
+    Each stream is forwarded once and backpropagated at once, and gradients
+    accumulate across streams. A stream's graph lives until the next stream
+    rebinds ``out``, ``logits``, ``ce_sum`` and ``part``: at most two graphs
+    are alive at a time.
     """
     counts: dict[int, int] = {}
     for s in streams:
@@ -409,13 +412,43 @@ def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
     return train_cfg, seed
 
 
+def _json_fits(value, hint) -> bool:
+    """Whether a decoded JSON value fits a config field type: a bool fits no
+    number, an int fits a float, and a tuple field takes a list or tuple of
+    its length (of any length for ``tuple[X, ...]``)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_json_fits, value, args))
+    if args:  # a union such as ``float | None``
+        return any(_json_fits(value, h) for h in args)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def _check_json_types(obj: dict, cls, where: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``where`` and the key when a value of ``obj``
+    does not fit the type of its ``cls`` field; keys of no field pass."""
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        hint = hints.get(key)
+        if hint is not None and not _json_fits(value, hint):
+            want = hint.__name__ if isinstance(hint, type) else hint
+            raise error(f"{where} key {key!r} must be {want}, got {json.dumps(value)}")
+
+
 def _header_config(train_cfg: dict, key: str, cls):
     """``cls`` built from the checkpoint's ``train.<key>`` object, JSON lists
-    read back as tuples; a missing object, an unknown key or a value that
-    ``cls`` rejects raises CheckpointError naming ``key``."""
+    read back as tuples; a missing object, an unknown key, or a value of the
+    wrong type or that ``cls`` rejects raises CheckpointError naming ``key``."""
     fields = train_cfg.get(key)
     if not isinstance(fields, dict):
         raise CheckpointError(f"checkpoint train.{key} must be an object, got {json.dumps(fields)}")
+    _check_json_types(fields, cls, f"checkpoint train.{key}", CheckpointError)
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
     except (TypeError, ValueError) as exc:

@@ -1,3 +1,4 @@
+import gc
 import math
 import zlib
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers_attention import per_head_attention
 from msivd import autograd as ag
 from msivd.autograd import Tensor
+from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
 
 
 def rand(shape, rng, scale=1.0, dtype=np.float32, requires_grad=True):
@@ -226,6 +228,34 @@ def test_kernel_gradients(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     f, xs = KERNEL_CASES[name](rng)
     assert ag.grad_check(f, xs, h=1e-3) <= 1e-4
+
+
+def _unreachable_after(build) -> int:
+    """Objects the cyclic GC finds once ``build()`` has returned and dropped
+    everything it made; an acyclic tape is freed by reference counting and
+    leaves none."""
+    gc.disable()
+    try:
+        gc.collect()
+        build()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_backward_leaves_no_cyclic_garbage(name):
+    def build():
+        f, xs = KERNEL_CASES[name](np.random.default_rng(0))
+        ag.backward(f(*xs))
+
+    assert _unreachable_after(build) == 0
+
+
+def test_lm_forward_leaves_no_cyclic_garbage():
+    model = LmModel(TransformerConfig(), seed=0, lora=LoraConfig())
+    ids = np.random.default_rng(0).integers(0, ByteTokenizer.vocab_size, 200)
+    assert _unreachable_after(lambda: model.forward(ids)) == 0
 
 
 def test_linear_function_is_near_exact():

@@ -152,9 +152,11 @@ def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
         ({"seed": True}, "key 'seed' must be int, got true"),
         ({"lora_alpha": False}, "key 'lora_alpha' must be float, got false"),
         ({"use_gnn": 1}, "key 'use_gnn' must be bool, got 1"),
+        ({"batch_size": 0}, "invalid settings: learning rate, batch size and epochs must be positive"),
+        ({"d_model": 65}, "invalid settings: d_model 65 not divisible by n_heads 4"),
     ],
     ids=["unknown_keys", "array", "string", "ratios_int", "ratios_short", "epochs_str", "bool_seed",
-         "bool_float", "int_bool"],
+         "bool_float", "int_bool", "batch_size_zero", "d_model_indivisible"],
 )
 def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     cfg_path = tmp_path / "config.json"
@@ -271,6 +273,25 @@ def test_corrupt_checkpoint_is_runtime_failure(pipeline_dir, tmp_path, capsys):
     rc = main(["predict", "--code", str(code_file), "--ckpt", str(bad)])
     assert rc == 1
     assert "magic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{not json", "is not valid JSON"),
+    (b"\xff\xfe", "is not valid JSON"),
+    (b"[1, 2]", "must hold a JSON object, not list"),
+], ids=["not_json", "not_utf8", "array"])
+@pytest.mark.parametrize("command", ["train-sift", "train-fused"])
+def test_bad_splits_file_usage_error(pipeline_dir, tmp_path, capsys, command, content, message):
+    splits = tmp_path / "splits.json"
+    splits.write_bytes(content)
+    out = tmp_path / "m.ckpt"
+    inputs = {"train-sift": ["--dialogues", str(pipeline_dir / "dialogues.jsonl")],
+              "train-fused": ["--samples", str(pipeline_dir / "samples.jsonl")]}[command]
+    code = main([command, *inputs, "--splits", str(splits), "--out", str(out),
+                 "--config", str(pipeline_dir / "config.json")])
+    assert code == 2
+    assert f"splits file {splits} {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_single_mode_writes_report(pipeline_dir, tmp_path, capsys):

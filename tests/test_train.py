@@ -191,6 +191,18 @@ BAD_CONFIGS = {
                             {"stage": "fused", "train": {**TRAIN, "gnn_config": {"bogus": 1}}},
                             r"train\.gnn_config"),
     "seed-not-integer": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "seed": "x"}}, r"train\.seed"),
+    "float-d-model": (build_lm_from_checkpoint,
+                      {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "d_model": 32.0}}},
+                      r"train\.lm_config key 'd_model' must be int, got 32\.0"),
+    "float-lora-rank": (build_lm_from_checkpoint,
+                        {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 2.0}}},
+                        r"train\.lora_config key 'rank' must be int, got 2\.0"),
+    "bool-lora-rank": (build_lm_from_checkpoint,
+                       {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": True}}},
+                       r"train\.lora_config key 'rank' must be int, got true"),
+    "float-mlp-hidden": (build_bundle_from_checkpoint,
+                         {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16.0]}}},
+                         r"train\.gnn_config key 'mlp_hidden' must be tuple\[int, \.\.\.\], got \[16\.0\]"),
 }
 
 
