@@ -428,46 +428,38 @@ def log_softmax(x: Tensor) -> Tensor:
     return _result(out, (x,), bw)
 
 
-def cross_entropy(logits: Tensor, targets, mask, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood of ``targets`` under ``logits``, over masked rows.
+def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
+    """Weighted negative log-likelihood Σᵢ wᵢ·(−log softmax(logitsᵢ)[targetᵢ]).
 
-    ``logits`` is [T x V]; ``targets`` holds T token ids; ``mask`` marks the
-    rows that contribute. ``reduction`` is "mean" (default) or "sum".
+    ``logits`` is [T x V]; ``targets`` holds T token ids and ``weights`` T
+    row weights. A row of weight 0 adds nothing and gets zero gradient; at
+    least one weight must be nonzero.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
+    weights = np.asarray(weights, dtype=logits.data.dtype)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects [T x V] logits, got {logits.shape}")
     t = logits.shape[0]
-    if targets.shape != (t,) or mask.shape != (t,):
+    if targets.shape != (t,) or weights.shape != (t,):
         raise ShapeError(
             f"cross_entropy length mismatch: logits {logits.shape}, "
-            f"targets {targets.shape}, mask {mask.shape}"
+            f"targets {targets.shape}, weights {weights.shape}"
         )
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ShapeError(f"targets out of range for vocab {logits.shape[1]}")
-    if not mask.any():
-        raise ShapeError("cross_entropy: mask selects zero positions")
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
+    if not weights.any():
+        raise ShapeError("cross_entropy: all weights are zero")
 
-    m = np.max(logits.data, axis=-1, keepdims=True)
-    shifted = logits.data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
-    picked = logp[np.arange(t), targets]
-    n = int(mask.sum())
-    total = -(picked[mask].sum())
-    out = np.asarray(total / n if reduction == "mean" else total, dtype=logits.data.dtype)
+    rows = np.arange(t)
+    logp = logits.data - np.max(logits.data, axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    out = np.asarray(-(weights * logp[rows, targets]).sum(), dtype=logits.data.dtype)
 
     def bw(g):
-        sm = np.exp(logp)
-        d = sm.copy()
-        d[np.arange(t), targets] -= 1.0
-        d[~mask] = 0.0
-        if reduction == "mean":
-            d /= n
-        _accum(logits, (d * float(g)).astype(logits.data.dtype))
+        d = np.exp(logp)
+        d[rows, targets] -= 1.0
+        d *= (weights * g)[:, None]
+        _accum(logits, d)
 
     return _result(out, (logits,), bw)
 

@@ -9,11 +9,9 @@ import json
 import logging
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .corpus import CodeSample
 from .dialogue import build_dialogues, render_prompt
-from .fusion import NO_INDEX, YES_INDEX, Prediction, predict
+from .fusion import Prediction, _pair_prediction, predict
 from .lm import ByteTokenizer, LmModel
 from .train import TrainConfig, build_bundle_from_checkpoint, train_fused, train_sift
 
@@ -162,15 +160,7 @@ def predict_pretrained(lm: LmModel, tokenizer: ByteTokenizer, sample: CodeSample
     vulnerability-specific training at all)."""
     ids = render_prompt(sample.code, tokenizer, lm.config.context_window)
     row = lm.forward(ids, last_only=True).logits.data[-1]
-    pair = np.array([row[ByteTokenizer.YES], row[ByteTokenizer.NO]], dtype=np.float64)
-    pair -= pair.max()
-    probs = np.exp(pair) / np.exp(pair).sum()
-    label = bool(np.argmax(pair) == YES_INDEX)
-    return Prediction(
-        label=label,
-        score=float(probs[YES_INDEX]),
-        log_probs=(float(np.log(probs[YES_INDEX])), float(np.log(probs[NO_INDEX]))),
-    )
+    return _pair_prediction((row[ByteTokenizer.YES], row[ByteTokenizer.NO]))
 
 
 def _run_mode(

@@ -66,36 +66,43 @@ class FusedClassifier:
         return {"clf.w": self.w, "clf.b": self.b}
 
     def logits(self, fused: Tensor) -> Tensor:
+        """The [1 x 2] (yes, no) logit row of a [1 x in_dim] fused row."""
         if fused.shape[-1] != self.in_dim:
             raise ag.ShapeError(f"classifier expects width {self.in_dim}, got {fused.shape[-1]}")
-        out = ag.matmul(ag.expand_row(fused), ag.transpose(self.w))
-        return ag.add(ag.select_row(out, 0), self.b)
+        return ag.add(ag.matmul(fused, ag.transpose(self.w)), self.b)
 
     def classify(self, fused: Tensor, flagged: bool = False) -> Prediction:
-        lp = ag.log_softmax(self.logits(fused)).data
-        label = bool(np.argmax(lp) == YES_INDEX)
-        return Prediction(
-            label=label,
-            score=float(np.exp(lp[YES_INDEX])),
-            log_probs=(float(lp[YES_INDEX]), float(lp[NO_INDEX])),
-            flagged=flagged,
-        )
+        return _pair_prediction(self.logits(fused).data[0], flagged)
+
+
+def _pair_prediction(pair, flagged: bool = False) -> Prediction:
+    """The prediction from a (yes, no) logit pair, its LogSoftmax taken in
+    64-bit floats."""
+    lp = np.asarray(pair, dtype=np.float64)
+    lp = lp - lp.max()
+    lp -= np.log(np.exp(lp).sum())
+    return Prediction(
+        label=bool(np.argmax(lp) == YES_INDEX),
+        score=float(np.exp(lp[YES_INDEX])),
+        log_probs=(float(lp[YES_INDEX]), float(lp[NO_INDEX])),
+        flagged=flagged,
+    )
 
 
 def label_nll(logits: Tensor, label: bool) -> Tensor:
-    """Negative log-likelihood of the true label under LogSoftmax."""
-    logp = ag.log_softmax(logits)
-    idx = YES_INDEX if label else NO_INDEX
-    return ag.scale(ag.sum_all(ag.slice_last_dim(logp, idx, idx + 1)), -1.0)
+    """Negative log-likelihood of the true label under the LogSoftmax of a
+    [1 x 2] logit row."""
+    return ag.cross_entropy(logits, [YES_INDEX if label else NO_INDEX], [1.0])
 
 
 GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x width]
 
 
 def lm_row(code: str, lm: LmModel, tokenizer: ByteTokenizer) -> np.ndarray:
-    """The frozen LM's hidden state at the last position of the round-1 prompt."""
+    """The frozen LM's [1 x d_model] hidden row at the last position of the
+    round-1 prompt."""
     ids = render_prompt(code, tokenizer, lm.config.context_window)
-    return lm.forward(ids, last_only=True).hidden.data[-1].copy()
+    return lm.forward(ids, last_only=True).hidden.data
 
 
 def graph_inputs(code: str, width: int) -> GraphInputs | None:
@@ -109,15 +116,16 @@ def graph_inputs(code: str, width: int) -> GraphInputs | None:
 
 
 def graph_embedding(graph: GraphInputs | None, gnn: Ggnn) -> Tensor:
-    """Mean-pooled GGNN embedding of ``graph``; a zero vector for the fallback."""
+    """Mean-pooled [1 x state_dim] GGNN embedding of ``graph``; a zero row
+    for the fallback."""
     if graph is None:
-        return Tensor(np.zeros(gnn.config.state_dim, dtype=np.float32))
+        return Tensor(np.zeros((1, gnn.config.state_dim), dtype=np.float32))
     return gnn.forward(*graph)
 
 
 def fused_vector(row: np.ndarray, graph: GraphInputs | None, gnn: Ggnn | None) -> Tensor:
-    """The classifier input: ``row`` followed by the graph embedding, or
-    ``row`` alone without a GGNN."""
+    """The [1 x n] classifier input: ``row`` followed by the graph
+    embedding, or ``row`` alone without a GGNN."""
     hidden = Tensor(row)
     if gnn is None:
         return hidden

@@ -33,6 +33,8 @@ class GgnnConfig:
     def __post_init__(self):
         if self.state_dim <= 0 or any(h <= 0 for h in self.mlp_hidden):
             raise ValueError("GGNN dims must be positive")
+        if self.steps < 0:
+            raise ValueError(f"GGNN steps must be >= 0, got {self.steps}")
 
     @classmethod
     def paper(cls) -> "GgnnConfig":
@@ -139,7 +141,8 @@ class Ggnn:
         return params
 
     def forward(self, cfg: ControlFlowGraph, features: np.ndarray) -> Tensor:
-        """Run ``steps`` rounds of aggregate+update and mean-pool node states."""
+        """Run ``steps`` rounds of aggregate+update and mean-pool the node
+        states into one [1 x state_dim] row."""
         n = len(cfg.nodes)
         if features.shape[0] != n:
             raise ValueError(f"features rows {features.shape[0]} != node count {n}")
@@ -150,5 +153,4 @@ class Ggnn:
         for _ in range(self.config.steps):
             msg = mlp_aggregate(h, adj_t, self.mlp_layers)
             h = gru_update(h, msg, self.gru)
-        pooled = ag.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=h.dtype)), h)
-        return ag.select_row(pooled, 0)
+        return ag.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=h.dtype)), h)

@@ -85,6 +85,8 @@ class TransformerConfig:
     vocab_size: int = ByteTokenizer.vocab_size
 
     def __post_init__(self):
+        if min(self.d_model, self.n_layers, self.n_heads, self.context_window) < 1:
+            raise ValueError("d_model, n_layers, n_heads and context_window must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
@@ -103,6 +105,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("LoRA rank must be >= 1")
+        if not (np.isfinite(self.alpha) and 0 <= self.init_std < np.inf):
+            raise ValueError(f"LoRA needs a finite alpha and a finite init_std >= 0: {self.alpha}, {self.init_std}")
 
 
 @dataclass

@@ -86,8 +86,8 @@ class TrainConfig:
             self.learning_rate = 1e-5 if self.stage == "sift" else 1e-6
         if self.epochs is None:
             self.epochs = 10 if self.stage == "sift" else 5
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("learning rate, batch size and epochs must be positive")
+        if not 0 < self.learning_rate < math.inf or self.batch_size <= 0 or self.epochs <= 0:
+            raise ValueError("learning rate, batch size and epochs must be positive, and the learning rate finite")
         if self.sift_mode not in SIFT_MODES:
             raise ValueError(f"unknown sift_mode {self.sift_mode!r}; have {SIFT_MODES}")
 
@@ -305,52 +305,46 @@ def render_training_streams(
     return streams
 
 
-def _span_shift_mask(span: tuple[int, int], t: int) -> np.ndarray:
-    """Mask over the shifted target positions (length t-1) for one span."""
-    m = np.zeros(t, dtype=bool)
-    m[span[0] : span[1]] = True
-    return m[1:]
-
-
 def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
     """The task-averaged SIFT loss of the paper's Eq. 2 over a batch of
     streams: per task, the summed NLL over all of its spans divided by the
     task's valid-token count, then the plain mean over the tasks present in
     the batch. Duplicating a task's streams leaves the value unchanged.
 
+    Logit row p predicts token p + 1, so a span's target rows are its
+    positions shifted back by one, position 0 having none. A target row of
+    task k weighs 1 / (count[k] * n_tasks) and every other row 0, which makes
+    each stream's share one weighted ``cross_entropy`` over all its rows.
     Each stream is forwarded once and backpropagated at once, and gradients
     accumulate across streams. A stream's graph lives until the next stream
-    rebinds ``out``, ``logits``, ``ce_sum`` and ``part``: at most two graphs
-    are alive at a time.
+    rebinds ``loss``: at most two graphs are alive at a time.
     """
+    rows: list[list[tuple[int, int, int]]] = []  # per stream: (task, first row, end row) per span
     counts: dict[int, int] = {}
     for s in streams:
         t = s.rendered.token_ids.shape[0]
-        for task, span in s.tasks:
-            counts[task] = counts.get(task, 0) + int(_span_shift_mask(span, t).sum())
-    active = {task for task, c in counts.items() if c > 0}
-    if not active:
+        spans = []
+        for task, (start, end) in s.tasks:
+            lo, hi = max(start, 1) - 1, min(end, t) - 1
+            if hi > lo:
+                spans.append((task, lo, hi))
+                counts[task] = counts.get(task, 0) + hi - lo
+        rows.append(spans)
+    if not counts:
         raise ValueError("batch contributes zero valid tokens")
-    n_tasks = len(active)
+    n_tasks = len(counts)
 
     total = 0.0
-    for s in streams:
-        ids = s.rendered.token_ids
-        t = ids.shape[0]
-        contribs = None
-        out = model.forward(ids)
-        logits = ag.slice_rows(out.logits, 0, t - 1)
-        for task, span in s.tasks:
-            m = _span_shift_mask(span, t)
-            if not m.any():
-                continue
-            ce_sum = ag.cross_entropy(logits, ids[1:], m, reduction="sum")
-            part = ag.scale(ce_sum, 1.0 / (counts[task] * n_tasks))
-            contribs = part if contribs is None else ag.add(contribs, part)
-        if contribs is None:
+    for s, spans in zip(streams, rows):
+        if not spans:
             continue
-        ag.backward(contribs)
-        total += contribs.item()
+        ids = s.rendered.token_ids
+        weights = np.zeros(ids.shape[0])
+        for task, lo, hi in spans:
+            weights[lo:hi] += 1.0 / (counts[task] * n_tasks)
+        loss = ag.cross_entropy(model.forward(ids).logits, np.append(ids[1:], 0), weights)
+        ag.backward(loss)
+        total += loss.item()
     return total
 
 
@@ -472,6 +466,13 @@ def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None 
 # --- stage 2: fused classifier -------------------------------------------------------------
 
 
+def _freeze(lm: LmModel) -> LmModel:
+    """Freeze the adapters too: stage two and inference only read the LM out, so record no tape."""
+    for t in lm.adapter_parameters().values():
+        t.requires_grad = False
+    return lm
+
+
 def train_fused(
     samples: list[CodeSample],
     sift_checkpoint: Checkpoint | None,
@@ -490,6 +491,7 @@ def train_fused(
         lm = build_lm_from_checkpoint(sift_checkpoint, expect=config.lm_config)
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
+    _freeze(lm)
 
     rows = [lm_row(s.code, lm, tokenizer) for s in samples]
     gnn: Ggnn | None = None
@@ -554,7 +556,7 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
         raise CheckpointError("inference needs a fused-stage checkpoint")
     train_cfg, seed = _header_train(ckpt)
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
-    lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
+    lm = _freeze(build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors)))
     gnn = None
     if ckpt.config.get("use_gnn", True):
         gnn = Ggnn(_header_config(train_cfg, "gnn_config", GgnnConfig), seed=seed)

@@ -80,26 +80,45 @@ def test_softmax_handles_minus_inf():
 
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((3, 4)))
-    loss = ag.cross_entropy(logits, [0, 1, 2], [True, True, True])
+    loss = ag.cross_entropy(logits, [0, 1, 2], [1 / 3] * 3)
     assert loss.item() == pytest.approx(math.log(4), abs=1e-6)
 
 
 def test_cross_entropy_known_probs():
     # two rows with target probabilities 0.5 and 0.25
     logits = np.log(np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]))
-    loss = ag.cross_entropy(Tensor(logits), [0, 0], [True, True])
+    loss = ag.cross_entropy(Tensor(logits), [0, 0], [0.5, 0.5])
     assert loss.item() == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-6)
 
 
-def test_cross_entropy_mask_excludes_rows():
+def test_cross_entropy_zero_weight_excludes_rows():
     logits = np.log(np.array([[0.5, 0.5], [0.25, 0.75]]))
-    loss = ag.cross_entropy(Tensor(logits), [0, 0], [True, False])
+    loss = ag.cross_entropy(Tensor(logits), [0, 0], [1.0, 0.0])
     assert loss.item() == pytest.approx(math.log(2), abs=1e-6)
 
 
-def test_cross_entropy_all_false_mask_errors():
-    with pytest.raises(ag.ShapeError, match="zero positions"):
-        ag.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], [False, False])
+def test_cross_entropy_all_zero_weights_error():
+    with pytest.raises(ag.ShapeError, match="all weights are zero"):
+        ag.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], [0.0, 0.0])
+
+
+def test_cross_entropy_is_weighted_sum_of_row_nll():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((5, 7))
+    targets = [3, 0, 6, 6, 1]
+    weights = np.array([0.25, 0.0, 1.5, 0.125, 2.0])
+    logp = x - x.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    want = -(weights * logp[np.arange(5), targets]).sum()
+    assert abs(ag.cross_entropy(Tensor(x), targets, weights).item() - want) <= 1e-12
+
+
+def test_cross_entropy_zero_weight_rows_get_zero_gradient():
+    rng = np.random.default_rng(12)
+    x = rand((4, 6), rng)
+    ag.backward(ag.cross_entropy(x, [1, 5, 0, 2], [0.0, 0.5, 0.0, 2.0]))
+    assert np.all(x.grad[[0, 2]] == 0.0)
+    assert np.all(x.grad[[1, 3]] != 0.0)
 
 
 def test_backward_sum_is_ones():
@@ -200,8 +219,8 @@ KERNEL_CASES = {
         [rand((3, 4), rng)],
     ),
     "cross_entropy": lambda rng: (
-        lambda a: ag.cross_entropy(a, [1, 0, 2], [True, False, True]),
-        [rand((3, 4), rng)],
+        lambda a: ag.cross_entropy(a, [1, 0, 2, 3], [0.7, 0.0, 1.9, 0.3]),
+        [rand((4, 4), rng)],
     ),
 }
 

@@ -154,9 +154,16 @@ def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
         ({"use_gnn": 1}, "key 'use_gnn' must be bool, got 1"),
         ({"batch_size": 0}, "invalid settings: learning rate, batch size and epochs must be positive"),
         ({"d_model": 65}, "invalid settings: d_model 65 not divisible by n_heads 4"),
+        ({"learning_rate": float("nan")}, "invalid settings: learning rate, batch size and epochs must be positive"),
+        ({"learning_rate": float("inf")}, "invalid settings: learning rate, batch size and epochs must be positive"),
+        ({"n_heads": 0}, "invalid settings: d_model, n_layers, n_heads and context_window must be >= 1"),
+        ({"context_window": 0}, "invalid settings: d_model, n_layers, n_heads and context_window must be >= 1"),
+        ({"gnn_steps": -1}, "invalid settings: GGNN steps must be >= 0"),
+        ({"lora_alpha": float("nan")}, "invalid settings: LoRA needs a finite alpha"),
     ],
     ids=["unknown_keys", "array", "string", "ratios_int", "ratios_short", "epochs_str", "bool_seed",
-         "bool_float", "int_bool", "batch_size_zero", "d_model_indivisible"],
+         "bool_float", "int_bool", "batch_size_zero", "d_model_indivisible", "learning_rate_nan",
+         "learning_rate_inf", "n_heads_zero", "context_window_zero", "gnn_steps_negative", "lora_alpha_nan"],
 )
 def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     cfg_path = tmp_path / "config.json"
@@ -291,6 +298,17 @@ def test_bad_splits_file_usage_error(pipeline_dir, tmp_path, capsys, command, co
                  "--config", str(pipeline_dir / "config.json")])
     assert code == 2
     assert f"splits file {splits} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_bad_learning_rate_flag_usage_error(pipeline_dir, tmp_path, capsys, value):
+    out = tmp_path / "sift.ckpt"
+    code = main(["train-sift", "--dialogues", str(pipeline_dir / "dialogues.jsonl"),
+                 "--splits", str(pipeline_dir / "splits.json"), "--out", str(out),
+                 "--config", str(pipeline_dir / "config.json"), f"--learning-rate={value}", "--epochs", "1"])
+    assert code == 2
+    assert "invalid settings: learning rate" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -27,10 +27,11 @@ TINY = TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=384)
 
 def test_fuse_widths():
     rng = np.random.default_rng(0)
-    row = rng.normal(0, 1, 8).astype(np.float32)
+    row = rng.normal(0, 1, (1, 8)).astype(np.float32)
     gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
-    assert fused_vector(row, graph_inputs("x = 1; use(x);", 16), gnn).shape == (24,)
-    assert fused_vector(row, None, None).shape == (8,)
+    assert fused_vector(row, graph_inputs("x = 1; use(x);", 16), gnn).shape == (1, 24)
+    assert fused_vector(row, None, gnn).shape == (1, 24)
+    assert fused_vector(row, None, None).shape == (1, 8)
 
 
 def test_lm_row_is_last_hidden_row_of_prompt():
@@ -40,11 +41,12 @@ def test_lm_row_is_last_hidden_row_of_prompt():
     ids = render_prompt(code, tok, TINY.context_window)
     last = model.forward(ids, last_only=True).hidden.data
     row = lm_row(code, model, tok)
-    assert np.array_equal(row, last[-1])
+    assert row.shape == (1, TINY.d_model)
+    assert np.array_equal(row, last)
     # the one-row read-out sums in another order than the full forward
-    assert np.max(np.abs(row - model.forward(ids).hidden.data[-1])) <= 1e-5
+    assert np.max(np.abs(row - model.forward(ids).hidden.data[-1:])) <= 1e-5
     gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
-    assert np.array_equal(fused_vector(row, None, gnn).data[: TINY.d_model], last[-1])
+    assert np.array_equal(fused_vector(row, None, gnn).data[:, : TINY.d_model], last)
 
 
 def test_paper_profile_dimension_bookkeeping():
@@ -60,7 +62,7 @@ def test_classify_symmetric_logits():
     clf = FusedClassifier(in_dim=4, seed=0)
     clf.w.data[:] = 0
     clf.b.data[:] = 0
-    pred = clf.classify(Tensor(np.ones(4, dtype=np.float32)))
+    pred = clf.classify(Tensor(np.ones((1, 4), dtype=np.float32)))
     assert pred.score == pytest.approx(0.5, abs=1e-6)
     assert pred.log_probs[0] == pytest.approx(math.log(0.5), abs=1e-6)
     assert pred.log_probs[1] == pytest.approx(math.log(0.5), abs=1e-6)
@@ -70,14 +72,14 @@ def test_classify_argmax_label():
     clf = FusedClassifier(in_dim=2, seed=0)
     clf.w.data[:] = np.array([[3.0, 0.0], [1.0, 0.0]], dtype=np.float32)
     clf.b.data[:] = 0
-    pred = clf.classify(Tensor(np.array([1.0, 0.0], dtype=np.float32)))
+    pred = clf.classify(Tensor(np.array([[1.0, 0.0]], dtype=np.float32)))
     assert pred.label is True  # logits (3, 1) -> vulnerable
     assert pred.score > 0.5
 
 
 def test_classify_shift_invariance():
     clf = FusedClassifier(in_dim=3, seed=1)
-    x = Tensor(np.array([0.4, -0.2, 1.0], dtype=np.float32))
+    x = Tensor(np.array([[0.4, -0.2, 1.0]], dtype=np.float32))
     before = clf.classify(x)
     clf.b.data += 2.5  # shifts both logits equally
     after = clf.classify(x)
@@ -89,21 +91,22 @@ def test_classify_shift_invariance():
 def test_classifier_width_check():
     clf = FusedClassifier(in_dim=8, seed=0)
     with pytest.raises(ag.ShapeError, match="width"):
-        clf.logits(Tensor(np.zeros(5, dtype=np.float32)))
+        clf.logits(Tensor(np.zeros((1, 5), dtype=np.float32)))
 
 
 def test_label_nll_matches_log_softmax():
     clf = FusedClassifier(in_dim=2, seed=2)
-    x = Tensor(np.array([1.0, -1.0], dtype=np.float32))
+    x = Tensor(np.array([[1.0, -1.0]], dtype=np.float32))
     logits = clf.logits(x)
-    lp = ag.log_softmax(logits).data
+    assert logits.shape == (1, 2)
+    lp = ag.log_softmax(logits).data[0]
     assert label_nll(clf.logits(x), True).item() == pytest.approx(-lp[0], abs=1e-6)
     assert label_nll(clf.logits(x), False).item() == pytest.approx(-lp[1], abs=1e-6)
 
 
 def test_prediction_probabilities_normalized():
     clf = FusedClassifier(in_dim=4, seed=3)
-    pred = clf.classify(Tensor(np.array([0.1, 0.2, 0.3, 0.4], dtype=np.float32)))
+    pred = clf.classify(Tensor(np.array([[0.1, 0.2, 0.3, 0.4]], dtype=np.float32)))
     assert math.exp(pred.log_probs[0]) + math.exp(pred.log_probs[1]) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -111,10 +114,10 @@ def test_graph_embedding_flags_unparseable_code():
     gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
     assert graph_inputs("int *p = malloc(8);", 16) is None
     emb = graph_embedding(None, gnn)
-    assert np.array_equal(emb.data, np.zeros(16, dtype=np.float32))
+    assert np.array_equal(emb.data, np.zeros((1, 16), dtype=np.float32))
     graph = graph_inputs("x = 1; use(x);", 16)
     assert graph is not None
-    assert graph_embedding(graph, gnn).shape == (16,)
+    assert graph_embedding(graph, gnn).shape == (1, 16)
 
 
 @pytest.fixture(scope="module")

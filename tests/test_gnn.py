@@ -107,7 +107,8 @@ def test_forward_zero_steps_mean_pools_features():
     g = Ggnn(GgnnConfig(state_dim=4, steps=0), seed=0)
     feats = np.arange(12, dtype=np.float32).reshape(3, 4)
     out = g.forward(cfg, feats)
-    assert np.allclose(out.data, feats.mean(axis=0), atol=1e-6)
+    assert out.shape == (1, 4)
+    assert np.allclose(out.data, feats.mean(axis=0, keepdims=True), atol=1e-6)
 
 
 def test_single_node_zero_steps_identity():

@@ -175,7 +175,7 @@ def test_single_task_reduces_to_cross_entropy():
     mask = [False, False, True, True]
     loss = sift_batch_loss(model, task_streams([[(ids, mask)]]))
     out = model.forward(ids)
-    ref = ag.cross_entropy(ag.slice_rows(out.logits, 0, 3), ids[1:], mask[1:], reduction="mean")
+    ref = ag.cross_entropy(ag.slice_rows(out.logits, 0, 3), ids[1:], [0.0, 0.5, 0.5])
     assert abs(loss - ref.item()) <= 1e-9
 
 
@@ -263,7 +263,8 @@ def test_attention_block_gradcheck():
 
 def _next_token_loss(model, ids):
     out = model.forward(ids)
-    return ag.cross_entropy(out.logits, ids[1:] + [0], [True] * (len(ids) - 1) + [False])
+    n = len(ids) - 1
+    return ag.cross_entropy(out.logits, ids[1:] + [0], [1 / n] * n + [0.0])
 
 
 def test_model_forward_gradcheck_through_adapter():
@@ -347,7 +348,7 @@ def test_last_only_gradcheck_through_adapters():
     def f(*tensors):
         for name, ad, a_, b_ in zip(names, adapters, tensors[::2], tensors[1::2]):
             model.adapters[name] = LoraAdapter(a=a_, b=b_, rank=ad.rank, alpha=ad.alpha)
-        return ag.cross_entropy(model.forward(ids, last_only=True).logits, [2], [True])
+        return ag.cross_entropy(model.forward(ids, last_only=True).logits, [2], [1.0])
 
     params = [t for ad in adapters for t in (ad.a, ad.b)]
     assert ag.grad_check(f, params, h=1e-5) <= 1e-4

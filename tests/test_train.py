@@ -66,8 +66,9 @@ def test_stage_defaults_match_hyperparameter_table():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        TrainConfig(stage="sift", learning_rate=-1.0)
+    for rate in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(stage="sift", learning_rate=rate)
     with pytest.raises(ValueError):
         TrainConfig(stage="nope")
     with pytest.raises(ValueError):
@@ -203,6 +204,21 @@ BAD_CONFIGS = {
     "float-mlp-hidden": (build_bundle_from_checkpoint,
                          {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16.0]}}},
                          r"train\.gnn_config key 'mlp_hidden' must be tuple\[int, \.\.\.\], got \[16\.0\]"),
+    "zero-heads": (build_lm_from_checkpoint,
+                   {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_heads": 0}}},
+                   r"train\.lm_config .*n_layers, n_heads and context_window must be >= 1"),
+    "zero-layers": (build_lm_from_checkpoint,
+                    {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_layers": 0}}},
+                    r"train\.lm_config .*n_layers, n_heads and context_window must be >= 1"),
+    "negative-lora-init-std": (build_lm_from_checkpoint,
+                               {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "init_std": -1}}},
+                               r"train\.lora_config .*finite init_std >= 0"),
+    "nan-lora-alpha": (build_lm_from_checkpoint,
+                       {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "alpha": float("nan")}}},
+                       r"train\.lora_config .*needs a finite alpha"),
+    "negative-gnn-steps": (build_bundle_from_checkpoint,
+                           {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "steps": -1}}},
+                           r"train\.gnn_config .*steps must be >= 0"),
 }
 
 
@@ -346,6 +362,15 @@ def test_fused_without_gnn_trains_lm_only_head(small_corpus):
     ckpt, curve = train_fused(small_corpus, None, config)
     assert not any(k.startswith("gnn.") for k in ckpt.tensors)
     assert curve.losses()[-1] < curve.losses()[0]
+
+
+def test_inference_read_out_records_no_tape(small_corpus):
+    """The bundle's LM is frozen, adapters included, so its forward keeps no
+    graph alive between requests."""
+    ckpt, _ = train_fused(small_corpus[:4], None, tiny_config(stage="fused", use_gnn=False, epochs=1))
+    lm = build_bundle_from_checkpoint(ckpt).lm
+    assert lm.adapter_parameters()
+    assert not lm.forward([1, 2, 3], last_only=True).hidden.requires_grad
 
 
 @pytest.mark.parametrize("case", ["gnn", "no-gnn", "mini-c-rejects"])
