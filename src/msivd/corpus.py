@@ -555,30 +555,36 @@ def write_samples_jsonl(samples: list[CodeSample], path) -> None:
             fh.write(json.dumps(_sample_to_obj(s), ensure_ascii=False) + "\n")
 
 
+def _sample_from_obj(obj) -> CodeSample:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"expected a JSON object, got {json.dumps(obj)}")
+    if type(obj["label"]) is not bool:
+        raise CorpusError(f"label must be a JSON bool, got {json.dumps(obj['label'])}")
+    texts = ("sample_id", "code", "cwe_id", "cwe_category", "description", "origin_date")
+    for key in texts:
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"{key} must be a string, got {json.dumps(obj[key])}")
+    return CodeSample(
+        **{key: obj[key] for key in texts},
+        label=obj["label"],
+        vuln_line_start=obj.get("vuln_line_start"),
+        vuln_line_end=obj.get("vuln_line_end"),
+        fix_code=obj.get("fix_code"),
+    )
+
+
 def read_samples_jsonl(path) -> list[CodeSample]:
+    """The samples of a JSONL file; a line that is not UTF-8, not JSON or not
+    a well-formed sample raises CorpusError naming it."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: malformed JSONL at line {lineno}: {exc.msg}") from exc
-            samples.append(
-                CodeSample(
-                    sample_id=obj["sample_id"],
-                    code=obj["code"],
-                    label=obj["label"],
-                    cwe_id=obj["cwe_id"],
-                    cwe_category=obj["cwe_category"],
-                    description=obj["description"],
-                    origin_date=obj["origin_date"],
-                    vuln_line_start=obj.get("vuln_line_start"),
-                    vuln_line_end=obj.get("vuln_line_end"),
-                    fix_code=obj.get("fix_code"),
-                )
-            )
+                samples.append(_sample_from_obj(json.loads(raw.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON, UTF-8, CorpusError
+                raise CorpusError(f"{path}: bad sample at line {lineno}: {exc}") from exc
     return samples
 
 

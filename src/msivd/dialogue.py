@@ -26,6 +26,7 @@ __all__ = [
     "build_negative_dialogue",
     "build_dialogues",
     "render",
+    "prompt_scaffold",
     "render_prompt",
     "serialize_jsonl",
     "parse_jsonl",
@@ -36,6 +37,8 @@ SYSTEM_PROMPT = (
     "vulnerabilities, and can help answer vulnerability questions"
 )
 ROUND1_STUDENT = "Does the following code have any security vulnerabilities: {code_snippet}"
+# the round-1 question's text before and after the code
+ROUND1_HEAD, ROUND1_TAIL = ROUND1_STUDENT.split("{code_snippet}")
 ROUND1_TEACHER = "Yes. The following code has a vulnerability type {cwe_type}."
 ROUND2_STUDENT = "What is the description of the vulnerablity?"
 ROUND2_TEACHER = "The vulnerability is: {commit_msg}"
@@ -191,17 +194,30 @@ def render(
     )
 
 
+def prompt_scaffold(tokenizer: ByteTokenizer) -> list[int]:
+    """The ids that every classification prompt starts with: ``<|system|>``,
+    the system prompt, ``<|student|>`` and the round-1 question up to the code."""
+    return [tokenizer.SYSTEM, *tokenizer.encode(SYSTEM_PROMPT), tokenizer.STUDENT, *tokenizer.encode(ROUND1_HEAD)]
+
+
 def render_prompt(code: str, tokenizer: ByteTokenizer, context_window: int = 2048) -> np.ndarray:
-    """Classification prompt: system + round-1 student question + the teacher
-    marker as the read-out position. Left-truncated to the window."""
-    ids = [tokenizer.SYSTEM]
-    ids.extend(tokenizer.encode(SYSTEM_PROMPT))
-    ids.append(tokenizer.STUDENT)
-    ids.extend(tokenizer.encode(ROUND1_STUDENT.format(code_snippet=code)))
-    ids.append(tokenizer.TEACHER)
-    if len(ids) > context_window:
-        ids = ids[len(ids) - context_window:]
-    return np.asarray(ids, dtype=np.int64)
+    """Classification prompt: the scaffold (``prompt_scaffold``), the code as
+    round 1 asks it, and the teacher marker as the read-out position.
+
+    Over the window, code tokens are dropped from the left; the scaffold and
+    the marker are always kept, so every prompt starts with the scaffold. A
+    window too small for them and one code token raises DialogueError.
+    """
+    scaffold = prompt_scaffold(tokenizer)
+    tail = [*tokenizer.encode(ROUND1_TAIL), tokenizer.TEACHER]
+    room = context_window - len(scaffold) - len(tail)
+    if room < 1:
+        raise DialogueError(
+            f"context window {context_window} cannot hold the {len(scaffold) + len(tail)}-token "
+            f"prompt scaffold and one code token"
+        )
+    code_ids = tokenizer.encode(code)
+    return np.asarray(scaffold + code_ids[max(len(code_ids) - room, 0):] + tail, dtype=np.int64)
 
 
 # --- persistence -------------------------------------------------------------
@@ -221,25 +237,36 @@ def serialize_jsonl(dialogues: list[DialogueRecord], path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
+def _text(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise DialogueError(f"{key} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _record_from_obj(obj) -> DialogueRecord:
+    if not isinstance(obj, dict):
+        raise DialogueError(f"expected a JSON object, got {json.dumps(obj)}")
+    if type(obj["label"]) is not bool:
+        raise DialogueError(f"label must be a JSON bool, got {json.dumps(obj['label'])}")
+    return DialogueRecord(
+        sample_id=_text(obj, "sample_id"),
+        system_text=_text(obj, "system"),
+        rounds=[DialogueRound(_text(r, "student"), _text(r, "teacher")) for r in obj["rounds"]],
+        label=obj["label"],
+    )
+
+
 def parse_jsonl(path) -> list[DialogueRecord]:
+    """The dialogues of a JSONL file; a line that is not UTF-8, not JSON or
+    not a well-formed record raises DialogueError naming it."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                obj = json.loads(line)
-                out.append(
-                    DialogueRecord(
-                        sample_id=obj["sample_id"],
-                        system_text=obj["system"],
-                        rounds=[
-                            DialogueRound(student_text=r["student"], teacher_text=r["teacher"])
-                            for r in obj["rounds"]
-                        ],
-                        label=obj["label"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                out.append(_record_from_obj(json.loads(raw.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON, UTF-8, DialogueError
                 raise DialogueError(f"{path}: bad dialogue at line {lineno}: {exc}") from exc
     return out

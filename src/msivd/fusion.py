@@ -2,16 +2,19 @@
 
 Code becomes two inputs: the frozen language model's last hidden row of the
 round-1 prompt (``lm_row``), and the mini-C CFG with its dataflow node
-features (``graph_inputs``). ``fused_vector`` concatenates the row with the
-mean-pooled GGNN embedding of the graph; a linear projection onto the yes/no
-label pair plus LogSoftmax yields the vulnerable/safe prediction. Code that
-the mini-C analyzer cannot parse falls back to a zero graph embedding and the
-prediction is flagged. ``train.train_fused`` computes the two inputs once per
-sample and ``fused_vector`` on every step; ``predict`` runs the whole path.
+features (``graph_inputs``). Every prompt starts with the same scaffold, whose
+per-layer keys and values ``read_out_prefix`` computes once per frozen LM, so
+a read-out forwards only the code rows and the teacher marker.
+``fused_vector`` concatenates the row with the mean-pooled GGNN embedding of
+the graph; a linear projection onto the yes/no label pair plus LogSoftmax
+yields the vulnerable/safe prediction. Code that the mini-C analyzer cannot
+parse falls back to a zero graph embedding and the prediction is flagged.
+``train.train_fused`` computes the two inputs once per sample and
+``fused_vector`` on every step; ``predict`` runs the whole path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +22,9 @@ from . import autograd as ag
 from .autograd import Tensor
 from .corpus import CodeSample
 from .dfa import build_node_features, reaching_definitions
-from .dialogue import render_prompt
+from .dialogue import prompt_scaffold, render_prompt
 from .gnn import Ggnn, GgnnConfig
-from .lm import ByteTokenizer, LmModel, TransformerConfig
+from .lm import ByteTokenizer, KvPrefix, LmModel, TransformerConfig
 from .minic import ControlFlowGraph, MiniCError, parse_mini_c
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "FusedClassifier",
     "label_nll",
     "fused_input_width",
+    "read_out_prefix",
     "lm_row",
     "graph_inputs",
     "graph_embedding",
@@ -98,11 +102,18 @@ def label_nll(logits: Tensor, label: bool) -> Tensor:
 GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x width]
 
 
-def lm_row(code: str, lm: LmModel, tokenizer: ByteTokenizer) -> np.ndarray:
+def read_out_prefix(lm: LmModel, tokenizer: ByteTokenizer) -> KvPrefix:
+    """The frozen LM's per-layer keys and values over the prompt scaffold,
+    which every read-out of ``lm`` shares."""
+    ids = np.asarray(prompt_scaffold(tokenizer), dtype=np.int64)
+    return KvPrefix(ids=ids, kv=lm.forward(ids, last_only=True).kv)
+
+
+def lm_row(code: str, lm: LmModel, tokenizer: ByteTokenizer, prefix: KvPrefix) -> np.ndarray:
     """The frozen LM's [1 x d_model] hidden row at the last position of the
-    round-1 prompt."""
+    round-1 prompt, the scaffold's rows read from ``prefix``."""
     ids = render_prompt(code, tokenizer, lm.config.context_window)
-    return lm.forward(ids, last_only=True).hidden.data
+    return lm.forward(ids, last_only=True, prefix=prefix).hidden.data
 
 
 def graph_inputs(code: str, width: int) -> GraphInputs | None:
@@ -134,10 +145,14 @@ def fused_vector(row: np.ndarray, graph: GraphInputs | None, gnn: Ggnn | None) -
 
 @dataclass
 class InferenceBundle:
-    lm: LmModel
+    lm: LmModel  # frozen, adapters included
     tokenizer: ByteTokenizer
     classifier: FusedClassifier
     gnn: Ggnn | None = None
+    prefix: KvPrefix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.prefix = read_out_prefix(self.lm, self.tokenizer)
 
     @property
     def context_window(self) -> int:
@@ -147,7 +162,7 @@ class InferenceBundle:
 def predict(sample: CodeSample, bundle: InferenceBundle) -> Prediction:
     """Read out the frozen LM and the graph, fuse, classify; ``flagged``
     marks the zero-embedding fallback."""
-    row = lm_row(sample.code, bundle.lm, bundle.tokenizer)
+    row = lm_row(sample.code, bundle.lm, bundle.tokenizer, bundle.prefix)
     graph = None
     if bundle.gnn is not None:
         graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)

@@ -21,6 +21,7 @@ __all__ = [
     "make_adapter",
     "lora_forward",
     "LmOutput",
+    "KvPrefix",
     "LmModel",
 ]
 
@@ -148,6 +149,17 @@ def lora_forward(x: Tensor, w0: Tensor, adapter: LoraAdapter | None) -> Tensor:
 class LmOutput:
     logits: Tensor  # [T x V], or [1 x V] for the last position only
     hidden: Tensor  # [T x d_model] post final layer norm, or [1 x d_model]
+    kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, the [T x d_model] keys and values of every position
+
+
+@dataclass(frozen=True)
+class KvPrefix:
+    """Per-layer keys and values of a fixed run of leading token ids under a
+    frozen model, so that a forward of ids that start with them computes
+    only the rows after them."""
+
+    ids: np.ndarray  # int64 [P]
+    kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, [P x d_model] keys and values
 
 
 class LmModel:
@@ -224,13 +236,19 @@ class LmModel:
 
     # --- forward -------------------------------------------------------------
 
-    def forward(self, token_ids, last_only: bool = False) -> LmOutput:
+    def forward(self, token_ids, last_only: bool = False, prefix: KvPrefix | None = None) -> LmOutput:
         """Hidden states and next-token logits for every position, or with
         ``last_only`` for the final position alone.
 
         With ``last_only`` every layer still computes keys and values over all
         positions, since the final one attends to them, but the last layer's
         query, attention, MLP, the final layer norm and the head run on one row.
+
+        With ``prefix`` the ids must start with ``prefix.ids`` and go on past
+        them. Rows ``0 .. P-1`` then come from the prefix's keys and values,
+        and everything else runs on rows ``P .. T-1`` only; ``hidden`` and
+        ``logits`` hold those rows. The cached keys and values are constants,
+        so every parameter must be frozen.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         t = ids.shape[0]
@@ -238,18 +256,30 @@ class LmModel:
             raise ag.ShapeError("forward on empty token sequence")
         if t > self.config.context_window:
             raise ag.ShapeError(f"sequence length {t} exceeds context window {self.config.context_window}")
-        x = ag.add(ag.embedding_lookup(self.tok_emb, ids), ag.embedding_lookup(self.pos_emb, np.arange(t)))
+        p = 0
+        if prefix is not None:
+            p = prefix.ids.shape[0]
+            if any(w.requires_grad for w in self.parameters().values()):
+                raise ag.TapeError("forward with a K/V prefix needs every parameter frozen")
+            if t <= p or not np.array_equal(ids[:p], prefix.ids):
+                raise ag.ShapeError(f"the {t} ids do not start with the {p} prefix ids and go on past them")
+        x = ag.add(ag.embedding_lookup(self.tok_emb, ids[p:]), ag.embedding_lookup(self.pos_emb, np.arange(p, t)))
 
+        kv = []
         for i, layer in enumerate(self.layers):
             last = last_only and i == len(self.layers) - 1
+            n = x.shape[0]
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            q = lora_forward(ag.slice_rows(xn, t - 1, t) if last else xn,
+            q = lora_forward(ag.slice_rows(xn, n - 1, n) if last else xn,
                              layer["wq"], self.adapters.get(f"layer{i}.wq"))
             k = ag.matmul(xn, ag.transpose(layer["wk"]))
             v = lora_forward(xn, layer["wv"], self.adapters.get(f"layer{i}.wv"))
+            if prefix is not None:
+                k, v = (Tensor(np.concatenate([c, new.data])) for c, new in zip(prefix.kv[i], (k, v)))
+            kv.append((k.data, v.data))
             attn_out = ag.matmul(ag.causal_attention(q, k, v, self.config.n_heads), ag.transpose(layer["wo"]))
             if last:
-                x = ag.slice_rows(x, t - 1, t)
+                x = ag.slice_rows(x, n - 1, n)
             x = ag.add(x, attn_out)
 
             xn2 = ag.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
@@ -259,4 +289,4 @@ class LmModel:
 
         hidden = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
         logits = ag.matmul(hidden, ag.transpose(self.lm_head))
-        return LmOutput(logits=logits, hidden=hidden)
+        return LmOutput(logits=logits, hidden=hidden, kv=kv)

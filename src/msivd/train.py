@@ -31,6 +31,7 @@ from .fusion import (
     graph_inputs,
     label_nll,
     lm_row,
+    read_out_prefix,
 )
 from .gnn import Ggnn, GgnnConfig
 from .lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
@@ -491,9 +492,8 @@ def train_fused(
         lm = build_lm_from_checkpoint(sift_checkpoint, expect=config.lm_config)
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
-    _freeze(lm)
-
-    rows = [lm_row(s.code, lm, tokenizer) for s in samples]
+    prefix = read_out_prefix(_freeze(lm), tokenizer)
+    rows = [lm_row(s.code, lm, tokenizer, prefix) for s in samples]
     gnn: Ggnn | None = None
     graphs = [None] * len(samples)
     if config.use_gnn:

@@ -390,6 +390,47 @@ def test_samples_jsonl_round_trip(tmp_path):
     assert again == samples
 
 
+def _sample_line(**over) -> bytes:
+    obj = {
+        "sample_id": "x", "code": "int f(void) { return 0; }", "label": False, "cwe_id": "CWE-787",
+        "cwe_category": "BufferError", "description": "d", "origin_date": "2022-02-02",
+    }
+    return json.dumps({**obj, **over}).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        pytest.param(b"[1]", "JSON object", id="not_an_object"),
+        pytest.param(b'{"sample_id": "x"}', "label", id="missing_keys"),
+        pytest.param(b'{"sample_id": "x", "label": false}', "code", id="missing_code"),
+        pytest.param(b"\xff", "utf-8", id="not_utf8"),
+        pytest.param(b"{", "Expecting", id="not_json"),
+        pytest.param(_sample_line(label="no"), "JSON bool", id="label_string"),
+        pytest.param(_sample_line(label=1), "JSON bool", id="label_int"),
+        pytest.param(_sample_line(cwe_category="Nonsense"), "Nonsense", id="bad_cwe_category"),
+        pytest.param(_sample_line(code=5), "code must be a string", id="code_not_string"),
+        pytest.param(_sample_line(origin_date="soon"), "unparseable date", id="bad_date"),
+        pytest.param(_sample_line(label=True, vuln_line_start="1", vuln_line_end=1), "", id="bad_vuln_lines"),
+    ],
+)
+def test_hostile_line_raises_corpus_error_naming_it(tmp_path, line, match):
+    """Each case breaks one thing of a line that reads as it stands
+    (``test_unbroken_sample_line_reads``)."""
+    p = tmp_path / "hostile.jsonl"
+    write_samples_jsonl([make_sample(1, False, date(2022, 2, 2))], p)
+    with open(p, "ab") as fh:
+        fh.write(line + b"\n")
+    with pytest.raises(CorpusError, match=f"line 2: .*{match}"):
+        read_samples_jsonl(p)
+
+
+def test_unbroken_sample_line_reads(tmp_path):
+    p = tmp_path / "one.jsonl"
+    p.write_bytes(_sample_line() + b"\n" + _sample_line(label=True, vuln_line_start=1, vuln_line_end=1) + b"\n")
+    assert [s.label for s in read_samples_jsonl(p)] == [False, True]
+
+
 def test_negative_rows_omit_vuln_fields(tmp_path):
     p = tmp_path / "samples.jsonl"
     write_samples_jsonl([make_sample(1, False, date(2022, 2, 2))], p)

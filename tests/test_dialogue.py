@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers_corpus import make_sample
 from msivd.dialogue import (
     NEGATIVE_ANSWER,
+    ROUND1_STUDENT,
     SYSTEM_PROMPT,
     DialogueError,
     DialogueRecord,
@@ -16,6 +17,7 @@ from msivd.dialogue import (
     build_dialogues,
     build_negative_dialogue,
     parse_jsonl,
+    prompt_scaffold,
     render,
     render_prompt,
     serialize_jsonl,
@@ -171,6 +173,54 @@ def test_render_prompt_ends_with_teacher_marker():
     assert ids[0] == TOK.SYSTEM
 
 
+SCAFFOLD = prompt_scaffold(TOK)
+
+
+def _untruncated_prompt(code: str) -> list[int]:
+    """The prompt as one template with no window: system, round-1 question
+    with the code, teacher marker."""
+    return [TOK.SYSTEM, *TOK.encode(SYSTEM_PROMPT), TOK.STUDENT,
+            *TOK.encode(ROUND1_STUDENT.format(code_snippet=code)), TOK.TEACHER]
+
+
+def test_scaffold_is_the_prompt_up_to_the_code():
+    assert len(SCAFFOLD) == 186
+    assert TOK.decode(SCAFFOLD) == (
+        "<|system|>" + SYSTEM_PROMPT + "<|student|>Does the following code have any security vulnerabilities: "
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=st.text(max_size=400), window=st.integers(min_value=len(SCAFFOLD) + 2, max_value=700))
+def test_render_prompt_laws(code, window):
+    """Scaffold first, marker last, within the window, the code's tail kept,
+    and the one-template ids whenever they fit."""
+    ids = render_prompt(code, TOK, context_window=window).tolist()
+    whole = _untruncated_prompt(code)
+    code_ids = TOK.encode(code)
+    assert ids[: len(SCAFFOLD)] == SCAFFOLD
+    assert ids[-1] == TOK.TEACHER
+    assert len(ids) == min(len(whole), window)
+    kept = ids[len(SCAFFOLD):-1]
+    assert kept == code_ids[len(code_ids) - len(kept):]
+    if len(whole) <= window:
+        assert ids == whole
+
+
+@given(code=st.text(max_size=50), window=st.integers(min_value=1, max_value=len(SCAFFOLD) + 1))
+def test_render_prompt_window_too_small_for_the_scaffold_errors(code, window):
+    with pytest.raises(DialogueError, match="scaffold"):
+        render_prompt(code, TOK, context_window=window)
+
+
+def test_render_prompt_drops_code_not_scaffold():
+    code = "".join(f"line{i};\n" for i in range(100))
+    ids = render_prompt(code, TOK, context_window=512)
+    assert len(ids) == 512
+    assert ids[: len(SCAFFOLD)].tolist() == SCAFFOLD
+    assert TOK.decode(ids[len(SCAFFOLD):-1]) == code[len(code) - (512 - len(SCAFFOLD) - 1):]
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=3))
 def test_mask_true_runs_equal_up_to_round(k):
@@ -214,3 +264,30 @@ def test_jsonl_keys_are_exact(tmp_path):
     obj = json.loads(p.read_text())
     assert set(obj) == {"sample_id", "system", "rounds", "label"}
     assert set(obj["rounds"][0]) == {"student", "teacher"}
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        pytest.param(b"[1]", "JSON object", id="not_an_object"),
+        pytest.param(b'{"sample_id": "x"}', "label", id="missing_keys"),
+        pytest.param(b"\xff", "utf-8", id="not_utf8"),
+        pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": "a"}], '
+                     b'"label": "no"}', "JSON bool", id="label_string"),
+        pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": "a"}], '
+                     b'"label": 0}', "JSON bool", id="label_int"),
+        pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": 5}], '
+                     b'"label": false}', "teacher", id="teacher_not_string"),
+        pytest.param(b'{"sample_id": "x", "system": "s", "rounds": ["q"], "label": false}', "",
+                     id="round_not_an_object"),
+        pytest.param(b'{"sample_id": "x", "system": "s", "rounds": 3, "label": false}', "",
+                     id="rounds_not_a_list"),
+    ],
+)
+def test_hostile_line_raises_dialogue_error_naming_it(tmp_path, line, match):
+    p = tmp_path / "hostile.jsonl"
+    serialize_jsonl([build_negative_dialogue(negative())], p)
+    with open(p, "ab") as fh:
+        fh.write(line + b"\n")
+    with pytest.raises(DialogueError, match=f"line 2: .*{match}"):
+        parse_jsonl(p)

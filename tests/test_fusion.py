@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from msivd.dialogue import render_prompt
 from msivd.fusion import (
     FusedClassifier,
     InferenceBundle,
+    Prediction,
     fused_input_width,
     fused_vector,
     graph_embedding,
@@ -16,13 +18,21 @@ from msivd.fusion import (
     label_nll,
     lm_row,
     predict,
+    read_out_prefix,
 )
 from msivd.gnn import Ggnn, GgnnConfig
 from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
-from msivd.train import TrainConfig, build_bundle_from_checkpoint, train_fused
+from msivd.train import TrainConfig, _freeze, build_bundle_from_checkpoint, train_fused
 
 TINY = TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=384)
+# Largest gap allowed between a read-out through the scaffold's cached K/V
+# and a full forward of the same ids, on the hidden row (measured: 7.2e-7
+# over the bench predict mix's prompts, 1.7e-6 on random ids).
+READ_OUT_TOL = 1e-5
+# The same bound on the vulnerable-class score (measured: 1.3e-7 over the
+# label-parity samples); the logistic slope is at most 1/4.
+SCORE_TOL = 1e-5
 
 
 def test_fuse_widths():
@@ -35,18 +45,19 @@ def test_fuse_widths():
 
 
 def test_lm_row_is_last_hidden_row_of_prompt():
-    model = LmModel(TINY, seed=0)
+    model = _freeze(LmModel(TINY, seed=0))
     code = "x = 1; use(x);"
     tok = ByteTokenizer()
     ids = render_prompt(code, tok, TINY.context_window)
     last = model.forward(ids, last_only=True).hidden.data
-    row = lm_row(code, model, tok)
+    row = lm_row(code, model, tok, read_out_prefix(model, tok))
     assert row.shape == (1, TINY.d_model)
-    assert np.array_equal(row, last)
-    # the one-row read-out sums in another order than the full forward
-    assert np.max(np.abs(row - model.forward(ids).hidden.data[-1:])) <= 1e-5
+    # the cached read-out multiplies [T - P]-row blocks where the full one
+    # multiplies [T]-row blocks, so BLAS sums in another order
+    assert np.max(np.abs(row - last)) <= READ_OUT_TOL
+    assert np.max(np.abs(row - model.forward(ids).hidden.data[-1:])) <= READ_OUT_TOL
     gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
-    assert np.array_equal(fused_vector(row, None, gnn).data[:, : TINY.d_model], last)
+    assert np.array_equal(fused_vector(row, None, gnn).data[:, : TINY.d_model], row)
 
 
 def test_paper_profile_dimension_bookkeeping():
@@ -172,3 +183,79 @@ def test_predict_sets_flag_on_unparseable_code(overfit_bundle):
     assert predict(bad, bundle).flagged is True
     good = [s for s in corpus if not s.label][0]
     assert predict(good, bundle).flagged is False
+
+
+def _straddling_gnn_bundle(lm, samples) -> InferenceBundle:
+    """A GGNN bundle over ``lm`` whose classifier bias is moved so that the
+    full-forward read-outs of ``samples`` fall on both sides of 0.5, with the
+    widest margin the samples allow around the middle."""
+    bundle = InferenceBundle(
+        lm=lm, tokenizer=ByteTokenizer(), gnn=Ggnn(GgnnConfig(state_dim=16, steps=1), seed=3),
+        classifier=FusedClassifier(in_dim=lm.config.d_model + 16, seed=3),
+    )
+    margins = np.sort([np.subtract(*_full_read_out(s, bundle).log_probs) for s in samples])
+    mid = len(margins) // 4 + int(np.argmax(np.diff(margins[len(margins) // 4 : 3 * len(margins) // 4])))
+    bundle.classifier.b.data[0] -= (margins[mid] + margins[mid + 1]) / 2
+    return bundle
+
+
+def _full_read_out(sample, bundle) -> Prediction:
+    """``predict`` with the LM row from a forward of the whole prompt."""
+    ids = render_prompt(sample.code, bundle.tokenizer, bundle.context_window)
+    row = bundle.lm.forward(ids, last_only=True).hidden.data
+    graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
+    return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=graph is None)
+
+
+def _long_samples(corpus):
+    """Samples whose prompts fill the window, one with a ``for`` loop that
+    mini-C rejects."""
+    body = "".join(f"  acc = acc + n * {k};\n" for k in range(40))
+    long = [dataclasses.replace(s, sample_id=f"{s.sample_id}-long", code=s.code + "\n" + body)
+            for s in corpus[:6] if not s.label]
+    rejected = dataclasses.replace(long[0], sample_id="rejected", code=long[0].code + "for (;;) { }\n")
+    return long + [rejected]
+
+
+def test_cached_and_full_read_outs_give_the_same_labels(overfit_bundle):
+    """Scores straddle 0.5, so a read-out that moved the LM row past the
+    tolerance could flip a label; prompts that fill the window are included."""
+    corpus, lm_only = overfit_bundle
+    samples = corpus[:40] + _long_samples(corpus)
+    assert any(len(render_prompt(s.code, lm_only.tokenizer, 512)) == 512 for s in samples)
+    bundle = _straddling_gnn_bundle(lm_only.lm, samples)
+    full = [_full_read_out(s, bundle) for s in samples]
+    cached = [predict(s, bundle) for s in samples]
+    assert {p.label for p in full} == {True, False}
+    assert any(p.flagged for p in full) and not all(p.flagged for p in full)
+    assert min(abs(p.score - 0.5) for p in full) > SCORE_TOL
+    assert [p.label for p in cached] == [p.label for p in full]
+    assert [p.flagged for p in cached] == [p.flagged for p in full]
+    assert max(abs(c.score - f.score) for c, f in zip(cached, full)) <= SCORE_TOL
+
+
+def test_predict_forwards_only_the_rows_after_the_scaffold(overfit_bundle, monkeypatch):
+    """Under ``predict`` the first layer projects, and attends from, the
+    T - P rows after the scaffold; keys span all T positions."""
+    corpus, bundle = overfit_bundle
+    sample = corpus[0]
+    t = len(render_prompt(sample.code, bundle.tokenizer, bundle.context_window))
+    p = len(bundle.prefix.ids)
+    seen = []
+    attend, matmul = ag.causal_attention, ag.matmul
+
+    def recording_attention(q, k, v, n_heads):
+        seen.append(("attention", q.shape[0], k.shape[0]))
+        return attend(q, k, v, n_heads)
+
+    def recording_matmul(a, b):
+        seen.append(("matmul", a.shape[0]))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ag, "causal_attention", recording_attention)
+    monkeypatch.setattr(ag, "matmul", recording_matmul)
+    predict(sample, bundle)
+    first = seen.index(("attention", t - p, t))
+    assert first >= 3 and seen[:first] == [("matmul", t - p)] * first
+    assert [e for e in seen if e[0] == "attention"] == [("attention", t - p, t), ("attention", 1, t)]
+    assert max(e[1] for e in seen if e[0] == "matmul") == t - p

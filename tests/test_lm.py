@@ -12,6 +12,7 @@ from msivd import autograd as ag
 from msivd.autograd import Tensor, backward
 from msivd.lm import (
     ByteTokenizer,
+    KvPrefix,
     LmModel,
     LmOutput,
     LoraAdapter,
@@ -20,7 +21,8 @@ from msivd.lm import (
     lora_forward,
     make_adapter,
 )
-from msivd.train import sift_batch_loss
+from msivd.dialogue import prompt_scaffold
+from msivd.train import _freeze, sift_batch_loss
 
 TINY = TransformerConfig(d_model=16, n_layers=1, n_heads=2, context_window=64)
 
@@ -160,7 +162,7 @@ class _FixedLogits:
     def forward(self, ids):
         t = len(ids)
         logits = Tensor(np.tile(self._logits, (t, 1)), requires_grad=True)
-        return LmOutput(logits=logits, hidden=logits)
+        return LmOutput(logits=logits, hidden=logits, kv=[])
 
 
 def _item(n_tokens):
@@ -368,3 +370,69 @@ def test_tape_size_does_not_grow_with_heads():
     ids = [1, 2, 3, 4, 5, 6, 7, 8]
     sizes = {h: _tape_size(_next_token_loss(LmModel(replace(TINY, n_heads=h), seed=13), ids)) for h in (1, 4)}
     assert sizes[1] == sizes[4]
+
+
+# --- shared K/V prefix --------------------------------------------------------------
+
+SCAFFOLD = np.asarray(prompt_scaffold(ByteTokenizer()), dtype=np.int64)
+# Largest gap allowed between a forward through a K/V prefix and a full
+# forward of the same ids, on the hidden row (measured: at most 1.7e-6 over
+# seeds 0-2 and lengths 187-512, d_model 16 and 64).
+PREFIX_TOL = 1e-5
+
+
+def _prefixed(n_layers=2, seed=17):
+    model = _freeze(LmModel(replace(TINY, n_layers=n_layers, context_window=512), seed=seed))
+    return model, KvPrefix(ids=SCAFFOLD, kv=model.forward(SCAFFOLD, last_only=True).kv)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("t", [len(SCAFFOLD) + 1, 320, 512])
+def test_prefix_forward_matches_full_forward(t, n_layers):
+    """Past the scaffold, random ids to the given length: the prefix forward
+    gives the full forward's rows after P within the tolerance, and repeats
+    bitwise."""
+    model, prefix = _prefixed(n_layers)
+    p = len(SCAFFOLD)
+    tail = np.random.default_rng(t).integers(0, 256, size=t - p)
+    ids = np.concatenate([SCAFFOLD, tail])
+    full = model.forward(ids)
+    cached = model.forward(ids, prefix=prefix)
+    assert cached.hidden.shape == (t - p, model.config.d_model)
+    assert np.max(np.abs(cached.hidden.data - full.hidden.data[p:])) <= PREFIX_TOL
+    assert np.max(np.abs(cached.logits.data - full.logits.data[p:])) <= PREFIX_TOL
+    for (k, v), (fk, fv) in zip(cached.kv, full.kv):
+        assert k.shape == fk.shape == (t, model.config.d_model)
+        assert np.max(np.abs(k - fk)) <= PREFIX_TOL and np.max(np.abs(v - fv)) <= PREFIX_TOL
+    last = model.forward(ids, last_only=True, prefix=prefix)
+    assert np.max(np.abs(last.hidden.data[0] - full.hidden.data[-1])) <= PREFIX_TOL
+    again = model.forward(ids, last_only=True, prefix=prefix)
+    assert np.array_equal(last.hidden.data, again.hidden.data)
+    assert np.array_equal(last.logits.data, again.logits.data)
+
+
+def test_prefix_forward_needs_every_parameter_frozen():
+    model, prefix = _prefixed()
+    ids = np.append(SCAFFOLD, 7)
+    model.adapters["layer1.wv"].b.requires_grad = True
+    with pytest.raises(ag.TapeError, match="frozen"):
+        model.forward(ids, last_only=True, prefix=prefix)
+    model.adapters["layer1.wv"].b.requires_grad = False
+    model.tok_emb.requires_grad = True
+    with pytest.raises(ag.TapeError, match="frozen"):
+        model.forward(ids, prefix=prefix)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        pytest.param(SCAFFOLD, id="no_row_after_prefix"),
+        pytest.param(SCAFFOLD[:-1], id="shorter_than_prefix"),
+        pytest.param(np.append(SCAFFOLD[1:], [7, 7]), id="shifted_prefix"),
+        pytest.param(np.concatenate([[ByteTokenizer.BOS], SCAFFOLD[1:], [7]]), id="first_id_differs"),
+    ],
+)
+def test_prefix_forward_rejects_ids_that_do_not_extend_it(ids):
+    model, prefix = _prefixed()
+    with pytest.raises(ag.ShapeError, match="prefix ids"):
+        model.forward(ids, last_only=True, prefix=prefix)

@@ -364,13 +364,31 @@ def test_fused_without_gnn_trains_lm_only_head(small_corpus):
     assert curve.losses()[-1] < curve.losses()[0]
 
 
-def test_inference_read_out_records_no_tape(small_corpus):
+def test_inference_read_out_records_no_tape(small_corpus, monkeypatch):
     """The bundle's LM is frozen, adapters included, so its forward keeps no
-    graph alive between requests."""
+    graph alive between requests. So is the pre-trained baseline's, whose
+    read-outs all go through the scaffold's K/V prefix."""
     ckpt, _ = train_fused(small_corpus[:4], None, tiny_config(stage="fused", use_gnn=False, epochs=1))
     lm = build_bundle_from_checkpoint(ckpt).lm
     assert lm.adapter_parameters()
     assert not lm.forward([1, 2, 3], last_only=True).hidden.requires_grad
+
+    from msivd import evaluation
+    from msivd.lm import LmModel
+
+    forwards = []
+    forward = LmModel.forward
+
+    def recording_forward(model, ids, last_only=False, prefix=None):
+        out = forward(model, ids, last_only=last_only, prefix=prefix)
+        forwards.append((bool(model.adapter_parameters()), out.hidden.requires_grad, prefix is not None))
+        return out
+
+    monkeypatch.setattr(LmModel, "forward", recording_forward)
+    data = evaluation.AblationDataset("tiny", train=small_corpus[:4], eval=[], test=small_corpus[:5])
+    evaluation.run_ablation(data, ["pre-trained"], tiny_config(), tiny_config(stage="fused"))
+    # one forward builds the prefix, then one read-out per test sample
+    assert forwards == [(True, False, False)] + [(True, False, True)] * 5
 
 
 @pytest.mark.parametrize("case", ["gnn", "no-gnn", "mini-c-rejects"])
