@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from datetime import date
@@ -103,8 +104,8 @@ class VulnerabilityRecord:
     file_patches: list[FilePatch] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.cve_id:
-            raise CorpusError("cve_id must be nonempty")
+        if not (isinstance(self.cve_id, str) and self.cve_id):
+            raise CorpusError(f"cve_id must be a nonempty string, got {self.cve_id!r}")
         self.fix_commit_date = _parse_date(self.fix_commit_date)
         if not 0.0 <= float(self.exploitability_score) <= 10.0:
             raise CorpusError(f"exploitability_score out of range: {self.exploitability_score}")
@@ -152,6 +153,8 @@ class SplitSpec:
 
     def __post_init__(self):
         self.cutoff_date = _parse_date(self.cutoff_date)
+        if not all(math.isfinite(r) for r in self.ratios):
+            raise CorpusError(f"non-finite split ratio in {self.ratios}")
         if any(r < 0 for r in self.ratios):
             raise CorpusError(f"negative split ratio in {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
@@ -165,26 +168,37 @@ def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
     """Parse a vulnerability dump (fixture schema or NVD v2 API schema).
 
     Emits one record per CVE entry carrying at least one reference URL;
-    entries missing a mandatory field are skipped with a logged reason.
-    ``patch_links`` collects the reference URLs tagged "Patch".
+    entries that are not objects or miss a mandatory field are skipped with a
+    logged reason, while bytes that are not UTF-8 or entries that are not a
+    list raise CorpusError. ``patch_links`` collects the URLs tagged "Patch".
     """
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"dump is not UTF-8 at byte offset {exc.start}: {exc.reason}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
 
     if isinstance(doc, dict) and "vulnerabilities" in doc:
-        entries = [_from_nvd_v2(e) for e in doc["vulnerabilities"]]
+        entries, parse = doc["vulnerabilities"], _from_nvd_v2
     elif isinstance(doc, dict) and "records" in doc:
-        entries = [_from_fixture(e) for e in doc["records"]]
+        entries, parse = doc["records"], _from_fixture
     elif isinstance(doc, list):
-        entries = [_from_fixture(e) for e in doc]
+        entries, parse = doc, _from_fixture
     else:
         raise CorpusError("unrecognized dump shape: expected 'vulnerabilities' or 'records'")
+    if not isinstance(entries, list):
+        raise CorpusError(f"the dump's entries must be a JSON list, got {json.dumps(entries)[:80]}")
 
-    records = [r for r in entries if r is not None]
+    records = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            log.warning("skipping entry: expected a JSON object, got %s", json.dumps(entry)[:80])
+        elif (record := parse(entry)) is not None:
+            records.append(record)
     records.sort(key=lambda r: r.cve_id)
     return records
 
@@ -192,13 +206,13 @@ def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
 def _tagged_patch_links(references) -> tuple[list[str], int]:
     links = []
     total = 0
-    for ref in references or []:
+    for ref in references if isinstance(references, list) else []:
         url = ref.get("url") if isinstance(ref, dict) else None
         if not url:
             continue
         total += 1
-        tags = ref.get("tags") or []
-        if "Patch" in tags:
+        tags = ref.get("tags")
+        if isinstance(tags, list) and "Patch" in tags:
             links.append(url)
     return links, total
 
@@ -230,13 +244,16 @@ def _from_fixture(entry: dict) -> VulnerabilityRecord | None:
             patch_links=patch_links,
             file_patches=patches,
         )
-    except (KeyError, CorpusError, TypeError) as exc:
+    except (KeyError, CorpusError, TypeError, AttributeError) as exc:
         log.warning("skipping %s: %s", cve_id or "<missing id>", exc)
         return None
 
 
 def _from_nvd_v2(entry: dict) -> VulnerabilityRecord | None:
     cve = entry.get("cve", {})
+    if not isinstance(cve, dict):
+        log.warning("skipping entry: 'cve' must be a JSON object, got %s", json.dumps(cve)[:80])
+        return None
     cve_id = cve.get("id", "")
     patch_links, n_refs = _tagged_patch_links(cve.get("references"))
     if n_refs == 0:
@@ -270,7 +287,7 @@ def _from_nvd_v2(entry: dict) -> VulnerabilityRecord | None:
             patch_links=patch_links,
             file_patches=[],
         )
-    except (KeyError, CorpusError, TypeError, StopIteration) as exc:
+    except (KeyError, CorpusError, TypeError, AttributeError, StopIteration) as exc:
         log.warning("skipping %s: %s", cve_id or "<missing id>", exc)
         return None
 
@@ -564,6 +581,9 @@ def _sample_from_obj(obj) -> CodeSample:
     for key in texts:
         if not isinstance(obj[key], str):
             raise CorpusError(f"{key} must be a string, got {json.dumps(obj[key])}")
+    for key, kind in (("vuln_line_start", int), ("vuln_line_end", int), ("fix_code", str)):
+        if obj.get(key) is not None and type(obj[key]) is not kind:
+            raise CorpusError(f"{key} must be a JSON {kind.__name__} or null, got {json.dumps(obj[key])}")
     return CodeSample(
         **{key: obj[key] for key in texts},
         label=obj["label"],

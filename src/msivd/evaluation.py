@@ -10,10 +10,10 @@ import logging
 from dataclasses import dataclass, replace
 
 from .corpus import CodeSample
-from .dialogue import build_dialogues, render_prompt
-from .fusion import Prediction, _pair_prediction, predict, read_out_prefix
-from .lm import ByteTokenizer, KvPrefix, LmModel
-from .train import TrainConfig, _freeze, build_bundle_from_checkpoint, train_fused, train_sift
+from .dialogue import build_dialogues
+from .fusion import ReadOut, predict, predict_pretrained
+from .lm import ByteTokenizer, LmModel
+from .train import TrainConfig, build_bundle_from_checkpoint, train_fused, train_sift
 
 log = logging.getLogger("msivd.evaluation")
 
@@ -155,26 +155,16 @@ class AblationDataset:
     test: list[CodeSample]
 
 
-def predict_pretrained(lm: LmModel, tokenizer: ByteTokenizer, sample: CodeSample, prefix: KvPrefix) -> Prediction:
-    """Label from the raw yes/no token logits at the answer position (no
-    vulnerability-specific training at all); ``lm`` is frozen and ``prefix``
-    its ``read_out_prefix``."""
-    ids = render_prompt(sample.code, tokenizer, lm.config.context_window)
-    row = lm.forward(ids, last_only=True, prefix=prefix).logits.data[-1]
-    return _pair_prediction((row[ByteTokenizer.YES], row[ByteTokenizer.NO]))
-
-
 def _run_mode(
     mode: str,
     dataset: AblationDataset,
     sift_config: TrainConfig,
     fused_config: TrainConfig,
 ) -> MetricsReport:
-    tokenizer = ByteTokenizer()
     if mode == "pre-trained":
-        lm = _freeze(LmModel(sift_config.lm_config, seed=sift_config.seed, lora=sift_config.lora_config))
-        prefix = read_out_prefix(lm, tokenizer)
-        preds = [predict_pretrained(lm, tokenizer, s, prefix) for s in dataset.test]
+        read_out = ReadOut(LmModel(sift_config.lm_config, seed=sift_config.seed, lora=sift_config.lora_config),
+                           ByteTokenizer())
+        preds = [predict_pretrained(read_out, s) for s in dataset.test]
     else:
         sift_mode = {
             "label-only-ft": "label-only",

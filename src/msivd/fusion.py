@@ -1,20 +1,19 @@
 """Fused LLM+GNN binary classifier and its one read-out path.
 
-Code becomes two inputs: the frozen language model's last hidden row of the
-round-1 prompt (``lm_row``), and the mini-C CFG with its dataflow node
-features (``graph_inputs``). Every prompt starts with the same scaffold, whose
-per-layer keys and values ``read_out_prefix`` computes once per frozen LM, so
-a read-out forwards only the code rows and the teacher marker.
-``fused_vector`` concatenates the row with the mean-pooled GGNN embedding of
-the graph; a linear projection onto the yes/no label pair plus LogSoftmax
-yields the vulnerable/safe prediction. Code that the mini-C analyzer cannot
-parse falls back to a zero graph embedding and the prediction is flagged.
-``train.train_fused`` computes the two inputs once per sample and
-``fused_vector`` on every step; ``predict`` runs the whole path.
+Code becomes two inputs: the frozen language model's hidden row at the
+``<|teacher|>`` marker of the round-1 prompt (``ReadOut``, which caches the
+keys and values of the scaffold that every prompt starts with, so a read-out
+forwards only the code rows), and the mini-C CFG with its dataflow node
+features (``graph_inputs``). ``fused_vector`` concatenates the row with the
+mean-pooled GGNN embedding of the graph; a linear projection onto the yes/no
+label pair plus LogSoftmax yields the vulnerable/safe prediction. Code that
+the mini-C analyzer cannot parse falls back to a zero graph embedding and the
+prediction is flagged. ``train.train_fused`` computes the two inputs once per
+sample and ``fused_vector`` on every step; ``predict`` runs the whole path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .corpus import CodeSample
 from .dfa import build_node_features, reaching_definitions
 from .dialogue import prompt_scaffold, render_prompt
 from .gnn import Ggnn, GgnnConfig
-from .lm import ByteTokenizer, KvPrefix, LmModel, TransformerConfig
+from .lm import ByteTokenizer, KvPrefix, LmModel, LmOutput, TransformerConfig
 from .minic import ControlFlowGraph, MiniCError, parse_mini_c
 
 __all__ = [
@@ -32,13 +31,13 @@ __all__ = [
     "FusedClassifier",
     "label_nll",
     "fused_input_width",
-    "read_out_prefix",
-    "lm_row",
+    "ReadOut",
     "graph_inputs",
     "graph_embedding",
     "fused_vector",
     "InferenceBundle",
     "predict",
+    "predict_pretrained",
 ]
 
 YES_INDEX = 0  # vulnerable
@@ -102,18 +101,23 @@ def label_nll(logits: Tensor, label: bool) -> Tensor:
 GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x width]
 
 
-def read_out_prefix(lm: LmModel, tokenizer: ByteTokenizer) -> KvPrefix:
-    """The frozen LM's per-layer keys and values over the prompt scaffold,
-    which every read-out of ``lm`` shares."""
-    ids = np.asarray(prompt_scaffold(tokenizer), dtype=np.int64)
-    return KvPrefix(ids=ids, kv=lm.forward(ids, last_only=True).kv)
+class ReadOut:
+    """Freezes ``lm``, adapters included, and computes the prompt scaffold's
+    per-layer keys and values once; a call returns the ``[1 x d_model]``
+    hidden row and ``[1 x V]`` logits at the ``<|teacher|>`` marker of the
+    code's round-1 prompt, forwarding only the rows after the scaffold."""
 
+    def __init__(self, lm: LmModel, tokenizer: ByteTokenizer):
+        for t in lm.adapter_parameters().values():
+            t.requires_grad = False
+        self.lm = lm
+        self.tokenizer = tokenizer
+        ids = np.asarray(prompt_scaffold(tokenizer), dtype=np.int64)
+        self.prefix = KvPrefix(ids=ids, kv=lm.forward(ids).kv)
 
-def lm_row(code: str, lm: LmModel, tokenizer: ByteTokenizer, prefix: KvPrefix) -> np.ndarray:
-    """The frozen LM's [1 x d_model] hidden row at the last position of the
-    round-1 prompt, the scaffold's rows read from ``prefix``."""
-    ids = render_prompt(code, tokenizer, lm.config.context_window)
-    return lm.forward(ids, last_only=True, prefix=prefix).hidden.data
+    def __call__(self, code: str) -> LmOutput:
+        ids = render_prompt(code, self.tokenizer, self.lm.config.context_window)
+        return self.lm.forward(ids, prefix=self.prefix)
 
 
 def graph_inputs(code: str, width: int) -> GraphInputs | None:
@@ -145,26 +149,32 @@ def fused_vector(row: np.ndarray, graph: GraphInputs | None, gnn: Ggnn | None) -
 
 @dataclass
 class InferenceBundle:
-    lm: LmModel  # frozen, adapters included
-    tokenizer: ByteTokenizer
+    read_out: ReadOut
     classifier: FusedClassifier
     gnn: Ggnn | None = None
-    prefix: KvPrefix = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.prefix = read_out_prefix(self.lm, self.tokenizer)
+    @property
+    def tokenizer(self) -> ByteTokenizer:
+        return self.read_out.tokenizer
 
     @property
     def context_window(self) -> int:
-        return self.lm.config.context_window
+        return self.read_out.lm.config.context_window
 
 
 def predict(sample: CodeSample, bundle: InferenceBundle) -> Prediction:
     """Read out the frozen LM and the graph, fuse, classify; ``flagged``
     marks the zero-embedding fallback."""
-    row = lm_row(sample.code, bundle.lm, bundle.tokenizer, bundle.prefix)
+    row = bundle.read_out(sample.code).hidden.data
     graph = None
     if bundle.gnn is not None:
         graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
     flagged = bundle.gnn is not None and graph is None
     return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=flagged)
+
+
+def predict_pretrained(read_out: ReadOut, sample: CodeSample) -> Prediction:
+    """Label from the raw yes/no token logits at the answer position (no
+    vulnerability-specific training at all)."""
+    row = read_out(sample.code).logits.data[0]
+    return _pair_prediction((row[ByteTokenizer.YES], row[ByteTokenizer.NO]))

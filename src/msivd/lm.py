@@ -147,7 +147,7 @@ def lora_forward(x: Tensor, w0: Tensor, adapter: LoraAdapter | None) -> Tensor:
 
 @dataclass
 class LmOutput:
-    logits: Tensor  # [T x V], or [1 x V] for the last position only
+    logits: Tensor  # [T x V], or [1 x V] for the last position under a prefix
     hidden: Tensor  # [T x d_model] post final layer norm, or [1 x d_model]
     kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, the [T x d_model] keys and values of every position
 
@@ -236,19 +236,15 @@ class LmModel:
 
     # --- forward -------------------------------------------------------------
 
-    def forward(self, token_ids, last_only: bool = False, prefix: KvPrefix | None = None) -> LmOutput:
-        """Hidden states and next-token logits for every position, or with
-        ``last_only`` for the final position alone.
-
-        With ``last_only`` every layer still computes keys and values over all
-        positions, since the final one attends to them, but the last layer's
-        query, attention, MLP, the final layer norm and the head run on one row.
+    def forward(self, token_ids, prefix: KvPrefix | None = None) -> LmOutput:
+        """Hidden states and next-token logits for every position.
 
         With ``prefix`` the ids must start with ``prefix.ids`` and go on past
-        them. Rows ``0 .. P-1`` then come from the prefix's keys and values,
-        and everything else runs on rows ``P .. T-1`` only; ``hidden`` and
-        ``logits`` hold those rows. The cached keys and values are constants,
-        so every parameter must be frozen.
+        them, and the forward is the read-out of the final position alone:
+        rows ``0 .. P-1`` come from the prefix's keys and values, every layer
+        runs on rows ``P .. T-1`` only, and the last layer's query, attention,
+        MLP, the final layer norm and the head run on one row. The cached keys
+        and values are constants, so every parameter must be frozen.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         t = ids.shape[0]
@@ -267,7 +263,7 @@ class LmModel:
 
         kv = []
         for i, layer in enumerate(self.layers):
-            last = last_only and i == len(self.layers) - 1
+            last = prefix is not None and i == len(self.layers) - 1
             n = x.shape[0]
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             q = lora_forward(ag.slice_rows(xn, n - 1, n) if last else xn,

@@ -26,12 +26,11 @@ from .dialogue import DialogueRecord, RenderedDialogue, render
 from .fusion import (
     FusedClassifier,
     InferenceBundle,
+    ReadOut,
     fused_input_width,
     fused_vector,
     graph_inputs,
     label_nll,
-    lm_row,
-    read_out_prefix,
 )
 from .gnn import Ggnn, GgnnConfig
 from .lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
@@ -232,43 +231,28 @@ def _apply_state(params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> N
 
 
 class Sgd:
-    """Plain mini-batch gradient descent with optional momentum and global-norm
-    clipping (clipping is logged when it fires)."""
+    """Plain mini-batch gradient descent under a global gradient-norm bound of
+    ``CLIP_NORM``; ``step`` logs the clip and returns whether it fired."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.0,
-                 clip_norm: float | None = None):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.momentum = momentum
-        self.clip_norm = clip_norm
-        self._velocity = {name: np.zeros_like(t.data) for name, t in params.items()} if momentum else None
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
 
     def step(self) -> bool:
-        grads = {name: t.grad for name, t in self.params.items() if t.grad is not None}
-        clipped = False
-        if self.clip_norm is not None and grads:
-            total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
-            if total > self.clip_norm:
-                factor = self.clip_norm / total
-                for g in grads.values():
-                    g *= g.dtype.type(factor)
-                clipped = True
-                log.info("gradient clipping active: norm %.4f -> %.4f", total, self.clip_norm)
-        for name, t in self.params.items():
-            g = t.grad
-            if g is None:
-                continue
-            if self._velocity is not None:
-                v = self._velocity[name]
-                v *= self.momentum
-                v -= self.lr * g
-                t.data += v
-            else:
-                t.data -= t.data.dtype.type(self.lr) * g
+        grads = [t.grad for t in self.params.values() if t.grad is not None]
+        total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+        clipped = total > CLIP_NORM
+        if clipped:
+            for g in grads:
+                g *= g.dtype.type(CLIP_NORM / total)
+            log.info("gradient clipping active: norm %.4f -> %.4f", total, CLIP_NORM)
+        for t in self.params.values():
+            if t.grad is not None:
+                t.data -= t.data.dtype.type(self.lr) * t.grad
         return clipped
 
 
@@ -363,7 +347,7 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
     if missing:
         raise ValueError(f"empty task group(s): {missing}")
 
-    optimizer = Sgd(model.adapter_parameters(), lr=config.learning_rate, clip_norm=CLIP_NORM)
+    optimizer = Sgd(model.adapter_parameters(), lr=config.learning_rate)
     curve = LossCurve()
     order_rng = random.Random(config.seed)
     step = 0
@@ -467,13 +451,6 @@ def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None 
 # --- stage 2: fused classifier -------------------------------------------------------------
 
 
-def _freeze(lm: LmModel) -> LmModel:
-    """Freeze the adapters too: stage two and inference only read the LM out, so record no tape."""
-    for t in lm.adapter_parameters().values():
-        t.requires_grad = False
-    return lm
-
-
 def train_fused(
     samples: list[CodeSample],
     sift_checkpoint: Checkpoint | None,
@@ -492,8 +469,8 @@ def train_fused(
         lm = build_lm_from_checkpoint(sift_checkpoint, expect=config.lm_config)
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
-    prefix = read_out_prefix(_freeze(lm), tokenizer)
-    rows = [lm_row(s.code, lm, tokenizer, prefix) for s in samples]
+    read_out = ReadOut(lm, tokenizer)
+    rows = [read_out(s.code).hidden.data for s in samples]
     gnn: Ggnn | None = None
     graphs = [None] * len(samples)
     if config.use_gnn:
@@ -507,7 +484,7 @@ def train_fused(
     trainable: dict[str, Tensor] = dict(classifier.parameters())
     if gnn is not None:
         trainable.update(gnn.parameters())
-    optimizer = Sgd(trainable, lr=config.learning_rate, clip_norm=CLIP_NORM)
+    optimizer = Sgd(trainable, lr=config.learning_rate)
 
     curve = LossCurve()
     order_rng = random.Random(config.seed)
@@ -556,7 +533,7 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
         raise CheckpointError("inference needs a fused-stage checkpoint")
     train_cfg, seed = _header_train(ckpt)
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
-    lm = _freeze(build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors)))
+    lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
     gnn = None
     if ckpt.config.get("use_gnn", True):
         gnn = Ggnn(_header_config(train_cfg, "gnn_config", GgnnConfig), seed=seed)
@@ -565,4 +542,4 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     if gnn is not None:
         heads.update(gnn.parameters())
     _apply_state(heads, {k: v for k, v in ckpt.tensors.items() if k not in lm_tensors})
-    return InferenceBundle(lm=lm, tokenizer=ByteTokenizer(), classifier=classifier, gnn=gnn)
+    return InferenceBundle(read_out=ReadOut(lm, ByteTokenizer()), classifier=classifier, gnn=gnn)

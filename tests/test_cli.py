@@ -116,6 +116,22 @@ def test_prepare_bad_ratios_usage_error(tmp_path, capsys):
     assert "sum to 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,nan,0.5"])
+def test_prepare_non_finite_ratios_usage_error(tmp_path, capsys, ratios):
+    samples_path = tmp_path / "samples.jsonl"
+    write_samples_jsonl(make_synthetic_corpus(n=20, seed=1), samples_path)
+    code = main(["prepare", "--samples", str(samples_path), "--out-dir", str(tmp_path / "o"), "--ratios", ratios])
+    assert code == 2
+    assert "non-finite split ratio" in capsys.readouterr().err
+
+
+def test_ingest_non_utf8_dump_is_corpus_error(tmp_path, capsys):
+    dump = tmp_path / "dump.json"
+    dump.write_bytes(b'{"records": ["\xff"]}')
+    assert main(["ingest", "--nvd-dump", str(dump), "--out", str(tmp_path / "s.jsonl")]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_default_cutoff_is_2023_01_01(tmp_path):
     corpus = make_synthetic_corpus(n=40, seed=2)
     samples_path = tmp_path / "samples.jsonl"

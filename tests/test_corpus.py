@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import date
 
 import pytest
@@ -82,6 +83,47 @@ def test_parse_empty_array():
 def test_parse_malformed_json_names_byte_offset():
     with pytest.raises(CorpusError, match="byte offset"):
         parse_nvd_dump(b'{"records": [}')
+
+
+@pytest.mark.parametrize(
+    "raw, match",
+    [
+        pytest.param(b'[{"cve_id": "CVE-\xff"}]', "not UTF-8 at byte offset 17", id="not_utf8"),
+        pytest.param(b'{"records": 7}', "must be a JSON list, got 7", id="records_not_list"),
+        pytest.param(b'{"vulnerabilities": {"cve": {}}}', "must be a JSON list", id="vulnerabilities_not_list"),
+    ],
+)
+def test_parse_hostile_dump_raises_corpus_error(raw, match):
+    with pytest.raises(CorpusError, match=match):
+        parse_nvd_dump(raw)
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        pytest.param([1], "expected a JSON object, got 1", id="fixture_entry_not_object"),
+        pytest.param({"records": ["CVE-1"]}, "expected a JSON object", id="record_not_object"),
+        pytest.param({"vulnerabilities": [5]}, "expected a JSON object, got 5", id="nvd_entry_not_object"),
+        pytest.param({"vulnerabilities": [{"cve": 3}]}, "'cve' must be a JSON object", id="nvd_cve_not_object"),
+        pytest.param([fixture_entry(cve_id=5)], "cve_id must be a nonempty string", id="cve_id_not_string"),
+        pytest.param([fixture_entry(references=5)], "no reference URLs", id="references_not_list"),
+        pytest.param({"vulnerabilities": [{"cve": {"id": "CVE-2023-1", "descriptions": [3],
+                                                   "references": [{"url": "https://x/commit/1"}]}}]},
+                     "CVE-2023-1", id="nvd_description_not_object"),
+    ],
+)
+def test_parse_skips_malformed_entry_with_logged_reason(caplog, doc, reason):
+    """A malformed entry is skipped and logged; the good entry after it
+    still parses."""
+    good = fixture_entry(cve_id="CVE-2023-0010")
+    if isinstance(doc, list):
+        doc = doc + [good]
+    elif "records" in doc:
+        doc = {"records": doc["records"] + [good]}
+    with caplog.at_level("INFO", logger="msivd.corpus"):
+        records = parse_nvd_dump(json.dumps(doc).encode())
+    assert [r.cve_id for r in records] == ([] if "vulnerabilities" in doc else ["CVE-2023-0010"])
+    assert any(reason in m for m in caplog.messages)
 
 
 def test_parse_missing_mandatory_field_skips_record(caplog):
@@ -364,6 +406,12 @@ def test_split_deterministic_byte_for_byte(tmp_path):
     assert paths[0] == paths[1]
 
 
+@pytest.mark.parametrize("ratios", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5)])
+def test_split_spec_rejects_non_finite_ratios(ratios):
+    with pytest.raises(CorpusError, match="non-finite split ratio"):
+        SplitSpec(ratios=ratios)
+
+
 def test_split_infeasible_lists_counts():
     samples = uniform_samples(50, post_cutoff=0)
     with pytest.raises(CorpusError, match="0 post-cutoff"):
@@ -412,6 +460,11 @@ def _sample_line(**over) -> bytes:
         pytest.param(_sample_line(code=5), "code must be a string", id="code_not_string"),
         pytest.param(_sample_line(origin_date="soon"), "unparseable date", id="bad_date"),
         pytest.param(_sample_line(label=True, vuln_line_start="1", vuln_line_end=1), "", id="bad_vuln_lines"),
+        pytest.param(_sample_line(label=True, vuln_line_start=1.5, vuln_line_end=2.0),
+                     "vuln_line_start must be a JSON int or null, got 1.5", id="vuln_lines_float"),
+        pytest.param(_sample_line(label=True, vuln_line_start=1, vuln_line_end=True),
+                     "vuln_line_end must be a JSON int or null, got true", id="vuln_line_bool"),
+        pytest.param(_sample_line(fix_code=5), "fix_code must be a JSON str or null, got 5", id="fix_code_not_string"),
     ],
 )
 def test_hostile_line_raises_corpus_error_naming_it(tmp_path, line, match):

@@ -11,19 +11,18 @@ from msivd.fusion import (
     FusedClassifier,
     InferenceBundle,
     Prediction,
+    ReadOut,
     fused_input_width,
     fused_vector,
     graph_embedding,
     graph_inputs,
     label_nll,
-    lm_row,
     predict,
-    read_out_prefix,
 )
 from msivd.gnn import Ggnn, GgnnConfig
 from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
-from msivd.train import TrainConfig, _freeze, build_bundle_from_checkpoint, train_fused
+from msivd.train import TrainConfig, build_bundle_from_checkpoint, train_fused
 
 TINY = TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=384)
 # Largest gap allowed between a read-out through the scaffold's cached K/V
@@ -44,18 +43,20 @@ def test_fuse_widths():
     assert fused_vector(row, None, None).shape == (1, 8)
 
 
-def test_lm_row_is_last_hidden_row_of_prompt():
-    model = _freeze(LmModel(TINY, seed=0))
+def test_read_out_is_last_hidden_row_of_prompt():
+    model = LmModel(TINY, seed=0)
     code = "x = 1; use(x);"
     tok = ByteTokenizer()
-    ids = render_prompt(code, tok, TINY.context_window)
-    last = model.forward(ids, last_only=True).hidden.data
-    row = lm_row(code, model, tok, read_out_prefix(model, tok))
-    assert row.shape == (1, TINY.d_model)
+    read_out = ReadOut(model, tok)
+    assert not any(t.requires_grad for t in model.parameters().values())
+    out = read_out(code)
+    row = out.hidden.data
+    assert row.shape == (1, TINY.d_model) and out.logits.shape == (1, TINY.vocab_size)
     # the cached read-out multiplies [T - P]-row blocks where the full one
     # multiplies [T]-row blocks, so BLAS sums in another order
-    assert np.max(np.abs(row - last)) <= READ_OUT_TOL
-    assert np.max(np.abs(row - model.forward(ids).hidden.data[-1:])) <= READ_OUT_TOL
+    full = model.forward(render_prompt(code, tok, TINY.context_window))
+    assert np.max(np.abs(row - full.hidden.data[-1:])) <= READ_OUT_TOL
+    assert np.max(np.abs(out.logits.data - full.logits.data[-1:])) <= READ_OUT_TOL
     gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
     assert np.array_equal(fused_vector(row, None, gnn).data[:, : TINY.d_model], row)
 
@@ -173,8 +174,8 @@ def test_predict_sets_flag_on_unparseable_code(overfit_bundle):
     corpus, bundle_lm_only = overfit_bundle
     # build a GNN-backed bundle so the parse fallback is exercised
     gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
-    clf = FusedClassifier(in_dim=bundle_lm_only.lm.config.d_model + 16, seed=0)
-    bundle = InferenceBundle(lm=bundle_lm_only.lm, tokenizer=ByteTokenizer(), classifier=clf, gnn=gnn)
+    clf = FusedClassifier(in_dim=bundle_lm_only.read_out.lm.config.d_model + 16, seed=0)
+    bundle = InferenceBundle(read_out=bundle_lm_only.read_out, classifier=clf, gnn=gnn)
     bad = CodeSample(
         sample_id="bad", code="void f(char *p) { p[0] = 1; }", label=False,
         cwe_id="CWE-787", cwe_category=CweCategory.BUFFER_ERROR, description="",
@@ -185,13 +186,13 @@ def test_predict_sets_flag_on_unparseable_code(overfit_bundle):
     assert predict(good, bundle).flagged is False
 
 
-def _straddling_gnn_bundle(lm, samples) -> InferenceBundle:
-    """A GGNN bundle over ``lm`` whose classifier bias is moved so that the
-    full-forward read-outs of ``samples`` fall on both sides of 0.5, with the
-    widest margin the samples allow around the middle."""
+def _straddling_gnn_bundle(read_out, samples) -> InferenceBundle:
+    """A GGNN bundle over ``read_out`` whose classifier bias is moved so that
+    the full-forward read-outs of ``samples`` fall on both sides of 0.5, with
+    the widest margin the samples allow around the middle."""
     bundle = InferenceBundle(
-        lm=lm, tokenizer=ByteTokenizer(), gnn=Ggnn(GgnnConfig(state_dim=16, steps=1), seed=3),
-        classifier=FusedClassifier(in_dim=lm.config.d_model + 16, seed=3),
+        read_out=read_out, gnn=Ggnn(GgnnConfig(state_dim=16, steps=1), seed=3),
+        classifier=FusedClassifier(in_dim=read_out.lm.config.d_model + 16, seed=3),
     )
     margins = np.sort([np.subtract(*_full_read_out(s, bundle).log_probs) for s in samples])
     mid = len(margins) // 4 + int(np.argmax(np.diff(margins[len(margins) // 4 : 3 * len(margins) // 4])))
@@ -202,7 +203,7 @@ def _straddling_gnn_bundle(lm, samples) -> InferenceBundle:
 def _full_read_out(sample, bundle) -> Prediction:
     """``predict`` with the LM row from a forward of the whole prompt."""
     ids = render_prompt(sample.code, bundle.tokenizer, bundle.context_window)
-    row = bundle.lm.forward(ids, last_only=True).hidden.data
+    row = bundle.read_out.lm.forward(ids).hidden.data[-1:]
     graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
     return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=graph is None)
 
@@ -223,7 +224,7 @@ def test_cached_and_full_read_outs_give_the_same_labels(overfit_bundle):
     corpus, lm_only = overfit_bundle
     samples = corpus[:40] + _long_samples(corpus)
     assert any(len(render_prompt(s.code, lm_only.tokenizer, 512)) == 512 for s in samples)
-    bundle = _straddling_gnn_bundle(lm_only.lm, samples)
+    bundle = _straddling_gnn_bundle(lm_only.read_out, samples)
     full = [_full_read_out(s, bundle) for s in samples]
     cached = [predict(s, bundle) for s in samples]
     assert {p.label for p in full} == {True, False}
@@ -240,7 +241,7 @@ def test_predict_forwards_only_the_rows_after_the_scaffold(overfit_bundle, monke
     corpus, bundle = overfit_bundle
     sample = corpus[0]
     t = len(render_prompt(sample.code, bundle.tokenizer, bundle.context_window))
-    p = len(bundle.prefix.ids)
+    p = len(bundle.read_out.prefix.ids)
     seen = []
     attend, matmul = ag.causal_attention, ag.matmul
 

@@ -22,7 +22,8 @@ from msivd.lm import (
     make_adapter,
 )
 from msivd.dialogue import prompt_scaffold
-from msivd.train import _freeze, sift_batch_loss
+from msivd.fusion import ReadOut
+from msivd.train import sift_batch_loss
 
 TINY = TransformerConfig(d_model=16, n_layers=1, n_heads=2, context_window=64)
 
@@ -241,6 +242,25 @@ def test_generate_deterministic():
     assert a == b
 
 
+def test_generate_records_no_tape(monkeypatch):
+    """Decoding a model whose adapters still train keeps no graph: every
+    forward's logits have no parents and need no gradient."""
+    model = LmModel(TINY, seed=10)
+    assert all(t.requires_grad for t in model.adapter_parameters().values())
+    logits = []
+    forward = LmModel.forward
+
+    def recording_forward(self, ids, prefix=None):
+        out = forward(self, ids, prefix=prefix)
+        logits.append(out.logits)
+        return out
+
+    monkeypatch.setattr(LmModel, "forward", recording_forward)
+    generate_greedy(model, [1, 2, 3], max_new=4)
+    assert len(logits) == 4
+    assert not any(t.requires_grad or t._parents for t in logits)
+
+
 def test_attention_block_gradcheck():
     """One attention block (single head) against finite differences."""
     rng = np.random.default_rng(11)
@@ -289,14 +309,24 @@ def test_model_forward_gradcheck_through_adapter():
 # --- last-position read-out ---------------------------------------------------------
 
 
+def _frozen(model: LmModel) -> LmModel:
+    for t in model.adapter_parameters().values():
+        t.requires_grad = False
+    return model
+
+
 @pytest.mark.parametrize("n_layers", [1, 2])
 @pytest.mark.parametrize("t", [1, 7, 512])
 def test_last_only_matches_last_row_of_full_forward(t, n_layers):
+    """The one-row read-out under a prefix of the first t - 1 ids (none for
+    t = 1) matches the last row of the full forward."""
     cfg = replace(TINY, n_layers=n_layers, context_window=512)
-    model = LmModel(cfg, seed=14)
+    model = _frozen(LmModel(cfg, seed=14))
     ids = np.random.default_rng(t).integers(0, cfg.vocab_size, size=t)
+    empty = np.zeros((0, cfg.d_model), dtype=np.float32)
+    kv = model.forward(ids[:-1]).kv if t > 1 else [(empty, empty)] * n_layers
     full = model.forward(ids)
-    last = model.forward(ids, last_only=True)
+    last = model.forward(ids, prefix=KvPrefix(ids=ids[:-1], kv=kv))
     assert last.hidden.shape == (1, cfg.d_model)
     assert last.logits.shape == (1, cfg.vocab_size)
     assert np.max(np.abs(last.hidden.data[0] - full.hidden.data[-1])) <= 1e-5
@@ -304,10 +334,13 @@ def test_last_only_matches_last_row_of_full_forward(t, n_layers):
 
 
 def test_last_only_runs_final_layer_and_head_on_one_row(monkeypatch):
-    """Earlier layers attend with all T query rows, the final layer with one;
-    the LM head multiplies one row. Slicing a full forward at the end fails."""
+    """Under a prefix of P ids, earlier layers attend with the T - P query
+    rows after it and the final layer with one; the LM head multiplies one
+    row. Without a prefix every layer and the head see all T rows."""
     cfg = replace(TINY, n_layers=3)
-    model = LmModel(cfg, seed=15)
+    model = _frozen(LmModel(cfg, seed=15))
+    ids = list(range(1, 8))
+    prefix = KvPrefix(ids=np.asarray(ids[:4]), kv=model.forward(ids[:4]).kv)
     rows = {"queries": [], "keys": [], "head": []}
     attend, matmul = ag.causal_attention, ag.matmul
 
@@ -325,35 +358,14 @@ def test_last_only_runs_final_layer_and_head_on_one_row(monkeypatch):
     monkeypatch.setattr(ag, "causal_attention", recording_attention)
     monkeypatch.setattr(ag, "matmul", recording_matmul)
 
-    def rows_of(last_only):
+    def rows_of(prefix):
         for calls in rows.values():
             calls.clear()
-        model.forward(list(range(1, 8)), last_only=last_only)
+        model.forward(ids, prefix=prefix)
         return rows
 
-    assert rows_of(True) == {"queries": [7, 7, 1], "keys": [7, 7, 7], "head": [1]}
-    assert rows_of(False) == {"queries": [7, 7, 7], "keys": [7, 7, 7], "head": [7]}
-
-
-def test_last_only_gradcheck_through_adapters():
-    """Finite differences through ``forward(last_only=True)`` with respect to
-    the final layer's query and value adapters, whose rows the read-out cuts
-    to one and keeps whole, and layer 0's query adapter."""
-    rng = np.random.default_rng(16)
-    model = LmModel(replace(TINY, n_layers=2), seed=16, lora=LoraConfig(rank=2), dtype=np.float64)
-    names = ["layer0.wq", "layer1.wq", "layer1.wv"]
-    adapters = [model.adapters[n] for n in names]
-    for ad in adapters:
-        ad.b.data[:] = rng.normal(0, 0.5, ad.b.shape)
-    ids = [3, 1, 4, 1, 5, 9]
-
-    def f(*tensors):
-        for name, ad, a_, b_ in zip(names, adapters, tensors[::2], tensors[1::2]):
-            model.adapters[name] = LoraAdapter(a=a_, b=b_, rank=ad.rank, alpha=ad.alpha)
-        return ag.cross_entropy(model.forward(ids, last_only=True).logits, [2], [1.0])
-
-    params = [t for ad in adapters for t in (ad.a, ad.b)]
-    assert ag.grad_check(f, params, h=1e-5) <= 1e-4
+    assert rows_of(prefix) == {"queries": [3, 3, 1], "keys": [7, 7, 7], "head": [1]}
+    assert rows_of(None) == {"queries": [7, 7, 7], "keys": [7, 7, 7], "head": [7]}
 
 
 def _tape_size(loss) -> int:
@@ -382,33 +394,31 @@ PREFIX_TOL = 1e-5
 
 
 def _prefixed(n_layers=2, seed=17):
-    model = _freeze(LmModel(replace(TINY, n_layers=n_layers, context_window=512), seed=seed))
-    return model, KvPrefix(ids=SCAFFOLD, kv=model.forward(SCAFFOLD, last_only=True).kv)
+    model = LmModel(replace(TINY, n_layers=n_layers, context_window=512), seed=seed)
+    return model, ReadOut(model, ByteTokenizer()).prefix
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
 @pytest.mark.parametrize("t", [len(SCAFFOLD) + 1, 320, 512])
 def test_prefix_forward_matches_full_forward(t, n_layers):
     """Past the scaffold, random ids to the given length: the prefix forward
-    gives the full forward's rows after P within the tolerance, and repeats
-    bitwise."""
+    gives the full forward's last row and its keys and values within the
+    tolerance, and repeats bitwise."""
     model, prefix = _prefixed(n_layers)
     p = len(SCAFFOLD)
     tail = np.random.default_rng(t).integers(0, 256, size=t - p)
     ids = np.concatenate([SCAFFOLD, tail])
     full = model.forward(ids)
     cached = model.forward(ids, prefix=prefix)
-    assert cached.hidden.shape == (t - p, model.config.d_model)
-    assert np.max(np.abs(cached.hidden.data - full.hidden.data[p:])) <= PREFIX_TOL
-    assert np.max(np.abs(cached.logits.data - full.logits.data[p:])) <= PREFIX_TOL
+    assert cached.hidden.shape == (1, model.config.d_model)
+    assert np.max(np.abs(cached.hidden.data - full.hidden.data[-1:])) <= PREFIX_TOL
+    assert np.max(np.abs(cached.logits.data - full.logits.data[-1:])) <= PREFIX_TOL
     for (k, v), (fk, fv) in zip(cached.kv, full.kv):
         assert k.shape == fk.shape == (t, model.config.d_model)
         assert np.max(np.abs(k - fk)) <= PREFIX_TOL and np.max(np.abs(v - fv)) <= PREFIX_TOL
-    last = model.forward(ids, last_only=True, prefix=prefix)
-    assert np.max(np.abs(last.hidden.data[0] - full.hidden.data[-1])) <= PREFIX_TOL
-    again = model.forward(ids, last_only=True, prefix=prefix)
-    assert np.array_equal(last.hidden.data, again.hidden.data)
-    assert np.array_equal(last.logits.data, again.logits.data)
+    again = model.forward(ids, prefix=prefix)
+    assert np.array_equal(cached.hidden.data, again.hidden.data)
+    assert np.array_equal(cached.logits.data, again.logits.data)
 
 
 def test_prefix_forward_needs_every_parameter_frozen():
@@ -416,7 +426,7 @@ def test_prefix_forward_needs_every_parameter_frozen():
     ids = np.append(SCAFFOLD, 7)
     model.adapters["layer1.wv"].b.requires_grad = True
     with pytest.raises(ag.TapeError, match="frozen"):
-        model.forward(ids, last_only=True, prefix=prefix)
+        model.forward(ids, prefix=prefix)
     model.adapters["layer1.wv"].b.requires_grad = False
     model.tok_emb.requires_grad = True
     with pytest.raises(ag.TapeError, match="frozen"):
@@ -435,4 +445,4 @@ def test_prefix_forward_needs_every_parameter_frozen():
 def test_prefix_forward_rejects_ids_that_do_not_extend_it(ids):
     model, prefix = _prefixed()
     with pytest.raises(ag.ShapeError, match="prefix ids"):
-        model.forward(ids, last_only=True, prefix=prefix)
+        model.forward(ids, prefix=prefix)

@@ -369,9 +369,9 @@ def test_inference_read_out_records_no_tape(small_corpus, monkeypatch):
     graph alive between requests. So is the pre-trained baseline's, whose
     read-outs all go through the scaffold's K/V prefix."""
     ckpt, _ = train_fused(small_corpus[:4], None, tiny_config(stage="fused", use_gnn=False, epochs=1))
-    lm = build_bundle_from_checkpoint(ckpt).lm
+    lm = build_bundle_from_checkpoint(ckpt).read_out.lm
     assert lm.adapter_parameters()
-    assert not lm.forward([1, 2, 3], last_only=True).hidden.requires_grad
+    assert not lm.forward([1, 2, 3]).hidden.requires_grad
 
     from msivd import evaluation
     from msivd.lm import LmModel
@@ -379,8 +379,8 @@ def test_inference_read_out_records_no_tape(small_corpus, monkeypatch):
     forwards = []
     forward = LmModel.forward
 
-    def recording_forward(model, ids, last_only=False, prefix=None):
-        out = forward(model, ids, last_only=last_only, prefix=prefix)
+    def recording_forward(model, ids, prefix=None):
+        out = forward(model, ids, prefix=prefix)
         forwards.append((bool(model.adapter_parameters()), out.hidden.requires_grad, prefix is not None))
         return out
 
@@ -424,7 +424,7 @@ def test_overfit_single_dialogue_reproduces_teacher_answer():
     model = LmModel(cfg, seed=0, lora=lora)
     tc = TrainConfig(stage="sift", lm_config=cfg, lora_config=lora, epochs=1, batch_size=1)
     streams = render_training_streams([d], tok, tc)
-    opt = Sgd(model.adapter_parameters(), lr=0.5, momentum=0.9, clip_norm=None)
+    opt = Sgd(model.adapter_parameters(), lr=5.0)
     for _ in range(300):
         opt.zero_grad()
         sift_batch_loss(model, streams)
@@ -465,7 +465,7 @@ def test_gradient_clipping_is_logged(caplog):
 
     t = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
     t.grad = np.full(4, 10.0, dtype=np.float32)
-    opt = Sgd({"t": t}, lr=0.1, clip_norm=1.0)
+    opt = Sgd({"t": t}, lr=0.1)
     with caplog.at_level("INFO", logger="msivd.train"):
         clipped = opt.step()
     assert clipped
