@@ -154,16 +154,11 @@ def transpose(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{op} shapes incompatible: {a.shape} vs {b.shape}") from exc
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError as exc:
+        raise ShapeError(f"add shapes incompatible: {a.shape} vs {b.shape}") from exc
 
     def bw(g):
         _accum(a, _sum_to_shape(g, a.shape))
@@ -173,8 +168,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError as exc:
+        raise ShapeError(f"mul shapes incompatible: {a.shape} vs {b.shape}") from exc
 
     def bw(g):
         _accum(a, _sum_to_shape(g * b.data, a.shape))

@@ -143,6 +143,10 @@ class CodeSample:
                     f"{self.sample_id}: vulnerable lines {self.vuln_line_start}-{self.vuln_line_end} "
                     f"outside 1-{n_lines}"
                 )
+        elif self.vuln_line_start is not None or self.vuln_line_end is not None:
+            raise CorpusError(
+                f"{self.sample_id}: negative sample with vulnerable lines {self.vuln_line_start}-{self.vuln_line_end}"
+            )
 
 
 @dataclass

@@ -6,6 +6,10 @@ that point contains no redefinition of the same variable. Node features
 encode each node's incoming definition set as a bounded bag bucketed by
 (variable slot, defining-statement kind), which is what the graph network
 consumes.
+
+A definition is named by the id of the node that makes it, so gen/kill and
+the IN/OUT sets hold node ids; only ``reach_to_json`` prints them, as
+``d<id>``.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ import numpy as np
 from .minic import ControlFlowGraph
 
 __all__ = [
-    "Definition",
     "ReachSets",
     "gen_kill",
     "reaching_definitions",
@@ -36,41 +39,26 @@ TOP_K = 4
 N_CELLS = N_SLOTS * len(DEFINING_KINDS) * TOP_K
 
 
-@dataclass(frozen=True)
-class Definition:
-    def_id: str
-    variable: str
-    node: int
-
-
-def definitions(cfg: ControlFlowGraph) -> list[Definition]:
-    """One definition per node that writes a variable, id'd by node."""
-    defs = []
-    for n in cfg.nodes:
-        if n.defines is not None:
-            defs.append(Definition(def_id=f"d{n.id}", variable=n.defines, node=n.id))
-    return defs
-
-
-def gen_kill(cfg: ControlFlowGraph) -> tuple[dict[int, set[str]], dict[int, set[str]]]:
+def gen_kill(cfg: ControlFlowGraph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
     """Per-node gen/kill sets: gen is the node's own def, kill the other
     definitions of the same variable."""
-    defs = definitions(cfg)
-    by_var: dict[str, set[str]] = {}
-    for d in defs:
-        by_var.setdefault(d.variable, set()).add(d.def_id)
-    gen: dict[int, set[str]] = {n.id: set() for n in cfg.nodes}
-    kill: dict[int, set[str]] = {n.id: set() for n in cfg.nodes}
-    for d in defs:
-        gen[d.node] = {d.def_id}
-        kill[d.node] = by_var[d.variable] - {d.def_id}
+    by_var: dict[str, set[int]] = {}
+    for n in cfg.nodes:
+        if n.defines is not None:
+            by_var.setdefault(n.defines, set()).add(n.id)
+    gen: dict[int, set[int]] = {n.id: set() for n in cfg.nodes}
+    kill: dict[int, set[int]] = {n.id: set() for n in cfg.nodes}
+    for n in cfg.nodes:
+        if n.defines is not None:
+            gen[n.id] = {n.id}
+            kill[n.id] = by_var[n.defines] - {n.id}
     return gen, kill
 
 
 @dataclass
 class ReachSets:
-    in_sets: dict[int, frozenset[str]]
-    out_sets: dict[int, frozenset[str]]
+    in_sets: dict[int, frozenset[int]]
+    out_sets: dict[int, frozenset[int]]
     sweeps: int = 0
 
 
@@ -81,26 +69,25 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachSets:
     tie-breaking keeps runs deterministic.
     """
     gen, kill = gen_kill(cfg)
-    preds: dict[int, list[int]] = {n.id: [] for n in cfg.nodes}
-    succs: dict[int, list[int]] = {n.id: [] for n in cfg.nodes}
+    n_nodes = len(cfg.nodes)
+    preds: list[list[int]] = [[] for _ in range(n_nodes)]
+    succs: list[list[int]] = [[] for _ in range(n_nodes)]
     for s, d in cfg.edges:
         preds[d].append(s)
         succs[s].append(d)
-    for lst in preds.values():
-        lst.sort()
-    for lst in succs.values():
+    for lst in succs:
         lst.sort()
 
-    in_sets: dict[int, set[str]] = {n.id: set() for n in cfg.nodes}
-    out_sets: dict[int, set[str]] = {n.id: set() for n in cfg.nodes}
-    work = deque(sorted(n.id for n in cfg.nodes))
+    in_sets: list[set[int]] = [set() for _ in range(n_nodes)]
+    out_sets: list[set[int]] = [set() for _ in range(n_nodes)]
+    work = deque(range(n_nodes))
     queued = set(work)
     sweeps = 0
     while work:
         nid = work.popleft()
         queued.discard(nid)
         sweeps += 1
-        new_in: set[str] = set()
+        new_in: set[int] = set()
         for p in preds[nid]:
             new_in |= out_sets[p]
         new_out = gen[nid] | (new_in - kill[nid])
@@ -112,8 +99,8 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachSets:
                     work.append(s)
                     queued.add(s)
     return ReachSets(
-        in_sets={k: frozenset(v) for k, v in in_sets.items()},
-        out_sets={k: frozenset(v) for k, v in out_sets.items()},
+        in_sets={nid: frozenset(v) for nid, v in enumerate(in_sets)},
+        out_sets={nid: frozenset(v) for nid, v in enumerate(out_sets)},
         sweeps=sweeps,
     )
 
@@ -129,40 +116,36 @@ def build_node_features(cfg: ControlFlowGraph, reach: ReachSets, width: int) -> 
     if width < N_CELLS:
         raise ValueError(f"feature width {width} < required {N_CELLS} cells")
 
-    defs = {d.def_id: d for d in definitions(cfg)}
-    var_order: list[str] = []
-    for n in sorted(cfg.nodes, key=lambda n: n.id):
-        if n.defines is not None and n.defines not in var_order:
-            var_order.append(n.defines)
+    var_order = dict.fromkeys(n.defines for n in cfg.nodes if n.defines is not None)
     slot = {v: i % N_SLOTS for i, v in enumerate(var_order)}
     kind_idx = {k: i for i, k in enumerate(DEFINING_KINDS)}
 
     feats = np.zeros((len(cfg.nodes), width), dtype=np.float32)
-    for row, n in enumerate(cfg.nodes):
+    for n in cfg.nodes:
         counts: dict[tuple[int, int], int] = {}
-        for def_id in reach.in_sets[n.id]:
-            d = defs[def_id]
-            k = cfg.node(d.node).kind
-            if k not in kind_idx:
+        for d in reach.in_sets[n.id]:
+            definer = cfg.nodes[d]
+            if definer.kind not in kind_idx:
                 continue
-            key = (slot[d.variable], kind_idx[k])
+            key = (slot[definer.defines], kind_idx[definer.kind])
             counts[key] = counts.get(key, 0) + 1
         for (s, k), c in counts.items():
             base = (s * len(DEFINING_KINDS) + k) * TOP_K
-            feats[row, base : base + min(c, TOP_K)] = 1.0
+            feats[n.id, base : base + min(c, TOP_K)] = 1.0
     return feats
 
 
 def reach_to_json(cfg: ControlFlowGraph, reach: ReachSets) -> str:
-    """IN/OUT sets as a JSON document (debugging dump)."""
+    """IN/OUT sets as a JSON document (debugging dump); definitions print as
+    ``d<id>`` of their defining node."""
     doc = {
         "nodes": [
             {
                 "id": n.id,
                 "kind": n.kind,
                 "defines": n.defines,
-                "in": sorted(reach.in_sets[n.id]),
-                "out": sorted(reach.out_sets[n.id]),
+                "in": sorted(f"d{d}" for d in reach.in_sets[n.id]),
+                "out": sorted(f"d{d}" for d in reach.out_sets[n.id]),
             }
             for n in cfg.nodes
         ]

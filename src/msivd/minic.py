@@ -14,13 +14,19 @@ Accepted grammar (no preprocessor, no pointers, no casts):
     expr     := numbers, identifiers, calls, parentheses, unary - !,
                 binary + - * / < > <= >= == != && ||
 
+The parser emits the CFG in the same pass that recognizes the statements: each
+statement becomes one node (a block none), numbered in source order, so a
+node's id is its position in ``ControlFlowGraph.nodes``. A node records the
+variable it defines and the names it calls, which is all the dataflow
+analysis and its features read.
+
 Anything outside this subset raises; callers that analyze arbitrary code are
 expected to catch the error and fall back (never a silent skip).
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "MiniCError",
@@ -108,68 +114,69 @@ class CfgNode:
     kind: str  # one of NODE_KINDS
     line: int = 0
     defines: str | None = None
-    uses: tuple[str, ...] = ()
     calls: tuple[str, ...] = ()
-    text: str = ""
 
 
 @dataclass
 class ControlFlowGraph:
+    """Statement-level CFG whose node ids are positions: ``nodes[i].id == i``."""
+
     nodes: list[CfgNode] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
 
-    def node(self, node_id: int) -> CfgNode:
-        return self.nodes[self._index[node_id]]
-
-    def __post_init__(self):
-        self._reindex()
-
-    def _reindex(self) -> None:
-        self._index = {n.id: i for i, n in enumerate(self.nodes)}
-
-    def successors(self, node_id: int) -> list[int]:
-        return [d for s, d in self.edges if s == node_id]
-
     def validate(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate node ids")
-        idset = set(ids)
-        if self.entry not in idset or self.exit not in idset:
+        n = len(self.nodes)
+        for i, node in enumerate(self.nodes):
+            if node.id != i:
+                raise ValueError(f"node at position {i} has id {node.id}")
+            if node.kind not in NODE_KINDS:
+                raise ValueError(f"unknown node kind {node.kind!r}")
+        if not (0 <= self.entry < n and 0 <= self.exit < n):
             raise ValueError("entry/exit not in node set")
-        for n in self.nodes:
-            if n.kind not in NODE_KINDS:
-                raise ValueError(f"unknown node kind {n.kind!r}")
         for s, d in self.edges:
-            if s not in idset or d not in idset:
+            if not (0 <= s < n and 0 <= d < n):
                 raise ValueError(f"edge ({s}, {d}) references missing node")
-        entries = [n for n in self.nodes if n.kind == "entry"]
-        exits = [n for n in self.nodes if n.kind == "exit"]
+        entries = [node for node in self.nodes if node.kind == "entry"]
+        exits = [node for node in self.nodes if node.kind == "exit"]
         if len(entries) != 1 or len(exits) != 1:
             raise ValueError("CFG must have exactly one entry and one exit")
-        reached = self.reachable_from(self.entry)
-        if reached != idset:
-            raise ValueError(f"unreachable nodes: {sorted(idset - reached)}")
+        reached = _reachable(self.edges, self.entry)
+        if len(reached) != n:
+            raise ValueError(f"unreachable nodes: {sorted(set(range(n)) - reached)}")
 
-    def reachable_from(self, start: int) -> set[int]:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in self.successors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+
+def _reachable(edges: list[tuple[int, int]], start: int) -> set[int]:
+    succs: dict[int, list[int]] = {}
+    for s, d in edges:
+        succs.setdefault(s, []).append(d)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in succs.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+# A statement's piece of the CFG: its first node (None for an empty block) and
+# the nodes whose successor is whatever follows the statement.
+Fragment = tuple[int | None, list[int]]
 
 
 class _Parser:
+    """Recursive descent that emits each statement's CFG node as it is
+    recognized, so node ids follow source order; entry is node 0."""
+
     def __init__(self, tokens: list[Token], source: str):
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.nodes = [CfgNode(id=0, kind="entry")]
+        self.edges: list[tuple[int, int]] = []
+        self.returns: list[int] = []
 
     def _err(self, message: str) -> MiniCError:
         if self.pos < len(self.tokens):
@@ -195,9 +202,27 @@ class _Parser:
         self.pos += 1
         return t
 
+    # --- graph ------------------------------------------------------------
+
+    def _node(self, kind: str, line: int, calls: list[str], defines: str | None = None) -> int:
+        nid = len(self.nodes)
+        self.nodes.append(CfgNode(id=nid, kind=kind, line=line, defines=defines, calls=tuple(dict.fromkeys(calls))))
+        return nid
+
+    def _link(self, ends: list[int], head: int) -> None:
+        self.edges.extend((e, head) for e in ends)
+
+    def _join(self, ends: list[int], fragment: Fragment) -> list[int]:
+        """Continue ``ends`` into ``fragment``; the open ends after it."""
+        head, tails = fragment
+        if head is None:
+            return ends
+        self._link(ends, head)
+        return tails
+
     # --- statements -------------------------------------------------------
 
-    def parse_program(self) -> list[dict]:
+    def parse_program(self) -> ControlFlowGraph:
         if self._looks_like_function():
             self.take()  # return type
             self.take()  # function name
@@ -209,14 +234,17 @@ class _Parser:
                 if self.at(","):
                     self.take(",")
             self.take(")")
-            stmts = self.parse_block()
+            ends = self._join([0], self.parse_block())
         else:
-            stmts = []
+            ends = [0]
             while self.peek() is not None:
-                stmts.append(self.parse_stmt())
+                ends = self._join(ends, self.parse_stmt())
         if self.peek() is not None:
             raise self._err(f"trailing tokens after program: {self.peek().text!r}")
-        return stmts
+        exit_id = len(self.nodes)
+        self.nodes.append(CfgNode(id=exit_id, kind="exit"))
+        self._link(ends + self.returns, exit_id)
+        return ControlFlowGraph(nodes=self.nodes, edges=sorted(set(self.edges)), entry=0, exit=exit_id)
 
     def _looks_like_function(self) -> bool:
         a, b, c = self.peek(0), self.peek(1), self.peek(2)
@@ -226,33 +254,38 @@ class _Parser:
             and c is not None and c.text == "("
         )
 
-    def parse_block(self) -> list[dict]:
+    def parse_block(self) -> Fragment:
         self.take("{")
-        stmts = []
+        first, ends = None, []
         while not self.at("}"):
             if self.peek() is None:
                 raise self._err("unclosed block")
-            stmts.append(self.parse_stmt())
+            fragment = self.parse_stmt()
+            if first is None:
+                first = fragment[0]
+            ends = self._join(ends, fragment)
         self.take("}")
-        return stmts
+        return first, ends
 
-    def parse_stmt(self) -> dict:
+    def parse_stmt(self) -> Fragment:
         t = self.peek()
         if t is None:
             raise self._err("expected statement")
         if t.text == "{":
-            return {"kind": "block", "body": self.parse_block(), "line": t.line}
+            return self.parse_block()
         if t.text == "if":
             return self.parse_if()
         if t.text == "while":
             return self.parse_while()
         if t.text == "return":
             self.take("return")
-            uses, calls = [], []
+            calls: list[str] = []
             if not self.at(";"):
-                self.parse_expr(uses, calls)
+                self.parse_expr(calls)
             self.take(";")
-            return {"kind": "return", "uses": uses, "calls": calls, "line": t.line}
+            nid = self._node("return", t.line, calls)
+            self.returns.append(nid)
+            return nid, []
         if t.kind == "name":
             # optional declaration type keyword
             if t.text in TYPE_KEYWORDS:
@@ -263,79 +296,69 @@ class _Parser:
             return self.parse_assign_or_call()
         raise self._err(f"cannot start a statement with {t.text!r}")
 
-    def parse_assign_or_call(self) -> dict:
+    def parse_assign_or_call(self) -> Fragment:
         name = self.take()
         if name.kind != "name":
             raise self._err(f"expected identifier, found {name.text!r}")
-        uses: list[str] = []
         calls: list[str] = []
         if self.at("="):
             self.take("=")
-            self.parse_expr(uses, calls)
+            self.parse_expr(calls)
             self.take(";")
-            return {
-                "kind": "call" if calls else "assign",
-                "defines": name.text,
-                "uses": uses,
-                "calls": calls,
-                "line": name.line,
-            }
+            nid = self._node("call" if calls else "assign", name.line, calls, defines=name.text)
+            return nid, [nid]
         if self.at("("):
             calls.append(name.text)
-            self.take("(")
-            while not self.at(")"):
-                self.parse_expr(uses, calls)
-                if self.at(","):
-                    self.take(",")
-            self.take(")")
+            self.parse_args(calls)
             self.take(";")
-            return {"kind": "call", "defines": None, "uses": uses, "calls": calls, "line": name.line}
+            nid = self._node("call", name.line, calls)
+            return nid, [nid]
         raise self._err(f"expected '=' or '(' after {name.text!r}")
 
-    def parse_if(self) -> dict:
+    def parse_if(self) -> Fragment:
         t = self.take("if")
-        self.take("(")
-        uses, calls = [], []
-        self.parse_expr(uses, calls)
-        self.take(")")
-        then = self.parse_stmt()
-        other = None
+        nid = self._node("branch", t.line, self.parse_condition())
+        ends = self._join([nid], self.parse_stmt())
         if self.at("else"):
             self.take("else")
-            other = self.parse_stmt()
-        return {"kind": "if", "uses": uses, "calls": calls, "then": then, "else": other, "line": t.line}
+            return nid, ends + self._join([nid], self.parse_stmt())
+        return nid, ends + [nid]
 
-    def parse_while(self) -> dict:
+    def parse_while(self) -> Fragment:
         t = self.take("while")
-        self.take("(")
-        uses, calls = [], []
-        self.parse_expr(uses, calls)
-        self.take(")")
-        body = self.parse_stmt()
-        return {"kind": "while", "uses": uses, "calls": calls, "body": body, "line": t.line}
+        nid = self._node("loop_head", t.line, self.parse_condition())
+        self._link(self._join([nid], self.parse_stmt()), nid)
+        return nid, [nid]
 
-    # --- expressions (precedence-flattened; we only need refs) ------------
+    def parse_condition(self) -> list[str]:
+        self.take("(")
+        calls: list[str] = []
+        self.parse_expr(calls)
+        self.take(")")
+        return calls
+
+    # --- expressions (precedence-flattened; only the called names matter) -
 
     _BINOPS = {"+", "-", "*", "/", "<", ">", "<=", ">=", "==", "!=", "&&", "||"}
 
-    def parse_expr(self, uses: list[str], calls: list[str]) -> None:
-        self.parse_unary(uses, calls)
+    def parse_expr(self, calls: list[str]) -> None:
+        self.parse_unary(calls)
         while self.peek() is not None and self.peek().text in self._BINOPS:
             self.take()
-            self.parse_unary(uses, calls)
+            self.parse_unary(calls)
 
-    def parse_unary(self, uses: list[str], calls: list[str]) -> None:
+    def parse_unary(self, calls: list[str]) -> None:
         while self.peek() is not None and self.peek().text in ("-", "!"):
             self.take()
-        self.parse_primary(uses, calls)
+        self.parse_primary(calls)
 
-    def parse_primary(self, uses: list[str], calls: list[str]) -> None:
+    def parse_primary(self, calls: list[str]) -> None:
         t = self.peek()
         if t is None:
             raise self._err("expected expression")
         if t.text == "(":
             self.take("(")
-            self.parse_expr(uses, calls)
+            self.parse_expr(calls)
             self.take(")")
             return
         if t.kind == "num":
@@ -345,75 +368,17 @@ class _Parser:
             self.take()
             if self.at("("):
                 calls.append(t.text)
-                self.take("(")
-                while not self.at(")"):
-                    self.parse_expr(uses, calls)
-                    if self.at(","):
-                        self.take(",")
-                self.take(")")
-            else:
-                uses.append(t.text)
+                self.parse_args(calls)
             return
         raise self._err(f"unexpected token {t.text!r} in expression")
 
-
-def _lower(stmts: list[dict], make_node, edges: list[tuple[int, int]], returns: list[int]):
-    """Lower a statement list; returns (first_id or None, open exit ids)."""
-    first = None
-    open_ends: list[int] = []
-    for st in stmts:
-        head, tails = _lower_one(st, make_node, edges, returns)
-        if head is None:
-            continue
-        if first is None:
-            first = head
-        for e in open_ends:
-            edges.append((e, head))
-        open_ends = tails
-    return first, open_ends
-
-
-def _lower_one(st: dict, make_node, edges: list[tuple[int, int]], returns: list[int]):
-    kind = st["kind"]
-    if kind == "block":
-        return _lower(st["body"], make_node, edges, returns)
-    if kind in ("assign", "call"):
-        nid = make_node(kind, st)
-        return nid, [nid]
-    if kind == "return":
-        nid = make_node("return", st)
-        returns.append(nid)
-        return nid, []
-    if kind == "if":
-        nid = make_node("branch", st)
-        tails = []
-        then_head, then_tails = _lower_one(st["then"], make_node, edges, returns)
-        if then_head is None:
-            tails.append(nid)
-        else:
-            edges.append((nid, then_head))
-            tails.extend(then_tails)
-        if st["else"] is None:
-            tails.append(nid)
-        else:
-            else_head, else_tails = _lower_one(st["else"], make_node, edges, returns)
-            if else_head is None:
-                tails.append(nid)
-            else:
-                edges.append((nid, else_head))
-                tails.extend(else_tails)
-        return nid, tails
-    if kind == "while":
-        nid = make_node("loop_head", st)
-        body_head, body_tails = _lower_one(st["body"], make_node, edges, returns)
-        if body_head is not None:
-            edges.append((nid, body_head))
-            for t in body_tails:
-                edges.append((t, nid))
-        else:
-            edges.append((nid, nid))
-        return nid, [nid]
-    raise AssertionError(f"unhandled statement kind {kind}")
+    def parse_args(self, calls: list[str]) -> None:
+        self.take("(")
+        while not self.at(")"):
+            self.parse_expr(calls)
+            if self.at(","):
+                self.take(",")
+        self.take(")")
 
 
 def parse_mini_c(source: str) -> ControlFlowGraph:
@@ -423,54 +388,16 @@ def parse_mini_c(source: str) -> ControlFlowGraph:
     highest id. Statements made unreachable by ``return`` are pruned so the
     reachability invariant holds.
     """
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, source)
-    stmts = parser.parse_program()
-
-    nodes: list[CfgNode] = [CfgNode(id=0, kind="entry")]
-    edges: list[tuple[int, int]] = []
-    returns: list[int] = []
-
-    def make_node(kind: str, st: dict) -> int:
-        nid = len(nodes)
-        nodes.append(
-            CfgNode(
-                id=nid,
-                kind=kind,
-                line=st.get("line", 0),
-                defines=st.get("defines"),
-                uses=tuple(dict.fromkeys(st.get("uses", ()))),
-                calls=tuple(dict.fromkeys(st.get("calls", ()))),
-            )
-        )
-        return nid
-
-    first, open_ends = _lower(stmts, make_node, edges, returns)
-    exit_id = len(nodes)
-    nodes.append(CfgNode(id=exit_id, kind="exit"))
-    if first is None:
-        edges.append((0, exit_id))
-    else:
-        edges.append((0, first))
-    for e in open_ends:
-        edges.append((e, exit_id))
-    for r in returns:
-        edges.append((r, exit_id))
-
-    cfg = ControlFlowGraph(nodes=nodes, edges=sorted(set(edges)), entry=0, exit=exit_id)
-    reached = cfg.reachable_from(cfg.entry)
-    if reached != {n.id for n in cfg.nodes}:
+    cfg = _Parser(_tokenize(source), source).parse_program()
+    reached = _reachable(cfg.edges, cfg.entry)
+    if len(reached) != len(cfg.nodes):
         keep = sorted(reached)
-        remap = {old: new for new, old in enumerate(keep)}
+        new_id = {old: new for new, old in enumerate(keep)}
         cfg = ControlFlowGraph(
-            nodes=[
-                CfgNode(remap[n.id], n.kind, n.line, n.defines, n.uses, n.calls, n.text)
-                for n in cfg.nodes
-                if n.id in reached
-            ],
-            edges=sorted({(remap[s], remap[d]) for s, d in cfg.edges if s in reached and d in reached}),
-            entry=remap[cfg.entry],
-            exit=remap[cfg.exit],
+            nodes=[replace(cfg.nodes[old], id=new) for new, old in enumerate(keep)],
+            edges=[(new_id[s], new_id[d]) for s, d in cfg.edges if s in reached],
+            entry=new_id[cfg.entry],
+            exit=new_id[cfg.exit],
         )
     cfg.validate()
     return cfg

@@ -24,11 +24,12 @@ def enumerate_reaching(cfg: ControlFlowGraph, max_visits: int = 2):
     succs = {n.id: sorted(d for s, d in cfg.edges if s == n.id) for n in cfg.nodes}
     defines = {n.id: n.defines for n in cfg.nodes}
 
-    def walk(node: int, visits: dict[int, int], last_def: dict[str, str]):
-        # standing at `node`: last_def includes node's own definition
+    def walk(node: int, visits: dict[int, int], last_def: dict[str, int]):
+        # standing at `node`: last_def includes node's own definition, named
+        # by its node id
         here = dict(last_def)
         if defines[node] is not None:
-            here[defines[node]] = f"d{node}"
+            here[defines[node]] = node
         out_sets[node].update(here.values())
         for nxt in succs[node]:
             if visits.get(nxt, 0) >= max_visits:

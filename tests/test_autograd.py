@@ -29,6 +29,13 @@ def test_matmul_shape_mismatch_names_both_shapes():
         ag.matmul(rand((2, 3), rng), rand((4, 5), rng))
 
 
+@pytest.mark.parametrize("op", [ag.add, ag.mul], ids=["add", "mul"])
+def test_broadcast_mismatch_names_both_shapes(op):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ag.ShapeError, match=rf"{op.__name__} .*\(2, 3\).*\(4,\)"):
+        op(rand((2, 3), rng), rand((4,), rng))
+
+
 def test_concat_last_dim_widths():
     rng = np.random.default_rng(0)
     out = ag.concat_last_dim([rand((5, 8), rng), rand((5, 4), rng)])

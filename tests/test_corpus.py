@@ -465,6 +465,8 @@ def _sample_line(**over) -> bytes:
         pytest.param(_sample_line(label=True, vuln_line_start=1, vuln_line_end=True),
                      "vuln_line_end must be a JSON int or null, got true", id="vuln_line_bool"),
         pytest.param(_sample_line(fix_code=5), "fix_code must be a JSON str or null, got 5", id="fix_code_not_string"),
+        pytest.param(_sample_line(vuln_line_start=-5, vuln_line_end=99), "negative sample with vulnerable lines -5-99",
+                     id="negative_with_lines"),
     ],
 )
 def test_hostile_line_raises_corpus_error_naming_it(tmp_path, line, match):
