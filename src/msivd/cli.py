@@ -1,5 +1,9 @@
 """Command-line pipeline: ingest, prepare, train, evaluate, predict.
 
+Each command only reads its inputs, calls the library and writes its
+artifacts; ``ingest``, for one, hands the parsed records to
+``corpus.ingest_records`` and prints the summary of what it returns.
+
 Settings merge three layers: built-in defaults, an optional JSON config file,
 then explicit flags (flags win). The MSIVD_PROFILE environment variable
 selects the desk or paper profile defaults. Every command writes a
@@ -15,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -24,14 +28,11 @@ from .corpus import (
     CorpusError,
     CweCategory,
     SplitSpec,
-    apply_exclusion_filters,
-    filter_patch_records,
-    make_negative_sample,
+    ingest_records,
     make_split,
     mix_to_ratio,
     parse_nvd_dump,
     read_samples_jsonl,
-    split_into_file_samples,
     write_samples_jsonl,
     write_splits_json,
 )
@@ -51,8 +52,6 @@ from .train import (
 )
 
 log = logging.getLogger("msivd.cli")
-
-CPP_SUFFIXES = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh", ".c++", ".inl")
 
 
 @dataclass
@@ -186,55 +185,26 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 # --- commands ----------------------------------------------------------------------
 
 
-def _changed_fraction(patch) -> float:
-    pre_lines = max(len(patch.pre_code.splitlines()), 1)
-    changed = sum(end - start + 1 for start, end in patch.changed_ranges)
-    return changed / pre_lines
-
-
 def cmd_ingest(args: argparse.Namespace, run: RunConfig) -> int:
     dump_path = _require_file(args.nvd_dump, "NVD dump")
     records = parse_nvd_dump(dump_path.read_bytes())
-    patched = filter_patch_records(records)
-
-    positives: list[CodeSample] = []
-    negatives: list[CodeSample] = []
-    drop_counts: dict[str, int] = {}
-    skipped_non_cpp = 0
-    for record in patched:
-        for patch in record.file_patches:
-            if args.cpp_only and not patch.path.lower().endswith(CPP_SUFFIXES):
-                skipped_non_cpp += 1
-                continue
-            fraction = _changed_fraction(patch)
-            single = replace(record, file_patches=[patch])
-            for sample in split_into_file_samples(single, window_tokens=run.window_tokens, seed=run.seed):
-                reason = apply_exclusion_filters(sample, fraction)
-                if reason is None:
-                    positives.append(sample)
-                else:
-                    drop_counts[reason.value] = drop_counts.get(reason.value, 0) + 1
-            if patch.post_code.strip():
-                neg = make_negative_sample(single, 0, window_tokens=run.window_tokens, seed=run.seed)
-                if apply_exclusion_filters(neg, fraction) is None:
-                    negatives.append(neg)
-
+    result = ingest_records(records, window_tokens=run.window_tokens, seed=run.seed, cpp_only=args.cpp_only)
     if run.mix_preset:
-        kept = mix_to_ratio(positives, negatives, preset=run.mix_preset, seed=run.seed)
+        kept = mix_to_ratio(result.positives, result.negatives, preset=run.mix_preset, seed=run.seed)
     else:
-        kept = sorted(positives + negatives, key=lambda s: s.sample_id)
+        kept = sorted(result.positives + result.negatives, key=lambda s: s.sample_id)
 
     out = Path(args.out)
     write_samples_jsonl(kept, out)
     _write_provenance(out, run)
     summary = {
         "records_parsed": len(records),
-        "records_with_patch_links": len(patched),
+        "records_with_patch_links": result.records_with_patch_links,
         "samples_kept": len(kept),
         "positives_kept": sum(s.label for s in kept),
         "negatives_kept": sum(not s.label for s in kept),
-        "dropped": drop_counts,
-        "skipped_non_cpp": skipped_non_cpp,
+        "dropped": result.dropped,
+        "skipped_non_cpp": result.skipped_non_cpp,
     }
     print(json.dumps(summary, indent=2))
     return 0

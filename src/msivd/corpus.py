@@ -2,8 +2,12 @@
 
 Two input shapes are accepted by the parser: the NVD v2 API dump and this
 project's fixture schema (see schemas/nvd_fixture.schema.json), which carries
-patch code inline so no repository cloning is needed. All operations are pure
-over immutable records; results are deterministic for a fixed seed.
+patch code inline so no repository cloning is needed. ``ingest_records`` is
+the one pass from parsed records to samples: it makes every per-patch
+decision (Patch-tagged commit link, C/C++ suffix, changed fraction, whether
+a negative exists, exclusion filters and their counts), and positives and
+negatives share one window routine. All operations are pure over immutable
+records; results are deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -27,10 +31,9 @@ __all__ = [
     "VulnerabilityRecord",
     "CodeSample",
     "SplitSpec",
+    "IngestResult",
     "parse_nvd_dump",
-    "filter_patch_records",
-    "split_into_file_samples",
-    "make_negative_sample",
+    "ingest_records",
     "apply_exclusion_filters",
     "classify_cwe",
     "make_split",
@@ -167,6 +170,9 @@ class SplitSpec:
 
 # --- parsing ------------------------------------------------------------------
 
+# errors that skip one malformed entry of a dump
+_ENTRY_ERRORS = (KeyError, CorpusError, TypeError, AttributeError)
+
 
 def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
     """Parse a vulnerability dump (fixture schema or NVD v2 API schema).
@@ -186,12 +192,13 @@ def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
     except json.JSONDecodeError as exc:
         raise CorpusError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
 
-    if isinstance(doc, dict) and "vulnerabilities" in doc:
-        entries, parse = doc["vulnerabilities"], _from_nvd_v2
+    nvd = isinstance(doc, dict) and "vulnerabilities" in doc
+    if nvd:
+        entries = doc["vulnerabilities"]
     elif isinstance(doc, dict) and "records" in doc:
-        entries, parse = doc["records"], _from_fixture
+        entries = doc["records"]
     elif isinstance(doc, list):
-        entries, parse = doc, _from_fixture
+        entries = doc
     else:
         raise CorpusError("unrecognized dump shape: expected 'vulnerabilities' or 'records'")
     if not isinstance(entries, list):
@@ -199,10 +206,21 @@ def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
 
     records = []
     for entry in entries:
-        if not isinstance(entry, dict):
-            log.warning("skipping entry: expected a JSON object, got %s", json.dumps(entry)[:80])
-        elif (record := parse(entry)) is not None:
-            records.append(record)
+        name = "entry"
+        try:
+            if not isinstance(entry, dict):
+                raise CorpusError(f"expected a JSON object, got {json.dumps(entry)[:80]}")
+            cve = entry.get("cve", {}) if nvd else entry
+            if not isinstance(cve, dict):
+                raise CorpusError(f"'cve' must be a JSON object, got {json.dumps(cve)[:80]}")
+            name = cve.get("id" if nvd else "cve_id") or "<missing id>"
+            patch_links, n_refs = _tagged_patch_links(cve.get("references"))
+            if n_refs == 0:
+                log.info("skipping %s: no reference URLs", name)
+                continue
+            records.append((_from_nvd_v2 if nvd else _from_fixture)(cve, patch_links))
+        except _ENTRY_ERRORS as exc:
+            log.warning("skipping %s: %s", name, exc)
     records.sort(key=lambda r: r.cve_id)
     return records
 
@@ -221,172 +239,164 @@ def _tagged_patch_links(references) -> tuple[list[str], int]:
     return links, total
 
 
-def _from_fixture(entry: dict) -> VulnerabilityRecord | None:
-    cve_id = entry.get("cve_id", "")
-    patch_links, n_refs = _tagged_patch_links(entry.get("references"))
-    if n_refs == 0:
-        log.info("skipping %s: no reference URLs", cve_id or "<missing id>")
-        return None
-    try:
-        patches = [
-            FilePatch(
-                path=p["path"],
-                pre_code=p["pre_code"],
-                post_code=p.get("post_code", ""),
-                changed_ranges=[tuple(r) for r in p.get("changed_ranges", [])],
-            )
-            for p in entry.get("patches", [])
-        ]
-        return VulnerabilityRecord(
-            cve_id=cve_id,
-            cwe_id=entry.get("cwe_id") or "CWE-unknown",
-            description=entry.get("description", ""),
-            exploitability_score=entry["exploitability_score"],
-            severity=entry["severity"],
-            attack_complexity=entry["attack_complexity"],
-            fix_commit_date=entry["fix_commit_date"],
-            patch_links=patch_links,
-            file_patches=patches,
+def _from_fixture(entry: dict, patch_links: list[str]) -> VulnerabilityRecord:
+    patches = [
+        FilePatch(
+            path=p["path"],
+            pre_code=p["pre_code"],
+            post_code=p.get("post_code", ""),
+            changed_ranges=[tuple(r) for r in p.get("changed_ranges", [])],
         )
-    except (KeyError, CorpusError, TypeError, AttributeError) as exc:
-        log.warning("skipping %s: %s", cve_id or "<missing id>", exc)
-        return None
-
-
-def _from_nvd_v2(entry: dict) -> VulnerabilityRecord | None:
-    cve = entry.get("cve", {})
-    if not isinstance(cve, dict):
-        log.warning("skipping entry: 'cve' must be a JSON object, got %s", json.dumps(cve)[:80])
-        return None
-    cve_id = cve.get("id", "")
-    patch_links, n_refs = _tagged_patch_links(cve.get("references"))
-    if n_refs == 0:
-        log.info("skipping %s: no reference URLs", cve_id or "<missing id>")
-        return None
-    try:
-        desc = next(
-            (d["value"] for d in cve.get("descriptions", []) if d.get("lang") == "en"),
-            "",
-        )
-        cwe_id = "CWE-unknown"
-        for weakness in cve.get("weaknesses", []):
-            for d in weakness.get("description", []):
-                if str(d.get("value", "")).startswith("CWE-"):
-                    cwe_id = d["value"]
-                    break
-        metrics = cve.get("metrics", {})
-        cvss_list = metrics.get("cvssMetricV31") or metrics.get("cvssMetricV30") or []
-        if not cvss_list:
-            raise KeyError("cvss metrics")
-        cvss = cvss_list[0]
-        data = cvss["cvssData"]
-        return VulnerabilityRecord(
-            cve_id=cve_id,
-            cwe_id=cwe_id,
-            description=desc,
-            exploitability_score=cvss.get("exploitabilityScore", 0.0),
-            severity=data["baseSeverity"].lower(),
-            attack_complexity=data["attackComplexity"].lower(),
-            fix_commit_date=cve.get("published", cve.get("lastModified")),
-            patch_links=patch_links,
-            file_patches=[],
-        )
-    except (KeyError, CorpusError, TypeError, AttributeError, StopIteration) as exc:
-        log.warning("skipping %s: %s", cve_id or "<missing id>", exc)
-        return None
-
-
-def filter_patch_records(records: list[VulnerabilityRecord]) -> list[VulnerabilityRecord]:
-    """Keep records with at least one Patch-tagged commit link; order preserved."""
-    return [
-        r for r in records
-        if any("/commit/" in url for url in r.patch_links)
+        for p in entry.get("patches", [])
     ]
+    return VulnerabilityRecord(
+        cve_id=entry.get("cve_id", ""),
+        cwe_id=entry.get("cwe_id") or "CWE-unknown",
+        description=entry.get("description", ""),
+        exploitability_score=entry["exploitability_score"],
+        severity=entry["severity"],
+        attack_complexity=entry["attack_complexity"],
+        fix_commit_date=entry["fix_commit_date"],
+        patch_links=patch_links,
+        file_patches=patches,
+    )
+
+
+def _from_nvd_v2(cve: dict, patch_links: list[str]) -> VulnerabilityRecord:
+    desc = next((d["value"] for d in cve.get("descriptions", []) if d.get("lang") == "en"), "")
+    cwe_id = "CWE-unknown"
+    for weakness in cve.get("weaknesses", []):
+        for d in weakness.get("description", []):
+            if str(d.get("value", "")).startswith("CWE-"):
+                cwe_id = d["value"]
+                break
+    metrics = cve.get("metrics", {})
+    cvss_list = metrics.get("cvssMetricV31") or metrics.get("cvssMetricV30") or []
+    if not cvss_list:
+        raise KeyError("cvss metrics")
+    cvss = cvss_list[0]
+    data = cvss["cvssData"]
+    return VulnerabilityRecord(
+        cve_id=cve.get("id", ""),
+        cwe_id=cwe_id,
+        description=desc,
+        exploitability_score=cvss.get("exploitabilityScore", 0.0),
+        severity=data["baseSeverity"].lower(),
+        attack_complexity=data["attackComplexity"].lower(),
+        fix_commit_date=cve.get("published", cve.get("lastModified")),
+        patch_links=patch_links,
+        file_patches=[],
+    )
 
 
 # --- sample construction --------------------------------------------------------
 
+_CPP_SUFFIXES = (".c", ".h", ".cc", ".cpp", ".cxx", ".hpp", ".hh", ".c++", ".inl")
 
-def _window_rng(seed: int, record: VulnerabilityRecord, path: str) -> random.Random:
-    return random.Random(f"{seed}:{record.cve_id}:{path}")
+
+@dataclass
+class IngestResult:
+    """The samples of an ingest pass and the counts its summary reports;
+    ``dropped`` counts the positives each exclusion filter removed."""
+
+    positives: list[CodeSample] = field(default_factory=list)
+    negatives: list[CodeSample] = field(default_factory=list)
+    records_with_patch_links: int = 0
+    dropped: dict[str, int] = field(default_factory=dict)
+    skipped_non_cpp: int = 0
+
+
+def ingest_records(
+    records: list[VulnerabilityRecord], window_tokens: int = 2048, seed: int = 0, cpp_only: bool = False
+) -> IngestResult:
+    """The samples of every file patch of the records that link a
+    Patch-tagged commit: the pre-fix code around the changed lines as a
+    positive and, when the patch has post-fix code, the fixed code as a
+    negative. Both pass ``apply_exclusion_filters`` with the patch's changed
+    fraction; ``cpp_only`` skips files without a C/C++ suffix."""
+    result = IngestResult()
+    for record in records:
+        if not any("/commit/" in url for url in record.patch_links):
+            continue
+        result.records_with_patch_links += 1
+        for patch in record.file_patches:
+            if cpp_only and not patch.path.lower().endswith(_CPP_SUFFIXES):
+                result.skipped_non_cpp += 1
+                continue
+            changed = sum(end - start + 1 for start, end in patch.changed_ranges)
+            fraction = changed / len(patch.pre_code.splitlines())
+            positive = _patch_sample(record, patch, True, window_tokens, seed)
+            reason = apply_exclusion_filters(positive, fraction)
+            if reason is None:
+                result.positives.append(positive)
+            else:
+                result.dropped[reason.value] = result.dropped.get(reason.value, 0) + 1
+            if patch.post_code.strip():
+                negative = _patch_sample(record, patch, False, window_tokens, seed)
+                if apply_exclusion_filters(negative, fraction) is None:
+                    result.negatives.append(negative)
+    return result
+
+
+def _focus(ranges: list[tuple[int, int]], n_lines: int) -> tuple[int, int]:
+    """First and last changed line; the whole file when no range is given."""
+    ranges = ranges or [(1, n_lines)]
+    return min(r[0] for r in ranges), max(r[1] for r in ranges)
+
+
+def _patch_sample(
+    record: VulnerabilityRecord, patch: FilePatch, vulnerable: bool, window_tokens: int, seed: int
+) -> CodeSample:
+    """The pre-fix code of a patch as a positive (with its changed lines and
+    fix), or its post-fix code as a negative, in a window around the focus."""
+    lines = (patch.pre_code if vulnerable else patch.post_code).splitlines()
+    focus = _focus(patch.changed_ranges, len(lines))
+    rng = random.Random(f"{seed}:{record.cve_id}:{patch.path}" + ("" if vulnerable else ":neg"))
+    lo, hi = _select_window(lines, focus, window_tokens, rng)
+    return CodeSample(
+        sample_id=f"{record.cve_id}:{patch.path}:{'pos' if vulnerable else 'neg'}",
+        code="\n".join(lines[lo - 1 : hi]),
+        label=vulnerable,
+        cwe_id=record.cwe_id,
+        cwe_category=classify_cwe(record.cwe_id),
+        description=record.description if vulnerable else "",
+        origin_date=record.fix_commit_date,
+        vuln_line_start=max(focus[0], lo) - lo + 1 if vulnerable else None,
+        vuln_line_end=min(focus[1], hi) - lo + 1 if vulnerable else None,
+        fix_code=_fix_snippet(patch) if vulnerable else None,
+    )
 
 
 def _select_window(
     lines: list[str], focus: tuple[int, int], max_tokens: int, rng: random.Random
 ) -> tuple[int, int]:
     """Pick a contiguous 1-based line window of at most ``max_tokens`` encoded
-    bytes, containing ``focus`` when it fits, with a small seeded jitter."""
+    bytes, containing ``focus`` when it fits: an oversized focus is trimmed
+    from the bottom, then the window grows one line at a time, alternating
+    sides from a seeded first side and taking the other side when one is
+    blocked."""
     n = len(lines)
     cost = [len(line.encode("utf-8")) + 1 for line in lines]
     lo = max(1, min(focus[0], n))
     hi = max(lo, min(focus[1], n))
     used = sum(cost[lo - 1 : hi])
-    # trim an oversized focus region from the bottom
     while used > max_tokens and hi > lo:
         used -= cost[hi - 1]
         hi -= 1
-    jitter = rng.randint(-2, 2)
-    grow_up = jitter <= 0
+    up = rng.randint(-2, 2) <= 0
     while True:
-        grew = False
-        if grow_up and lo > 1 and used + cost[lo - 2] <= max_tokens:
-            lo -= 1
-            used += cost[lo - 1]
-            grew = True
-        elif not grow_up and hi < n and used + cost[hi] <= max_tokens:
-            hi += 1
-            used += cost[hi - 1]
-            grew = True
-        else:
-            # try the other direction before giving up
-            if lo > 1 and used + cost[lo - 2] <= max_tokens:
+        for side_up in (up, not up):
+            if side_up and lo > 1 and used + cost[lo - 2] <= max_tokens:
                 lo -= 1
                 used += cost[lo - 1]
-                grew = True
-            elif hi < n and used + cost[hi] <= max_tokens:
+                break
+            if not side_up and hi < n and used + cost[hi] <= max_tokens:
                 hi += 1
                 used += cost[hi - 1]
-                grew = True
-        if not grew:
+                break
+        else:
             return lo, hi
-        grow_up = not grow_up
-
-
-def split_into_file_samples(
-    record: VulnerabilityRecord, window_tokens: int = 2048, seed: int = 0
-) -> list[CodeSample]:
-    """One positive sample per file patch: pre-change code in a bounded window
-    around the changed lines, labelled with the record's metadata."""
-    if not record.file_patches:
-        raise CorpusError(f"{record.cve_id}: record has no file patches")
-    samples = []
-    for patch in record.file_patches:
-        lines = patch.pre_code.splitlines()
-        if not lines:
-            log.warning("skipping %s:%s: no resolvable code", record.cve_id, patch.path)
-            continue
-        ranges = patch.changed_ranges or [(1, len(lines))]
-        focus = (min(r[0] for r in ranges), max(r[1] for r in ranges))
-        rng = _window_rng(seed, record, patch.path)
-        lo, hi = _select_window(lines, focus, window_tokens, rng)
-        window = "\n".join(lines[lo - 1 : hi])
-        vs = max(focus[0], lo) - lo + 1
-        ve = min(focus[1], hi) - lo + 1
-        samples.append(
-            CodeSample(
-                sample_id=f"{record.cve_id}:{patch.path}:pos",
-                code=window,
-                label=True,
-                cwe_id=record.cwe_id,
-                cwe_category=classify_cwe(record.cwe_id),
-                description=record.description,
-                origin_date=record.fix_commit_date,
-                vuln_line_start=vs,
-                vuln_line_end=ve,
-                fix_code=_fix_snippet(patch),
-            )
-        )
-    return samples
+        up = not up
 
 
 def _fix_snippet(patch: FilePatch, context: int = 2) -> str:
@@ -394,38 +404,8 @@ def _fix_snippet(patch: FilePatch, context: int = 2) -> str:
     lines = patch.post_code.splitlines()
     if not lines:
         return ""
-    ranges = patch.changed_ranges or [(1, len(lines))]
-    lo = max(1, min(r[0] for r in ranges) - context)
-    hi = min(len(lines), max(r[1] for r in ranges) + context)
-    return "\n".join(lines[lo - 1 : hi])
-
-
-def make_negative_sample(
-    record: VulnerabilityRecord, patch_index: int, window_tokens: int = 2048, seed: int = 0
-) -> CodeSample:
-    """Developer-fixed code as a non-vulnerable sample (no lines, no fix)."""
-    if not 0 <= patch_index < len(record.file_patches):
-        raise CorpusError(
-            f"{record.cve_id}: patch index {patch_index} out of range "
-            f"(have {len(record.file_patches)})"
-        )
-    patch = record.file_patches[patch_index]
-    lines = patch.post_code.splitlines()
-    if not lines:
-        raise CorpusError(f"{record.cve_id}:{patch.path}: patch has no post-fix code")
-    ranges = patch.changed_ranges or [(1, len(lines))]
-    focus = (min(r[0] for r in ranges), max(r[1] for r in ranges))
-    rng = _window_rng(seed, record, patch.path + ":neg")
-    lo, hi = _select_window(lines, focus, window_tokens, rng)
-    return CodeSample(
-        sample_id=f"{record.cve_id}:{patch.path}:neg",
-        code="\n".join(lines[lo - 1 : hi]),
-        label=False,
-        cwe_id=record.cwe_id,
-        cwe_category=classify_cwe(record.cwe_id),
-        description="",
-        origin_date=record.fix_commit_date,
-    )
+    first, last = _focus(patch.changed_ranges, len(lines))
+    return "\n".join(lines[max(1, first - context) - 1 : min(len(lines), last + context)])
 
 
 # --- exclusion filters -----------------------------------------------------------

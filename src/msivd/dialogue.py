@@ -80,12 +80,7 @@ class DialogueRecord:
 @dataclass
 class RenderedDialogue:
     token_ids: np.ndarray  # int64 [T]
-    loss_mask: np.ndarray  # bool [T]
     teacher_spans: list[tuple[int, int]] = field(default_factory=list)  # [start, end) per round
-
-    def __post_init__(self):
-        if self.token_ids.shape != self.loss_mask.shape:
-            raise DialogueError("token_ids and loss_mask lengths differ")
 
 
 def _format_lines(start: int, end: int) -> str:
@@ -143,7 +138,8 @@ def render(
     up_to_round: int | None = None,
     context_window: int = 2048,
 ) -> RenderedDialogue:
-    """Token stream [system][student_1][teacher_1]... with a teacher-only mask.
+    """Token stream [system][student_1][teacher_1]... with the [start, end)
+    span of each round's teacher answer, the tokens that carry the loss.
 
     ``up_to_round`` truncates the conversation after that round (1-based;
     default all rounds). Overlong streams are truncated from the left; the
@@ -155,24 +151,14 @@ def render(
     if not 1 <= up_to_round <= n_rounds:
         raise DialogueError(f"up_to_round {up_to_round} outside 1-{n_rounds}")
 
-    ids: list[int] = [tokenizer.SYSTEM]
-    mask: list[bool] = [False]
-    sys_ids = tokenizer.encode(dialogue.system_text)
-    ids.extend(sys_ids)
-    mask.extend([False] * len(sys_ids))
-
+    ids: list[int] = [tokenizer.SYSTEM, *tokenizer.encode(dialogue.system_text)]
     spans: list[tuple[int, int]] = []
     for rnd in dialogue.rounds[:up_to_round]:
-        stu = tokenizer.encode(rnd.student_text)
         ids.append(tokenizer.STUDENT)
-        ids.extend(stu)
-        mask.extend([False] * (len(stu) + 1))
-        tea = tokenizer.encode(rnd.teacher_text)
+        ids.extend(tokenizer.encode(rnd.student_text))
         ids.append(tokenizer.TEACHER)
-        mask.append(False)
         start = len(ids)
-        ids.extend(tea)
-        mask.extend([True] * len(tea))
+        ids.extend(tokenizer.encode(rnd.teacher_text))
         spans.append((start, len(ids)))
 
     if len(ids) > context_window:
@@ -184,14 +170,9 @@ def render(
             )
         drop = len(ids) - context_window
         ids = ids[drop:]
-        mask = mask[drop:]
         spans = [(max(s - drop, 0), max(e - drop, 0)) for s, e in spans]
 
-    return RenderedDialogue(
-        token_ids=np.asarray(ids, dtype=np.int64),
-        loss_mask=np.asarray(mask, dtype=bool),
-        teacher_spans=spans,
-    )
+    return RenderedDialogue(token_ids=np.asarray(ids, dtype=np.int64), teacher_spans=spans)
 
 
 def prompt_scaffold(tokenizer: ByteTokenizer) -> list[int]:

@@ -6,13 +6,14 @@ Accepted grammar (no preprocessor, no pointers, no casts):
     function := type name '(' [type name {',' type name}] ')' block
     block    := '{' stmt* '}'
     stmt     := [type] name '=' expr ';'   assignment (optionally declared)
-              | name '(' args ')' ';'      call statement
+              | name '(' [args] ')' ';'    call statement
               | 'return' [expr] ';'
               | 'if' '(' expr ')' stmt ['else' stmt]
               | 'while' '(' expr ')' stmt
               | block
-    expr     := numbers, identifiers, calls, parentheses, unary - !,
-                binary + - * / < > <= >= == != && ||
+    args     := expr {',' expr}
+    expr     := numbers, identifiers, calls name '(' [args] ')', parentheses,
+                unary - !, binary + - * / < > <= >= == != && ||
 
 The parser emits the CFG in the same pass that recognizes the statements: each
 statement becomes one node (a block none), numbered in source order, so a
@@ -20,8 +21,9 @@ node's id is its position in ``ControlFlowGraph.nodes``. A node records the
 variable it defines and the names it calls, which is all the dataflow
 analysis and its features read.
 
-Anything outside this subset raises; callers that analyze arbitrary code are
-expected to catch the error and fall back (never a silent skip).
+Anything outside this subset raises, and so does nesting of statements and
+expressions deeper than ``MAX_NESTING``; callers that analyze arbitrary code
+are expected to catch the error and fall back (never a silent skip).
 """
 from __future__ import annotations
 
@@ -42,6 +44,10 @@ UNSUPPORTED_KEYWORDS = {
     "typedef", "static", "const", "sizeof", "break", "continue",
 }
 NODE_KINDS = ("entry", "exit", "assign", "call", "branch", "loop_head", "return")
+# Statements and expressions nested in one another, counted together: each
+# level takes at most four interpreter frames of the recursive descent, so the
+# bound keeps a hostile input far from the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class MiniCError(ValueError):
@@ -177,6 +183,7 @@ class _Parser:
         self.nodes = [CfgNode(id=0, kind="entry")]
         self.edges: list[tuple[int, int]] = []
         self.returns: list[int] = []
+        self.depth = 0
 
     def _err(self, message: str) -> MiniCError:
         if self.pos < len(self.tokens):
@@ -184,6 +191,11 @@ class _Parser:
             return MiniCError(message, t.line, t.col)
         lines = self.source.splitlines() or [""]
         return MiniCError(message, len(lines), len(lines[-1]) + 1)
+
+    def _descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._err(f"nested deeper than {MAX_NESTING} levels")
 
     def peek(self, offset: int = 0) -> Token | None:
         i = self.pos + offset
@@ -227,12 +239,11 @@ class _Parser:
             self.take()  # return type
             self.take()  # function name
             self.take("(")
-            while not self.at(")"):
-                t = self.take()
-                if t.kind not in ("name",):
-                    raise self._err(f"bad parameter token {t.text!r}")
-                if self.at(","):
+            if not self.at(")"):
+                self._param()
+                while self.at(","):
                     self.take(",")
+                    self._param()
             self.take(")")
             ends = self._join([0], self.parse_block())
         else:
@@ -254,6 +265,13 @@ class _Parser:
             and c is not None and c.text == "("
         )
 
+    def _param(self) -> None:
+        for want in ("type", "name"):
+            t = self.peek()
+            if t is None or t.kind != "name" or (want == "type") != (t.text in TYPE_KEYWORDS):
+                raise self._err(f"expected parameter {want}, found {repr(t.text) if t else 'end of input'}")
+            self.take()
+
     def parse_block(self) -> Fragment:
         self.take("{")
         first, ends = None, []
@@ -268,6 +286,12 @@ class _Parser:
         return first, ends
 
     def parse_stmt(self) -> Fragment:
+        self._descend()
+        fragment = self._stmt()
+        self.depth -= 1
+        return fragment
+
+    def _stmt(self) -> Fragment:
         t = self.peek()
         if t is None:
             raise self._err("expected statement")
@@ -342,10 +366,12 @@ class _Parser:
     _BINOPS = {"+", "-", "*", "/", "<", ">", "<=", ">=", "==", "!=", "&&", "||"}
 
     def parse_expr(self, calls: list[str]) -> None:
+        self._descend()
         self.parse_unary(calls)
         while self.peek() is not None and self.peek().text in self._BINOPS:
             self.take()
             self.parse_unary(calls)
+        self.depth -= 1
 
     def parse_unary(self, calls: list[str]) -> None:
         while self.peek() is not None and self.peek().text in ("-", "!"):
@@ -374,10 +400,11 @@ class _Parser:
 
     def parse_args(self, calls: list[str]) -> None:
         self.take("(")
-        while not self.at(")"):
+        if not self.at(")"):
             self.parse_expr(calls)
-            if self.at(","):
+            while self.at(","):
                 self.take(",")
+                self.parse_expr(calls)
         self.take(")")
 
 

@@ -256,6 +256,26 @@ class Sgd:
         return clipped
 
 
+def _run_epochs(
+    n_items: int, config: TrainConfig, optimizer: Sgd, batch_loss: typing.Callable[[list[int]], float]
+) -> LossCurve:
+    """The mini-batch loop of both stages: each epoch shuffles the item
+    indices with the run's seeded generator, then each batch of indices is
+    one ``zero_grad``, one ``batch_loss`` (which backpropagates and returns
+    the batch's loss), one ``step`` and one curve row."""
+    curve = LossCurve()
+    order_rng = random.Random(config.seed)
+    for _epoch in range(config.epochs):
+        order = list(range(n_items))
+        order_rng.shuffle(order)
+        for start in range(0, n_items, config.batch_size):
+            optimizer.zero_grad()
+            loss = batch_loss(order[start : start + config.batch_size])
+            optimizer.step()
+            curve.append(len(curve.rows), loss)
+    return curve
+
+
 # --- stage 1: multitask SIFT ------------------------------------------------------------
 
 
@@ -348,20 +368,9 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
         raise ValueError(f"empty task group(s): {missing}")
 
     optimizer = Sgd(model.adapter_parameters(), lr=config.learning_rate)
-    curve = LossCurve()
-    order_rng = random.Random(config.seed)
-    step = 0
-    for _epoch in range(config.epochs):
-        order = list(range(len(streams)))
-        order_rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            batch = [streams[i] for i in order[start : start + config.batch_size]]
-            optimizer.zero_grad()
-            loss_value = sift_batch_loss(model, batch)
-            optimizer.step()
-            curve.append(step, loss_value)
-            step += 1
-
+    curve = _run_epochs(
+        len(streams), config, optimizer, lambda batch: sift_batch_loss(model, [streams[i] for i in batch])
+    )
     ckpt = Checkpoint(
         version=CKPT_VERSION,
         config={"stage": "sift", "train": config.snapshot()},
@@ -372,7 +381,7 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
                 "mode": config.sift_mode,
                 "n_tasks": n_tasks,
                 "masked_rounds": n_tasks,
-                "steps": step,
+                "steps": len(curve.rows),
                 "final_loss": curve.rows[-1][1],
             }
         ],
@@ -486,25 +495,17 @@ def train_fused(
         trainable.update(gnn.parameters())
     optimizer = Sgd(trainable, lr=config.learning_rate)
 
-    curve = LossCurve()
-    order_rng = random.Random(config.seed)
-    step = 0
-    for _epoch in range(config.epochs):
-        order = list(range(len(samples)))
-        order_rng.shuffle(order)
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            optimizer.zero_grad()
-            total = None
-            for si in batch:
-                fused = fused_vector(rows[si], graphs[si], gnn)
-                nll = label_nll(classifier.logits(fused), samples[si].label)
-                total = nll if total is None else ag.add(total, nll)
-            loss = ag.scale(total, 1.0 / len(batch))
-            ag.backward(loss)
-            optimizer.step()
-            curve.append(step, loss.item())
-            step += 1
+    def batch_loss(batch: list[int]) -> float:
+        total = None
+        for si in batch:
+            fused = fused_vector(rows[si], graphs[si], gnn)
+            nll = label_nll(classifier.logits(fused), samples[si].label)
+            total = nll if total is None else ag.add(total, nll)
+        loss = ag.scale(total, 1.0 / len(batch))
+        ag.backward(loss)
+        return loss.item()
+
+    curve = _run_epochs(len(samples), config, optimizer, batch_loss)
 
     tensors = {f"lm.{k}": t.data.copy() for k, t in lm.parameters().items()}
     tensors.update({k: t.data.copy() for k, t in classifier.parameters().items()})
@@ -519,7 +520,7 @@ def train_fused(
             {
                 "stage": "fused",
                 "use_gnn": config.use_gnn,
-                "steps": step,
+                "steps": len(curve.rows),
                 "final_loss": curve.rows[-1][1],
             }
         ],

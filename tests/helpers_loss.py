@@ -9,8 +9,8 @@ from msivd.train import TrainingStream
 def eq2_reference(model, tasks) -> float:
     """Mean over task groups of each group's mean-token NLL, in numpy.
 
-    ``tasks`` is a list of groups of (token_ids, loss_mask) pairs; position p
-    is a target when ``loss_mask[p]`` is set, predicted from row p - 1.
+    ``tasks`` is a list of groups of (token_ids, mask) pairs; position p
+    is a target when ``mask[p]`` is set, predicted from row p - 1.
     """
     per_task = []
     for group in tasks:
@@ -39,6 +39,6 @@ def task_streams(tasks) -> list[TrainingStream]:
             span = (int(where[0]), int(where[-1]) + 1) if where.size else (0, 0)
             if not mask[span[0] : span[1]].all():
                 raise ValueError(f"mask {mask.tolist()} is not one contiguous span")
-            rendered = RenderedDialogue(token_ids=ids, loss_mask=mask, teacher_spans=[span])
+            rendered = RenderedDialogue(token_ids=ids, teacher_spans=[span])
             streams.append(TrainingStream(rendered=rendered, tasks=[(task, span)]))
     return streams

@@ -343,3 +343,32 @@ def test_eval_single_mode_writes_report(pipeline_dir, tmp_path, capsys):
     assert report["mode"] == "pre-trained"
     assert report["dataset"] == "synthetic"
     assert report["TP"] + report["FP"] + report["TN"] + report["FN"] > 0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "case, dump, flags",
+    [
+        ("default", "ingest_dump.json", []),
+        ("cpp_only", "ingest_dump.json", ["--cpp-only"]),
+        ("window", "ingest_dump.json", ["--config", str(GOLDEN / "ingest_window.config.json")]),
+        ("nvd", "ingest_nvd_dump.json", []),
+    ],
+)
+def test_ingest_matches_golden(tmp_path, capsys, caplog, case, dump, flags):
+    """Samples, summary and skip log of `msivd ingest` on committed dumps.
+
+    The fixture dump has multi-patch records, a .py path, a patch without
+    post code, one without changed ranges, a positive for each drop reason
+    and malformed entries; the NVD v2 dump has malformed entries of its own.
+    The window config is small enough that a focus is trimmed and windows
+    grow up first and down first."""
+    out = tmp_path / "samples.jsonl"
+    with caplog.at_level("INFO", logger="msivd.corpus"):
+        assert main(["ingest", "--nvd-dump", str(GOLDEN / dump), "--out", str(out), *flags]) == 0
+    assert out.read_bytes() == (GOLDEN / f"ingest_{case}.samples.jsonl").read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / f"ingest_{case}.summary.json").read_text(encoding="utf-8")
+    logged = [f"{r.levelname}: {r.getMessage()}" for r in caplog.records if r.name == "msivd.corpus"]
+    assert logged == (GOLDEN / dump).with_suffix(".log").read_text(encoding="utf-8").splitlines()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_corpus import (
+    VULN_POST,
     VULN_PRE,
     fixture_dump,
     fixture_entry,
@@ -19,17 +20,16 @@ from msivd.corpus import (
     CorpusError,
     CweCategory,
     DropReason,
+    IngestResult,
     Severity,
     SplitSpec,
     apply_exclusion_filters,
     classify_cwe,
-    filter_patch_records,
-    make_negative_sample,
+    ingest_records,
     make_split,
     mix_to_ratio,
     parse_nvd_dump,
     read_samples_jsonl,
-    split_into_file_samples,
     write_samples_jsonl,
 )
 
@@ -173,7 +173,7 @@ def test_parse_nvd_v2_shape():
     assert rec.patch_links
 
 
-# --- filter_patch_records ------------------------------------------------------
+# --- ingest_records -------------------------------------------------------------
 
 
 def test_filter_keeps_patch_tagged_commit_links():
@@ -188,8 +188,10 @@ def test_filter_keeps_patch_tagged_commit_links():
         entries.append(fixture_entry(cve_id=f"CVE-2023-{i:04d}", references=refs))
     records = parse_nvd_dump(fixture_dump(entries))
     assert len(records) == 10
-    kept = filter_patch_records(records)
-    assert [r.cve_id for r in kept] == ["CVE-2023-0000", "CVE-2023-0001", "CVE-2023-0002"]
+    result = ingest_records(records)
+    assert result.records_with_patch_links == 3
+    kept = sorted({s.sample_id.split(":")[0] for s in result.positives + result.negatives})
+    assert kept == ["CVE-2023-0000", "CVE-2023-0001", "CVE-2023-0002"]
 
 
 def test_github_commit_link_without_patch_tag_dropped():
@@ -197,14 +199,13 @@ def test_github_commit_link_without_patch_tag_dropped():
         references=[{"url": "https://github.com/a/b/commit/deadbeef", "tags": ["Exploit"]}]
     )
     (rec,) = parse_nvd_dump(fixture_dump([entry]))
-    assert filter_patch_records([rec]) == []
+    result = ingest_records([rec])
+    assert result.records_with_patch_links == 0
+    assert result.positives == [] and result.negatives == []
 
 
 def test_filter_empty_input():
-    assert filter_patch_records([]) == []
-
-
-# --- sample construction ----------------------------------------------------------
+    assert ingest_records([]) == ingest_records([], cpp_only=True) == IngestResult()
 
 
 def test_one_positive_sample_per_patch():
@@ -215,48 +216,71 @@ def test_one_positive_sample_per_patch():
         ]
     )
     (rec,) = parse_nvd_dump(fixture_dump([entry]))
-    samples = split_into_file_samples(rec)
-    assert len(samples) == 3
+    result = ingest_records([rec])
+    samples = result.positives
+    assert len(samples) == 3 and result.negatives == []
     assert all(s.label for s in samples)
     assert all(s.origin_date == rec.fix_commit_date for s in samples)
 
 
 def test_window_contains_changed_lines():
-    lines = [f"  line_{i} = {i};" for i in range(1, 501)]
-    lines[349:375] = [f"  vuln_{i} = taint();" for i in range(350, 376)]
+    # every line ends in a brace, so a window cut inside the function is complete code
+    lines = [f"  {{ line_{i} = {i}; }}" for i in range(1, 501)]
+    lines[349:375] = [f"  {{ vuln_{i} = taint(); }}" for i in range(350, 376)]
     pre = "int big() {\n" + "\n".join(lines) + "\n}"
     entry = fixture_entry(
         patches=[{"path": "big.c", "pre_code": pre, "post_code": pre, "changed_ranges": [[351, 376]]}]
     )
     (rec,) = parse_nvd_dump(fixture_dump([entry]))
-    (sample,) = split_into_file_samples(rec, window_tokens=2048)
+    (sample,) = ingest_records([rec], window_tokens=2048).positives
     assert "vuln_350" in sample.code and "vuln_375" in sample.code
     window_lines = sample.code.splitlines()
-    assert window_lines[sample.vuln_line_start - 1].startswith("  vuln_350")
-    assert window_lines[sample.vuln_line_end - 1].startswith("  vuln_375")
+    assert window_lines[sample.vuln_line_start - 1].startswith("  { vuln_350")
+    assert window_lines[sample.vuln_line_end - 1].startswith("  { vuln_375")
     assert len(sample.code.encode()) <= 2048
 
 
-def test_record_with_no_patches_errors():
-    entry = fixture_entry(patches=[])
-    (rec,) = parse_nvd_dump(fixture_dump([entry]))
-    with pytest.raises(CorpusError, match="no file patches"):
-        split_into_file_samples(rec)
+def test_record_with_no_patches_gives_no_samples():
+    (rec,) = parse_nvd_dump(fixture_dump([fixture_entry(patches=[])]))
+    assert ingest_records([rec]) == IngestResult(records_with_patch_links=1)
 
 
 def test_negative_sample_uses_post_fix_code():
     (rec,) = parse_nvd_dump(fixture_dump([fixture_entry()]))
-    neg = make_negative_sample(rec, 0)
+    (neg,) = ingest_records([rec]).negatives
     assert neg.label is False
     assert neg.vuln_line_start is None and neg.vuln_line_end is None
     assert neg.fix_code is None
     assert "copy_safe" in neg.code
 
 
-def test_negative_sample_bad_index_errors():
-    (rec,) = parse_nvd_dump(fixture_dump([fixture_entry()]))
-    with pytest.raises(CorpusError, match="out of range"):
-        make_negative_sample(rec, 5)
+def test_cpp_only_skips_other_languages_and_counts_them():
+    entry = fixture_entry(
+        patches=[
+            {"path": path, "pre_code": VULN_PRE, "post_code": VULN_POST, "changed_ranges": [[4, 4]]}
+            for path in ("a.c", "b.py", "C.HPP")
+        ]
+    )
+    (rec,) = parse_nvd_dump(fixture_dump([entry]))
+    result = ingest_records([rec], cpp_only=True)
+    assert result.skipped_non_cpp == 1
+    assert sorted(s.sample_id for s in result.positives) == ["CVE-2023-0001:C.HPP:pos", "CVE-2023-0001:a.c:pos"]
+
+
+def test_drops_count_positives_only():
+    """A patch without changed lines drops its positive (counted) and keeps
+    its negative; a patch without post code has no negative."""
+    entry = fixture_entry(
+        patches=[
+            {"path": "a.c", "pre_code": VULN_PRE, "post_code": VULN_POST},
+            {"path": "b.c", "pre_code": VULN_PRE, "post_code": " \n", "changed_ranges": [[4, 4]]},
+        ]
+    )
+    (rec,) = parse_nvd_dump(fixture_dump([entry]))
+    result = ingest_records([rec])
+    assert result.dropped == {DropReason.NO_CHANGE.value: 1}
+    assert [s.sample_id for s in result.positives] == ["CVE-2023-0001:b.c:pos"]
+    assert [s.sample_id for s in result.negatives] == ["CVE-2023-0001:a.c:neg"]
 
 
 def test_mix_presets_reach_target_prevalence():

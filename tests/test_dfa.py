@@ -13,7 +13,7 @@ from msivd.dfa import (
     reaching_definitions,
 )
 from msivd.cli import _dump_cfg
-from msivd.minic import CfgNode, ControlFlowGraph, MiniCError, parse_mini_c, to_dot
+from msivd.minic import MAX_NESTING, CfgNode, ControlFlowGraph, MiniCError, parse_mini_c, to_dot
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,6 +74,35 @@ def test_unsupported_construct_is_explicit():
         parse_mini_c("int x = a[3];")
     with pytest.raises(MiniCError, match="unsupported"):
         parse_mini_c("for (;;) x = 1;")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param("use(x y);", id="call_args_without_comma"),
+        pytest.param("x = f(a b c);", id="expr_args_without_comma"),
+        pytest.param("x = f(a,);", id="trailing_comma"),
+        pytest.param("int f(int n m k) { x = 1; }", id="params_without_comma"),
+        pytest.param("int f(n) { x = 1; }", id="param_without_type"),
+        pytest.param("x = " + "(" * 400 + "1" + ")" * 400 + ";", id="deep_parentheses"),
+        pytest.param("x = " + "f(" * 400 + "1" + ")" * 400 + ";", id="deep_calls"),
+        pytest.param("{" * 400 + "x = 1;" + "}" * 400, id="deep_blocks"),
+        pytest.param("if (c) " * 400 + "x = 1;", id="deep_ifs"),
+    ],
+)
+def test_input_outside_the_grammar_raises_minic_error(source):
+    with pytest.raises(MiniCError, match=r"^line 1, col \d+: "):
+        parse_mini_c(source)
+
+
+def test_nesting_just_under_the_limit_parses():
+    """A statement and its expression take two of the MAX_NESTING levels."""
+    k = MAX_NESTING - 2
+    assert len(parse_mini_c("x = " + "(" * k + "1" + ")" * k + ";").nodes) == 3
+    assert len(parse_mini_c("{" * k + "x = 1;" + "}" * k).nodes) == 3
+    for source in ("x = " + "(" * (k + 1) + "1" + ")" * (k + 1) + ";", "{" * (k + 1) + "x = 1;" + "}" * (k + 1)):
+        with pytest.raises(MiniCError, match=f"nested deeper than {MAX_NESTING} levels"):
+            parse_mini_c(source)
 
 
 def test_code_after_return_is_pruned_and_graph_still_valid():

@@ -111,20 +111,28 @@ def test_record_invariant_enforced():
 # --- rendering ------------------------------------------------------------------
 
 
+def teacher_mask(r) -> np.ndarray:
+    """The positions that carry the loss: the union of the teacher spans."""
+    mask = np.zeros(r.token_ids.shape[0], dtype=bool)
+    for start, end in r.teacher_spans:
+        mask[start:end] = True
+    return mask
+
+
 def test_mask_counts_teacher_tokens_exactly():
     d = DialogueRecord(
         sample_id="m", system_text="sys",
         rounds=[DialogueRound(student_text="q?", teacher_text="five!")], label=False,
     )
     r = render(d, TOK, up_to_round=1, context_window=128)
-    assert int(r.loss_mask.sum()) == len(TOK.encode("five!")) == 5
-    masked = r.token_ids[r.loss_mask]
+    assert int(teacher_mask(r).sum()) == len(TOK.encode("five!")) == 5
+    masked = r.token_ids[teacher_mask(r)]
     assert TOK.decode(masked) == "five!"
 
 
 def test_three_disjoint_mask_spans():
     r = render(build_dialogue(positive()), TOK, up_to_round=3, context_window=2048)
-    runs = np.diff(np.concatenate([[0], r.loss_mask.astype(int), [0]]))
+    runs = np.diff(np.concatenate([[0], teacher_mask(r).astype(int), [0]]))
     assert (runs == 1).sum() == 3  # three maximal true-runs
 
 
@@ -139,7 +147,7 @@ def test_left_truncation_arithmetic():
     cut = render(d, TOK, context_window=2048)
     assert cut.token_ids.shape[0] == 2048
     assert np.array_equal(cut.token_ids, full.token_ids[52:])
-    assert int(cut.loss_mask.sum()) == 30  # final teacher span intact
+    assert int(teacher_mask(cut).sum()) == 30  # final teacher span intact
 
 
 def test_final_teacher_span_too_long_errors():
@@ -156,7 +164,7 @@ def test_render_deterministic():
     a = render(d, TOK, context_window=2048)
     b = render(d, TOK, context_window=2048)
     assert np.array_equal(a.token_ids, b.token_ids)
-    assert np.array_equal(a.loss_mask, b.loss_mask)
+    assert a.teacher_spans == b.teacher_spans
 
 
 def test_up_to_round_bounds():
@@ -225,7 +233,7 @@ def test_render_prompt_drops_code_not_scaffold():
 @given(st.integers(min_value=1, max_value=3))
 def test_mask_true_runs_equal_up_to_round(k):
     r = render(build_dialogue(positive()), TOK, up_to_round=k, context_window=4096)
-    runs = np.diff(np.concatenate([[0], r.loss_mask.astype(int), [0]]))
+    runs = np.diff(np.concatenate([[0], teacher_mask(r).astype(int), [0]]))
     assert (runs == 1).sum() == k
 
 

@@ -182,6 +182,9 @@ def test_predict_sets_flag_on_unparseable_code(overfit_bundle):
         origin_date=date(2022, 1, 1),
     )
     assert predict(bad, bundle).flagged is True
+    # nesting past mini-C's limit takes the same fallback, not a RecursionError
+    deep = dataclasses.replace(bad, code="x = " + "(" * 400 + "1" + ")" * 400 + ";")
+    assert predict(deep, bundle).flagged is True
     good = [s for s in corpus if not s.label][0]
     assert predict(good, bundle).flagged is False
 

@@ -308,7 +308,7 @@ def test_stream_loss_matches_multitask_loss():
     for d in dialogues:
         for r in range(1, len(d.rounds) + 1):
             rendered = render(d, tok, up_to_round=r, context_window=1024)
-            mask = np.zeros_like(rendered.loss_mask)
+            mask = np.zeros(rendered.token_ids.shape[0], dtype=bool)
             start, end = rendered.teacher_spans[r - 1]
             mask[start:end] = True
             groups[r - 1].append((rendered.token_ids, mask))
