@@ -351,6 +351,12 @@ def softmax(x: Tensor) -> Tensor:
     return _result(out, (x,), bw)
 
 
+# Query rows per attention tile, and the -inf upper triangle of a tile's diagonal block.
+_TILE = 128
+_DIAGONAL_MASK = np.triu(np.full((_TILE, _TILE), -np.inf, dtype=np.float32), k=1)
+_DIAGONAL_MASK.flags.writeable = False
+
+
 # Not in __all__: bench/tracer.py traces exactly __all__, pinned to BENCHMARK.json; its time shows under lm.self_s.
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal attention of [Tq x d] queries over [Tk x d] keys and
@@ -361,8 +367,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     d / n_heads columns of q, k and v and computes
     softmax(q_h k_hᵀ / sqrt(d / n_heads) + mask) v_h, where the mask is -inf
     on keys after the query's position; the head outputs fill the same column
-    blocks of the result. Only the attention probabilities are kept for
-    backward.
+    blocks of the result.
+
+    Query rows go in tiles of ``_TILE`` (FlashAttention's tiling, without
+    its online softmax: a tile's rows are normalized in one pass). Tile
+    [s, e) scores only the keys [0, Tk - Tq + e) that some row of it can
+    see, so the masked triangle beyond the tile is never computed; inside
+    that range only the tile's square diagonal block holds masked keys, and
+    it gets the -inf upper triangle of one cached read-only array. The
+    1/sqrt(d / n_heads) scale is folded into the queries. Backward keeps
+    each tile's probabilities besides the scaled queries, k and v; it walks
+    the same tiles, writes the tile's dQ rows and accumulates dK and dV over
+    the tile's key prefix, for the inputs that require grad.
     """
     if q.ndim != 2 or k.ndim != 2:
         raise ShapeError(f"causal_attention needs [T x d] inputs, got {q.shape}, {k.shape}")
@@ -386,28 +402,44 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def merge(x):  # [H x T x dh] -> [T x d]
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    p *= c
-    p += np.triu(np.full((tq, tk), -np.inf, dtype=p.dtype), k=tk - tq + 1)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = merge(np.matmul(p, vh))
+    qh, kh, vh = split(q.data * c), split(k.data), split(v.data)
+    kt = np.swapaxes(kh, -1, -2)
+    tiles = []  # (s, e, probabilities [H x (e - s) x (Tk - Tq + e)])
+    out = np.empty((tq, d), dtype=q.data.dtype)
+    oh = split(out)
+    for s in range(0, tq, _TILE):
+        e = min(s + _TILE, tq)
+        n = tk - tq + e
+        p = np.matmul(qh[:, s:e], kt[:, :, :n])
+        p[:, :, n - (e - s):] += _DIAGONAL_MASK[: e - s, : e - s]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        oh[:, s:e] = np.matmul(p, vh[:, :n])
+        tiles.append((s, e, p))
 
     def bw(g):
         g = split(g)
-        if v.requires_grad:
-            _accum(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)))
-        if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, np.swapaxes(vh, -1, -2))
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= c
-            if q.requires_grad:
-                _accum(q, merge(np.matmul(ds, kh)))
-            if k.requires_grad:
-                _accum(k, merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), ds), -1, -2)))
+        dq = np.empty_like(qh) if q.requires_grad else None
+        dk = np.zeros_like(kh) if k.requires_grad else None
+        dv = np.zeros_like(vh) if v.requires_grad else None
+        for s, e, p in tiles:
+            n = tk - tq + e
+            gt = g[:, s:e]
+            if dv is not None:
+                dv[:, :n] += np.matmul(np.swapaxes(p, -1, -2), gt)
+            if dq is not None or dk is not None:
+                ds = np.matmul(gt, np.swapaxes(vh[:, :n], -1, -2))
+                ds -= np.matmul(ds[..., None, :], p[..., :, None])[..., 0]  # row dots Σⱼ dPᵢⱼ Pᵢⱼ
+                ds *= p
+                if dq is not None:
+                    dq[:, s:e] = np.matmul(ds, kh[:, :n])
+                    dq[:, s:e] *= c
+                if dk is not None:
+                    dk[:, :n] += np.matmul(np.swapaxes(ds, -1, -2), qh[:, s:e])
+        for t, dt in ((q, dq), (k, dk), (v, dv)):
+            if dt is not None:
+                _accum(t, merge(dt))
 
     return _result(out, (q, k, v), bw)
 

@@ -75,6 +75,7 @@ class DropReason(str, Enum):
     NO_CHANGE = "NoChange"
     MASS_REWRITE = "MassRewrite"
     TOO_SHORT = "TooShort"
+    NO_FIX = "NoFix"
 
 
 def _parse_date(value) -> date:
@@ -93,6 +94,14 @@ class FilePatch:
     post_code: str
     changed_ranges: list[tuple[int, int]] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not self.pre_code:
+            raise CorpusError(f"patch {self.path} has empty pre-code")
+        n_lines = len(self.pre_code.splitlines())
+        for r in self.changed_ranges:
+            if not (len(r) == 2 and all(type(x) is int for x in r) and 1 <= r[0] <= r[1] <= n_lines):
+                raise CorpusError(f"{self.path}: changed range {list(r)} is not a line pair within 1-{n_lines}")
+
 
 @dataclass
 class VulnerabilityRecord:
@@ -110,13 +119,14 @@ class VulnerabilityRecord:
         if not (isinstance(self.cve_id, str) and self.cve_id):
             raise CorpusError(f"cve_id must be a nonempty string, got {self.cve_id!r}")
         self.fix_commit_date = _parse_date(self.fix_commit_date)
-        if not 0.0 <= float(self.exploitability_score) <= 10.0:
+        try:
+            score = float(self.exploitability_score)
+            self.severity = Severity(self.severity)
+            self.attack_complexity = AttackComplexity(self.attack_complexity)
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"{self.cve_id}: {exc}") from exc
+        if not 0.0 <= score <= 10.0:
             raise CorpusError(f"exploitability_score out of range: {self.exploitability_score}")
-        self.severity = Severity(self.severity)
-        self.attack_complexity = AttackComplexity(self.attack_complexity)
-        for p in self.file_patches:
-            if not p.pre_code:
-                raise CorpusError(f"{self.cve_id}: patch {p.path} has empty pre-code")
 
 
 @dataclass
@@ -313,7 +323,8 @@ def ingest_records(
     Patch-tagged commit: the pre-fix code around the changed lines as a
     positive and, when the patch has post-fix code, the fixed code as a
     negative. Both pass ``apply_exclusion_filters`` with the patch's changed
-    fraction; ``cpp_only`` skips files without a C/C++ suffix."""
+    fraction, and a positive whose fix is blank is dropped as ``NO_FIX``;
+    ``cpp_only`` skips files without a C/C++ suffix."""
     result = IngestResult()
     for record in records:
         if not any("/commit/" in url for url in record.patch_links):
@@ -327,6 +338,8 @@ def ingest_records(
             fraction = changed / len(patch.pre_code.splitlines())
             positive = _patch_sample(record, patch, True, window_tokens, seed)
             reason = apply_exclusion_filters(positive, fraction)
+            if reason is None and not positive.fix_code.strip():
+                reason = DropReason.NO_FIX
             if reason is None:
                 result.positives.append(positive)
             else:

@@ -1,5 +1,6 @@
 """Reference for ``autograd.causal_attention``: the per-head composition of
-single-purpose ops that ``LmModel.forward`` ran before the fused kernel."""
+single-purpose ops that ``LmModel.forward`` ran before the fused kernel, over
+the whole masked score block."""
 import math
 
 import numpy as np
@@ -9,9 +10,10 @@ from msivd.autograd import Tensor
 
 
 def per_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    t, d = q.shape
+    """Query row i at position Tk - Tq + i, as in the kernel."""
+    (tq, d), tk = q.shape, k.shape[0]
     dh = d // n_heads
-    mask = Tensor(np.triu(np.full((t, t), -np.inf, dtype=q.dtype), k=1))
+    mask = Tensor(np.triu(np.full((tq, tk), -np.inf, dtype=q.dtype), k=tk - tq + 1))
     heads = []
     for h in range(n_heads):
         qh = ag.slice_last_dim(q, h * dh, (h + 1) * dh)

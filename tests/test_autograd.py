@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from helpers_attention import per_head_attention
 from msivd import autograd as ag
 from msivd.autograd import Tensor
+from msivd.dialogue import build_dialogues
 from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
+from msivd.synth import make_synthetic_corpus
+from msivd.train import TrainConfig, render_training_streams, sift_batch_loss
 
 
 def rand(shape, rng, scale=1.0, dtype=np.float32, requires_grad=True):
@@ -334,32 +337,77 @@ def test_determinism_bitwise(n, m):
 # --- causal_attention against the per-head composition ------------------------------
 
 
-def _attention_grads(attend, t, d, n_heads, k_requires_grad=True):
+def _attention_grads(attend, tq, d, n_heads, k_requires_grad=True, tk=None, dtype=np.float32):
     """Output and q/k/v gradients of ``attend`` under one fixed upstream gradient."""
     rng = np.random.default_rng(8)
-    q, k, v = (rand((t, d), rng) for _ in range(3))
+    q, k, v = (rand((t, d), rng, dtype=dtype) for t in (tq, tk or tq, tk or tq))
     k.requires_grad = k_requires_grad
-    upstream = Tensor(rng.standard_normal((t, d)).astype(np.float32))
+    upstream = Tensor(rng.standard_normal((tq, d)), dtype=dtype)
     out = attend(q, k, v, n_heads)
     ag.backward(ag.sum_all(ag.mul(out, upstream)))
     return out.data, q.grad, k.grad, v.grad
 
 
-def test_causal_attention_matches_per_head_composition_bitwise():
-    fused = _attention_grads(ag.causal_attention, 512, 64, 4)
+def test_causal_attention_matches_per_head_composition_float32():
+    """The tiled kernel sums in another order than the whole masked block,
+    so float32 parity holds within 1e-5, not bitwise."""
+    tiled = _attention_grads(ag.causal_attention, 512, 64, 4)
     reference = _attention_grads(per_head_attention, 512, 64, 4)
-    assert fused[0].dtype == np.float32
-    for a, b in zip(fused, reference):
-        assert np.array_equal(a, b)
+    assert tiled[0].dtype == np.float32
+    for a, b in zip(tiled, reference):
+        assert np.max(np.abs(a - b)) <= 1e-5
+
+
+# Query-row tiles are 128 rows: one row short of, at and past a tile edge, a
+# ragged third tile, suffix queries straddling an edge, and one query.
+TILE_EDGE_SHAPES = [(127, 127), (128, 128), (129, 129), (257, 257), (300, 300), (129, 133), (1, 1), (1, 300)]
+
+
+@pytest.mark.parametrize("tq, tk", TILE_EDGE_SHAPES, ids=[f"tq{tq}_tk{tk}" for tq, tk in TILE_EDGE_SHAPES])
+def test_causal_attention_matches_per_head_composition_at_tile_edges(tq, tk):
+    tiled = _attention_grads(ag.causal_attention, tq, 8, 2, tk=tk, dtype=np.float64)
+    reference = _attention_grads(per_head_attention, tq, 8, 2, tk=tk, dtype=np.float64)
+    for a, b in zip(tiled, reference):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("tq, tk", [(131, 131), (129, 133)], ids=["t131", "tq129_tk133"])
+def test_causal_attention_gradients_across_tiles(tq, tk):
+    """Gradcheck past one tile. The step is 1e-5: at 1e-3 the finite
+    difference error of these ~130-row cases is already about half the 1e-4
+    bound (5e-5), at 1e-5 it is about 1e-6."""
+    f, xs = _attention_case(tq, tk, 2)(np.random.default_rng(tq * 1000 + tk))
+    assert ag.grad_check(f, xs, h=1e-5) <= 1e-4
+
+
+def test_causal_attention_repeats_bitwise():
+    """Two runs give the same bytes: the kernel's output and gradients over
+    several tiles, and one SIFT batch's loss and adapter gradients on fresh
+    models."""
+    first, second = (_attention_grads(ag.causal_attention, 300, 64, 4) for _ in range(2))
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+    config = TrainConfig(stage="sift", sift_mode="multi-round")
+    streams = render_training_streams(build_dialogues(make_synthetic_corpus(n=4, seed=0)), ByteTokenizer(), config)
+    assert max(len(s.rendered.token_ids) for s in streams) > 2 * 128
+    runs = []
+    for _ in range(2):
+        model = LmModel(config.lm_config, seed=0, lora=config.lora_config)
+        loss = sift_batch_loss(model, streams)
+        runs.append((loss, [t.grad.tobytes() for t in model.adapter_parameters().values()]))
+    assert runs[0] == runs[1]
 
 
 def test_causal_attention_frozen_key_gets_no_grad():
-    out, q_grad, k_grad, v_grad = _attention_grads(ag.causal_attention, 6, 8, 2)
-    frozen = _attention_grads(ag.causal_attention, 6, 8, 2, k_requires_grad=False)
-    assert k_grad is not None and frozen[2] is None
-    assert np.array_equal(frozen[0], out)
-    assert np.array_equal(frozen[1], q_grad)
-    assert np.array_equal(frozen[3], v_grad)
+    for t in (6, 300):
+        out, q_grad, k_grad, v_grad = _attention_grads(ag.causal_attention, t, 8, 2)
+        frozen = _attention_grads(ag.causal_attention, t, 8, 2, k_requires_grad=False)
+        assert k_grad is not None and frozen[2] is None
+        assert np.array_equal(frozen[0], out)
+        assert np.array_equal(frozen[1], q_grad)
+        assert np.array_equal(frozen[3], v_grad)
 
 
 @pytest.mark.parametrize(
@@ -384,13 +432,18 @@ def test_causal_attention_rejects_bad_shapes(shapes, n_heads, match):
         ag.causal_attention(*(rand(s, rng) for s in shapes), n_heads)
 
 
-@pytest.mark.parametrize("tq", [1, 3, 5])
-def test_causal_attention_suffix_queries_match_last_rows(tq):
+@pytest.mark.parametrize(
+    "t, tq",
+    [pytest.param(5, tq, id=str(tq)) for tq in (1, 3, 5)]
+    + [pytest.param(300, tq, id=f"t300_tq{tq}") for tq in (1, 129, 172, 300)],
+)
+def test_causal_attention_suffix_queries_match_last_rows(t, tq):
     """Tq queries over Tk keys are the last Tq positions: their output equals
-    the last Tq rows of full self-attention over the same keys."""
+    the last Tq rows of full self-attention over the same keys, also where
+    the two calls cut their query tiles at different positions."""
     rng = np.random.default_rng(10)
-    q, k, v = (rand((5, 8), rng, dtype=np.float64) for _ in range(3))
+    q, k, v = (rand((t, 8), rng, dtype=np.float64) for _ in range(3))
     full = ag.causal_attention(q, k, v, 2).data
-    suffix = ag.causal_attention(ag.slice_rows(q, 5 - tq, 5), k, v, 2).data
+    suffix = ag.causal_attention(ag.slice_rows(q, t - tq, t), k, v, 2).data
     assert suffix.shape == (tq, 8)
-    assert np.max(np.abs(suffix - full[5 - tq:])) <= 1e-12
+    assert np.max(np.abs(suffix - full[t - tq:])) <= 1e-12

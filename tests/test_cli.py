@@ -372,3 +372,41 @@ def test_ingest_matches_golden(tmp_path, capsys, caplog, case, dump, flags):
     assert capsys.readouterr().out == (GOLDEN / f"ingest_{case}.summary.json").read_text(encoding="utf-8")
     logged = [f"{r.levelname}: {r.getMessage()}" for r in caplog.records if r.name == "msivd.corpus"]
     assert logged == (GOLDEN / dump).with_suffix(".log").read_text(encoding="utf-8").splitlines()
+
+
+def test_ingest_output_of_the_golden_dump_prepares(tmp_path, capsys):
+    """Every positive that `ingest` writes carries a fix, so `prepare` can
+    build its dialogue; blank-fix positives are dropped and counted."""
+    samples = tmp_path / "samples.jsonl"
+    assert main(["ingest", "--nvd-dump", str(GOLDEN / "ingest_dump.json"), "--out", str(samples)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    out = tmp_path / "prepared"
+    assert main(["prepare", "--samples", str(samples), "--out-dir", str(out), "--ratios", "0.6,0.2,0.2"]) == 0
+    assert summary["dropped"]["NoFix"] == 2
+    kept = read_samples_jsonl(samples)
+    assert len((out / "dialogues.jsonl").read_text().splitlines()) == len(kept)
+    assert all(s.fix_code.strip() for s in kept if s.label)
+
+
+def test_ingest_skips_a_record_with_a_changed_range_outside_its_file(tmp_path, capsys, caplog):
+    bad = [[50, 60]], [[1]]
+    entries = [
+        fixture_entry(
+            cve_id=f"CVE-2022-{i}",
+            patches=[{"path": "a.c", "pre_code": VULN_PRE, "post_code": VULN_POST, "changed_ranges": ranges}],
+        )
+        for i, ranges in enumerate([[[4, 4]], *bad, [[4, 4]]])
+    ]
+    dump = tmp_path / "dump.json"
+    dump.write_bytes(fixture_dump(entries))
+    out = tmp_path / "samples.jsonl"
+    with caplog.at_level("WARNING", logger="msivd.corpus"):
+        assert main(["ingest", "--nvd-dump", str(dump), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["records_parsed"] == 2
+    assert sorted(s.sample_id for s in read_samples_jsonl(out)) == [
+        "CVE-2022-0:a.c:neg", "CVE-2022-0:a.c:pos", "CVE-2022-3:a.c:neg", "CVE-2022-3:a.c:pos",
+    ]
+    assert [m for m in caplog.messages if "changed range" in m] == [
+        "skipping CVE-2022-1: a.c: changed range [50, 60] is not a line pair within 1-7",
+        "skipping CVE-2022-2: a.c: changed range [1] is not a line pair within 1-7",
+    ]

@@ -107,6 +107,20 @@ def test_parse_hostile_dump_raises_corpus_error(raw, match):
         pytest.param({"vulnerabilities": [{"cve": 3}]}, "'cve' must be a JSON object", id="nvd_cve_not_object"),
         pytest.param([fixture_entry(cve_id=5)], "cve_id must be a nonempty string", id="cve_id_not_string"),
         pytest.param([fixture_entry(references=5)], "no reference URLs", id="references_not_list"),
+        pytest.param([fixture_entry(severity=None)], "None is not a valid Severity", id="severity_null"),
+        pytest.param([fixture_entry(attack_complexity="bogus")], "'bogus' is not a valid AttackComplexity",
+                     id="attack_complexity_bogus"),
+        pytest.param([fixture_entry(exploitability_score="x")], "could not convert string to float",
+                     id="exploitability_score_not_number"),
+        *(
+            pytest.param(
+                [fixture_entry(patches=[{"path": "a.c", "pre_code": VULN_PRE, "changed_ranges": [r]}])],
+                f"a.c: changed range {r} is not a line pair within 1-7",
+                id=f"changed_range_{name}",
+            )
+            for name, r in [("past_end", [50, 60]), ("not_pair", [1]), ("zero", [0, 2]), ("reversed", [4, 3]),
+                            ("not_int", [1, 2.5]), ("bool", [True, 2])]
+        ),
         pytest.param({"vulnerabilities": [{"cve": {"id": "CVE-2023-1", "descriptions": [3],
                                                    "references": [{"url": "https://x/commit/1"}]}}]},
                      "CVE-2023-1", id="nvd_description_not_object"),
@@ -211,14 +225,14 @@ def test_filter_empty_input():
 def test_one_positive_sample_per_patch():
     entry = fixture_entry(
         patches=[
-            {"path": f"f{i}.c", "pre_code": VULN_PRE, "post_code": "", "changed_ranges": [[2, 3]]}
+            {"path": f"f{i}.c", "pre_code": VULN_PRE, "post_code": VULN_POST, "changed_ranges": [[2, 3]]}
             for i in range(3)
         ]
     )
     (rec,) = parse_nvd_dump(fixture_dump([entry]))
     result = ingest_records([rec])
     samples = result.positives
-    assert len(samples) == 3 and result.negatives == []
+    assert [s.sample_id for s in samples] == [f"CVE-2023-0001:f{i}.c:pos" for i in range(3)]
     assert all(s.label for s in samples)
     assert all(s.origin_date == rec.fix_commit_date for s in samples)
 
@@ -269,18 +283,22 @@ def test_cpp_only_skips_other_languages_and_counts_them():
 
 def test_drops_count_positives_only():
     """A patch without changed lines drops its positive (counted) and keeps
-    its negative; a patch without post code has no negative."""
+    its negative; a patch with blank post code has no negative, and its
+    positive, which would have a blank fix, is dropped as NoFix. The one
+    kept positive has a fix."""
     entry = fixture_entry(
         patches=[
             {"path": "a.c", "pre_code": VULN_PRE, "post_code": VULN_POST},
             {"path": "b.c", "pre_code": VULN_PRE, "post_code": " \n", "changed_ranges": [[4, 4]]},
+            {"path": "c.c", "pre_code": VULN_PRE, "post_code": "", "changed_ranges": [[4, 4]]},
+            {"path": "d.c", "pre_code": VULN_PRE, "post_code": VULN_POST, "changed_ranges": [[4, 4]]},
         ]
     )
     (rec,) = parse_nvd_dump(fixture_dump([entry]))
     result = ingest_records([rec])
-    assert result.dropped == {DropReason.NO_CHANGE.value: 1}
-    assert [s.sample_id for s in result.positives] == ["CVE-2023-0001:b.c:pos"]
-    assert [s.sample_id for s in result.negatives] == ["CVE-2023-0001:a.c:neg"]
+    assert result.dropped == {DropReason.NO_CHANGE.value: 1, DropReason.NO_FIX.value: 2}
+    assert [s.sample_id for s in result.positives] == ["CVE-2023-0001:d.c:pos"]
+    assert [s.sample_id for s in result.negatives] == ["CVE-2023-0001:a.c:neg", "CVE-2023-0001:d.c:neg"]
 
 
 def test_mix_presets_reach_target_prevalence():
