@@ -161,8 +161,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add shapes incompatible: {a.shape} vs {b.shape}") from exc
 
     def bw(g):
-        _accum(a, _sum_to_shape(g, a.shape))
-        _accum(b, _sum_to_shape(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _sum_to_shape(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _sum_to_shape(g, b.shape))
 
     return _result(out, (a, b), bw)
 
@@ -174,8 +176,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul shapes incompatible: {a.shape} vs {b.shape}") from exc
 
     def bw(g):
-        _accum(a, _sum_to_shape(g * b.data, a.shape))
-        _accum(b, _sum_to_shape(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _sum_to_shape(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _sum_to_shape(g * a.data, b.shape))
 
     return _result(out, (a, b), bw)
 
@@ -324,12 +328,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (dxhat - m1 - xhat * m2))
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).sum(axis=lead))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=lead))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            _accum(x, inv * (dxhat - m1 - xhat * m2))
 
     return _result(out, (x, gain, bias), bw)
 

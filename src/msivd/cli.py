@@ -165,7 +165,7 @@ def _read_json_object(path_str: str, what: str) -> dict:
     path = _require_file(path_str, what)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise UsageError(f"{what} {path} must hold a JSON object, not {type(obj).__name__}")

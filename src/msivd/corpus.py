@@ -201,6 +201,8 @@ def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CorpusError(f"JSON nested too deeply: {exc}") from exc
 
     nvd = isinstance(doc, dict) and "vulnerabilities" in doc
     if nvd:
@@ -600,7 +602,8 @@ def read_samples_jsonl(path) -> list[CodeSample]:
                 continue
             try:
                 samples.append(_sample_from_obj(json.loads(raw.decode("utf-8"))))
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON, UTF-8, CorpusError
+            # ValueError covers JSON, UTF-8 and CorpusError; RecursionError, JSON nested too deeply
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise CorpusError(f"{path}: bad sample at line {lineno}: {exc}") from exc
     return samples
 

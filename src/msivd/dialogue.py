@@ -248,6 +248,7 @@ def parse_jsonl(path) -> list[DialogueRecord]:
                 continue
             try:
                 out.append(_record_from_obj(json.loads(raw.decode("utf-8"))))
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON, UTF-8, DialogueError
+            # ValueError covers JSON, UTF-8 and DialogueError; RecursionError, JSON nested too deeply
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DialogueError(f"{path}: bad dialogue at line {lineno}: {exc}") from exc
     return out

@@ -117,7 +117,7 @@ class ReadOut:
 
     def __call__(self, code: str) -> LmOutput:
         ids = render_prompt(code, self.tokenizer, self.lm.config.context_window)
-        return self.lm.forward(ids, prefix=self.prefix)
+        return self.lm.forward(ids, prefix=self.prefix, first_row=len(ids) - 1)
 
 
 def graph_inputs(code: str, width: int) -> GraphInputs | None:

@@ -147,8 +147,8 @@ def lora_forward(x: Tensor, w0: Tensor, adapter: LoraAdapter | None) -> Tensor:
 
 @dataclass
 class LmOutput:
-    logits: Tensor  # [T x V], or [1 x V] for the last position under a prefix
-    hidden: Tensor  # [T x d_model] post final layer norm, or [1 x d_model]
+    logits: Tensor  # [T - first_row x V], the rows of positions first_row .. T-1
+    hidden: Tensor  # [T - first_row x d_model] post final layer norm, the same rows
     kv: list[tuple[np.ndarray, np.ndarray]]  # per layer, the [T x d_model] keys and values of every position
 
 
@@ -236,15 +236,17 @@ class LmModel:
 
     # --- forward -------------------------------------------------------------
 
-    def forward(self, token_ids, prefix: KvPrefix | None = None) -> LmOutput:
-        """Hidden states and next-token logits for every position.
+    def forward(self, token_ids, prefix: KvPrefix | None = None, first_row: int = 0) -> LmOutput:
+        """Hidden states and next-token logits of positions ``first_row .. T-1``.
 
-        With ``prefix`` the ids must start with ``prefix.ids`` and go on past
-        them, and the forward is the read-out of the final position alone:
-        rows ``0 .. P-1`` come from the prefix's keys and values, every layer
-        runs on rows ``P .. T-1`` only, and the last layer's query, attention,
-        MLP, the final layer norm and the head run on one row. The cached keys
-        and values are constants, so every parameter must be frozen.
+        Every layer but the last runs on all rows; the last computes keys and
+        values for every row, and its query, attention, MLP, the final layer
+        norm and the head run on rows ``first_row .. T-1`` only. With
+        ``prefix`` the ids must start with ``prefix.ids`` and go on past them,
+        and rows ``0 .. P-1`` come from the prefix's keys and values, so
+        ``P <= first_row`` and every layer runs on rows ``P .. T-1`` only. The
+        cached keys and values are constants, so every parameter must be
+        frozen.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         t = ids.shape[0]
@@ -259,14 +261,16 @@ class LmModel:
                 raise ag.TapeError("forward with a K/V prefix needs every parameter frozen")
             if t <= p or not np.array_equal(ids[:p], prefix.ids):
                 raise ag.ShapeError(f"the {t} ids do not start with the {p} prefix ids and go on past them")
+        if not p <= first_row < t:
+            raise ag.ShapeError(f"first_row {first_row} outside [{p}, {t}) for {t} ids after a {p}-id prefix")
         x = ag.add(ag.embedding_lookup(self.tok_emb, ids[p:]), ag.embedding_lookup(self.pos_emb, np.arange(p, t)))
 
         kv = []
         for i, layer in enumerate(self.layers):
-            last = prefix is not None and i == len(self.layers) - 1
+            cut = first_row - p if i == len(self.layers) - 1 else 0
             n = x.shape[0]
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            q = lora_forward(ag.slice_rows(xn, n - 1, n) if last else xn,
+            q = lora_forward(ag.slice_rows(xn, cut, n) if cut else xn,
                              layer["wq"], self.adapters.get(f"layer{i}.wq"))
             k = ag.matmul(xn, ag.transpose(layer["wk"]))
             v = lora_forward(xn, layer["wv"], self.adapters.get(f"layer{i}.wv"))
@@ -274,8 +278,8 @@ class LmModel:
                 k, v = (Tensor(np.concatenate([c, new.data])) for c, new in zip(prefix.kv[i], (k, v)))
             kv.append((k.data, v.data))
             attn_out = ag.matmul(ag.causal_attention(q, k, v, self.config.n_heads), ag.transpose(layer["wo"]))
-            if last:
-                x = ag.slice_rows(x, n - 1, n)
+            if cut:
+                x = ag.slice_rows(x, cut, n)
             x = ag.add(x, attn_out)
 
             xn2 = ag.layer_norm(x, layer["ln2_g"], layer["ln2_b"])

@@ -176,7 +176,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("checkpoint truncated inside its header")
     try:
         header = json.loads(raw[16:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"checkpoint header is not UTF-8 JSON: {exc}") from exc
     if not (
         isinstance(header, dict)
@@ -319,10 +319,13 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
     Logit row p predicts token p + 1, so a span's target rows are its
     positions shifted back by one, position 0 having none. A target row of
     task k weighs 1 / (count[k] * n_tasks) and every other row 0, which makes
-    each stream's share one weighted ``cross_entropy`` over all its rows.
-    Each stream is forwarded once and backpropagated at once, and gradients
-    accumulate across streams. A stream's graph lives until the next stream
-    rebinds ``loss``: at most two graphs are alive at a time.
+    each stream's share one weighted ``cross_entropy``. Rows before the
+    stream's first target row carry no loss, so the forward starts its last
+    layer and head there (``first_row``) and the ``cross_entropy`` runs over
+    rows first_row .. T-1 only. Each stream is forwarded once and
+    backpropagated at once, and gradients accumulate across streams. A
+    stream's graph lives until the next stream rebinds ``loss``: at most two
+    graphs are alive at a time.
     """
     rows: list[list[tuple[int, int, int]]] = []  # per stream: (task, first row, end row) per span
     counts: dict[int, int] = {}
@@ -344,10 +347,11 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
         if not spans:
             continue
         ids = s.rendered.token_ids
-        weights = np.zeros(ids.shape[0])
+        first = min(lo for _, lo, _ in spans)
+        weights = np.zeros(ids.shape[0] - first)
         for task, lo, hi in spans:
-            weights[lo:hi] += 1.0 / (counts[task] * n_tasks)
-        loss = ag.cross_entropy(model.forward(ids).logits, np.append(ids[1:], 0), weights)
+            weights[lo - first : hi - first] += 1.0 / (counts[task] * n_tasks)
+        loss = ag.cross_entropy(model.forward(ids, first_row=first).logits, np.append(ids[1 + first :], 0), weights)
         ag.backward(loss)
         total += loss.item()
     return total

@@ -2,6 +2,7 @@
 feed hand-written (token ids, loss mask) examples to ``sift_batch_loss``."""
 import numpy as np
 
+from msivd import autograd as ag
 from msivd.dialogue import RenderedDialogue
 from msivd.train import TrainingStream
 
@@ -25,6 +26,31 @@ def eq2_reference(model, tasks) -> float:
                     count += 1
         per_task.append(nll / count)
     return sum(per_task) / len(per_task)
+
+
+def full_row_loss(model, streams) -> float:
+    """The Eq. 2 batch loss of ``streams`` over every row of each stream's
+    full forward, backpropagated into the model like ``sift_batch_loss``:
+    a target position p of task k gives row p - 1 the weight
+    1 / (count[k] * n_tasks)."""
+    counts = {}
+    for s in streams:
+        t = len(s.rendered.token_ids)
+        for task, (start, end) in s.tasks:
+            counts[task] = counts.get(task, 0) + max(0, min(end, t) - max(start, 1))
+    counts = {task: n for task, n in counts.items() if n}
+    total = 0.0
+    for s in streams:
+        ids = s.rendered.token_ids
+        weights = np.zeros(len(ids))
+        for task, (start, end) in s.tasks:
+            for pos in range(max(start, 1), min(end, len(ids))):
+                weights[pos - 1] += 1.0 / (counts[task] * len(counts))
+        if weights.any():
+            loss = ag.cross_entropy(model.forward(ids).logits, np.append(ids[1:], 0), weights)
+            ag.backward(loss)
+            total += loss.item()
+    return total
 
 
 def task_streams(tasks) -> list[TrainingStream]:

@@ -302,7 +302,8 @@ def test_corrupt_checkpoint_is_runtime_failure(pipeline_dir, tmp_path, capsys):
     (b"{not json", "is not valid JSON"),
     (b"\xff\xfe", "is not valid JSON"),
     (b"[1, 2]", "must hold a JSON object, not list"),
-], ids=["not_json", "not_utf8", "array"])
+    (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON: maximum recursion depth"),
+], ids=["not_json", "not_utf8", "array", "nested_too_deeply"])
 @pytest.mark.parametrize("command", ["train-sift", "train-fused"])
 def test_bad_splits_file_usage_error(pipeline_dir, tmp_path, capsys, command, content, message):
     splits = tmp_path / "splits.json"

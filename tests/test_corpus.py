@@ -91,6 +91,7 @@ def test_parse_malformed_json_names_byte_offset():
         pytest.param(b'[{"cve_id": "CVE-\xff"}]', "not UTF-8 at byte offset 17", id="not_utf8"),
         pytest.param(b'{"records": 7}', "must be a JSON list, got 7", id="records_not_list"),
         pytest.param(b'{"vulnerabilities": {"cve": {}}}', "must be a JSON list", id="vulnerabilities_not_list"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "nested too deeply", id="nested_too_deeply"),
     ],
 )
 def test_parse_hostile_dump_raises_corpus_error(raw, match):
@@ -496,6 +497,7 @@ def _sample_line(**over) -> bytes:
         pytest.param(b'{"sample_id": "x", "label": false}', "code", id="missing_code"),
         pytest.param(b"\xff", "utf-8", id="not_utf8"),
         pytest.param(b"{", "Expecting", id="not_json"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "recursion depth", id="nested_too_deeply"),
         pytest.param(_sample_line(label="no"), "JSON bool", id="label_string"),
         pytest.param(_sample_line(label=1), "JSON bool", id="label_int"),
         pytest.param(_sample_line(cwe_category="Nonsense"), "Nonsense", id="bad_cwe_category"),

@@ -280,6 +280,7 @@ def test_jsonl_keys_are_exact(tmp_path):
         pytest.param(b"[1]", "JSON object", id="not_an_object"),
         pytest.param(b'{"sample_id": "x"}', "label", id="missing_keys"),
         pytest.param(b"\xff", "utf-8", id="not_utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "recursion depth", id="nested_too_deeply"),
         pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": "a"}], '
                      b'"label": "no"}', "JSON bool", id="label_string"),
         pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": "a"}], '

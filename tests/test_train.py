@@ -159,6 +159,7 @@ CORRUPTIONS = {
     "cut-in-header": lambda raw: raw[: 16 + struct.unpack_from("<I", raw, 12)[0] // 2],
     "non-utf8-header": _header_bytes(b"\xff"),
     "header-not-json": _header_bytes(b"{"),
+    "header-nested-too-deeply": lambda raw: raw[:12] + struct.pack("<I", 200_000) + b"[" * 100_000 + b"]" * 100_000,
     "cut-in-payload": lambda raw: raw[:-3],
     "negative-offset": _rewrite(lambda h: _first_entry(h).update(offset=-4)),
     "offset-past-payload": _rewrite(lambda h: _first_entry(h).update(offset=10**9)),
@@ -289,16 +290,14 @@ def test_multi_round_mode_masks_three_rounds(small_corpus):
     assert ckpt.metrics_history[0]["n_tasks"] == 3
 
 
-def test_stream_loss_matches_multitask_loss():
-    """The per-stream training path equals the Eq. 2 loss with one task per
-    round, each round rendered on its own and masked over its own teacher
-    span, when nothing is truncated."""
+def _stream_loss_and_multitask_loss(n_layers):
     from msivd.dialogue import render
     from msivd.lm import ByteTokenizer, LmModel
 
     corpus = make_synthetic_corpus(n=8, seed=9)
     dialogues = build_dialogues(corpus)
-    config = tiny_config(lm_config=TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=1024))
+    lm_config = TransformerConfig(d_model=32, n_layers=n_layers, n_heads=2, context_window=1024)
+    config = tiny_config(lm_config=lm_config)
     tok = ByteTokenizer()
     model = LmModel(config.lm_config, seed=1, lora=config.lora_config)
     streams = render_training_streams(dialogues, tok, config)
@@ -313,8 +312,93 @@ def test_stream_loss_matches_multitask_loss():
             mask[start:end] = True
             groups[r - 1].append((rendered.token_ids, mask))
     assert all(groups)
-    reference = eq2_reference(model, groups)
+    return stream_value, eq2_reference(model, groups)
+
+
+def test_stream_loss_matches_multitask_loss():
+    """The per-stream training path equals the Eq. 2 loss with one task per
+    round, each round rendered on its own and masked over its own teacher
+    span, when nothing is truncated."""
+    stream_value, reference = _stream_loss_and_multitask_loss(n_layers=1)
     assert stream_value == pytest.approx(reference, rel=1e-5)
+
+
+def test_stream_loss_matches_multitask_loss_two_layers():
+    """As above with two layers, where the last layer, which runs from the
+    first target row on, is not also the first."""
+    stream_value, reference = _stream_loss_and_multitask_loss(n_layers=2)
+    assert stream_value == pytest.approx(reference, rel=1e-5)
+
+
+# Largest gap allowed between the adapter gradients of ``sift_batch_loss``
+# and those of the full-row loss, relative to the largest gradient entry
+# (measured: at most 2.1e-7 in float32 over the three modes, 1 and 2 layers).
+FULL_ROW_GRAD_TOL = 1e-5
+
+
+@pytest.mark.parametrize("mode", ["multi-round", "single-round", "label-only"])
+def test_sift_gradients_match_full_row_loss(mode):
+    """With the last layer and the head started at each stream's first target
+    row, the loss and every adapter gradient match those of the full-row
+    forward within the stated bounds."""
+    from helpers_loss import full_row_loss
+    from msivd.lm import ByteTokenizer, LmModel
+
+    dialogues = build_dialogues(make_synthetic_corpus(n=8, seed=4))
+    lm_config = TransformerConfig(d_model=32, n_layers=2, n_heads=2, context_window=512)
+    config = tiny_config(sift_mode=mode, lm_config=lm_config)
+    streams = render_training_streams(dialogues, ByteTokenizer(), config)
+    results = []
+    for loss_fn in (sift_batch_loss, full_row_loss):
+        model = LmModel(lm_config, seed=2, lora=config.lora_config)
+        rng = np.random.default_rng(0)
+        for ad in model.adapters.values():
+            ad.b.data[:] = rng.normal(0, 0.05, ad.b.shape)
+        loss = loss_fn(model, streams)
+        results.append((loss, {k: t.grad for k, t in model.adapter_parameters().items()}))
+    (loss, grads), (full_loss, full_grads) = results
+    assert loss == pytest.approx(full_loss, abs=1e-6)
+    scale = max(np.abs(g).max() for g in full_grads.values())
+    assert scale > 0
+    for name, g in full_grads.items():
+        assert np.max(np.abs(grads[name] - g)) <= FULL_ROW_GRAD_TOL * scale, name
+
+
+def test_sift_loss_gradcheck_of_last_layer_adapters_across_a_tile_edge():
+    """Finite differences, in float64, of one stream's SIFT loss with respect
+    to the last layer's query and value adapters. The first target row is 60
+    of 200, so the last layer's 140 query rows span two attention tiles and
+    start below the tile edge at position 128. The loss forwards from row 60
+    as ``sift_batch_loss`` does, and its gradient is the one that
+    ``sift_batch_loss`` accumulates."""
+    from helpers_loss import task_streams
+    from msivd import autograd as ag
+    from msivd.lm import LmModel, LoraAdapter
+
+    t, first = 200, 60
+    cfg = TransformerConfig(d_model=8, n_layers=2, n_heads=2, context_window=t)
+    model = LmModel(cfg, seed=5, lora=LoraConfig(rank=2), dtype=np.float64)
+    rng = np.random.default_rng(5)
+    for ad in model.adapters.values():
+        ad.b.data[:] = rng.normal(0, 0.5, ad.b.shape)
+    ids = rng.integers(0, 256, size=t)
+    mask = np.arange(t) > first
+    sift_batch_loss(model, task_streams([[(ids, mask)]]))
+    names = ["layer1.wq", "layer1.wv"]
+    tensors = [x for n in names for x in (model.adapters[n].a, model.adapters[n].b)]
+    accumulated = [x.grad.copy() for x in tensors]
+    targets = np.append(ids[first + 1 :], 0)
+    weights = np.append(np.full(t - first - 1, 1.0 / (t - first - 1)), 0.0)
+
+    def f(*ts):
+        for i, n in enumerate(names):
+            model.adapters[n] = LoraAdapter(a=ts[2 * i], b=ts[2 * i + 1], rank=2, alpha=model.adapters[n].alpha)
+        return ag.cross_entropy(model.forward(ids, first_row=first).logits, targets, weights)
+
+    clones = [ag.Tensor(x.data.copy(), requires_grad=True) for x in tensors]
+    ag.backward(f(*clones))
+    assert all(np.array_equal(c.grad, g) for c, g in zip(clones, accumulated))
+    assert ag.grad_check(f, tensors, h=1e-5) <= 1e-4  # measured 1.4e-5; the MLP's ReLU kinks limit it
 
 
 def test_negative_only_corpus_multiround_errors():
@@ -379,8 +463,8 @@ def test_inference_read_out_records_no_tape(small_corpus, monkeypatch):
     forwards = []
     forward = LmModel.forward
 
-    def recording_forward(model, ids, prefix=None):
-        out = forward(model, ids, prefix=prefix)
+    def recording_forward(model, ids, prefix=None, first_row=0):
+        out = forward(model, ids, prefix=prefix, first_row=first_row)
         forwards.append((bool(model.adapter_parameters()), out.hidden.requires_grad, prefix is not None))
         return out
 
