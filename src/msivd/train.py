@@ -9,16 +9,21 @@ per optimizer step and are bitwise deterministic for a fixed seed.
 """
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
+import os
 import random
 import struct
 import typing
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
+from . import _BLAS_THREADS_SET
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import CodeSample
@@ -322,10 +327,17 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
     each stream's share one weighted ``cross_entropy``. Rows before the
     stream's first target row carry no loss, so the forward starts its last
     layer and head there (``first_row``) and the ``cross_entropy`` runs over
-    rows first_row .. T-1 only. Each stream is forwarded once and
-    backpropagated at once, and gradients accumulate across streams. A
-    stream's graph lives until the next stream rebinds ``loss``: at most two
-    graphs are alive at a time.
+    rows first_row .. T-1 only.
+
+    Each stream is forwarded and backpropagated on a worker thread
+    (``_stream_grads``), the longest streams handed out first; a worker
+    drops its graph before it takes the next stream, so at most one stream
+    graph per worker is alive at a time. Once every stream is done, the
+    stream gradients are added into the adapters' ``grad`` and the losses
+    summed, both in stream order: each adapter gets one gradient per
+    stream, as a sequential loop would give it, so the result is bitwise the
+    same. If a stream raises, nothing is added and the first such error in
+    stream order is raised.
     """
     rows: list[list[tuple[int, int, int]]] = []  # per stream: (task, first row, end row) per span
     counts: dict[int, int] = {}
@@ -342,7 +354,7 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
         raise ValueError("batch contributes zero valid tokens")
     n_tasks = len(counts)
 
-    total = 0.0
+    work = []
     for s, spans in zip(streams, rows):
         if not spans:
             continue
@@ -351,10 +363,50 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
         weights = np.zeros(ids.shape[0] - first)
         for task, lo, hi in spans:
             weights[lo - first : hi - first] += 1.0 / (counts[task] * n_tasks)
-        loss = ag.cross_entropy(model.forward(ids, first_row=first).logits, np.append(ids[1 + first :], 0), weights)
-        ag.backward(loss)
-        total += loss.item()
+        work.append((ids, first, weights))
+    # longest first, so that no worker is left alone with a long stream at the end
+    jobs = {i: _stream_pool().submit(_stream_grads, model, *work[i])
+            for i in sorted(range(len(work)), key=lambda i: -len(work[i][0]))}
+    wait(jobs.values())
+    results = [jobs[i].result() for i in range(len(work))]
+
+    total = 0.0
+    for loss, grads in results:
+        for ad, (grad_a, grad_b) in zip(model.adapters.values(), grads):
+            ag._accum(ad.a, grad_a)
+            ag._accum(ad.b, grad_b)
+        total += loss
     return total
+
+
+def _stream_grads(model: LmModel, ids: np.ndarray, first: int, weights: np.ndarray):
+    """One stream's weighted ``cross_entropy`` and the gradient of each
+    adapter's A and B, in ``model.adapters`` order. The forward runs on a
+    copy of ``model`` whose adapters are fresh leaves over the same arrays,
+    so streams on other threads never add into the same ``grad``."""
+    view = copy.copy(model)
+    view.adapters = {
+        name: replace(ad, a=Tensor(ad.a.data, ad.a.requires_grad), b=Tensor(ad.b.data, ad.b.requires_grad))
+        for name, ad in model.adapters.items()
+    }
+    loss = ag.cross_entropy(view.forward(ids, first_row=first).logits, np.append(ids[1 + first :], 0), weights)
+    ag.backward(loss)
+    return loss.item(), [(ad.a.grad, ad.b.grad) for ad in view.adapters.values()]
+
+
+@cache
+def _stream_pool() -> ThreadPoolExecutor:
+    """The process's SIFT workers, one per usable CPU, or one when BLAS may
+    run threads of its own (see ``msivd/__init__.py``). It is built once and
+    kept: a pool per batch spreads the freed graphs over more malloc arenas
+    and raises the peak RSS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(cpus if _BLAS_THREADS_SET else 1, thread_name_prefix="msivd-sift")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads: it builds its own pool
+    os.register_at_fork(after_in_child=_stream_pool.cache_clear)
 
 
 def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Checkpoint, LossCurve]:
@@ -397,10 +449,10 @@ def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
     """The ``train`` section of a checkpoint's config and its seed."""
     train_cfg = ckpt.config.get("train")
     if not isinstance(train_cfg, dict):
-        raise CheckpointError(f"checkpoint config needs a 'train' object, got {json.dumps(train_cfg)}")
+        raise CheckpointError(f"checkpoint config needs a 'train' object, got {json.dumps(train_cfg)[:80]}")
     seed = train_cfg.get("seed", 0)
     if type(seed) is not int:
-        raise CheckpointError(f"checkpoint train.seed must be an integer, got {json.dumps(seed)}")
+        raise CheckpointError(f"checkpoint train.seed must be an integer, got {json.dumps(seed)[:80]}")
     return train_cfg, seed
 
 
@@ -424,13 +476,14 @@ def _json_fits(value, hint) -> bool:
 
 def _check_json_types(obj: dict, cls, where: str, error: type[Exception]) -> None:
     """Raise ``error`` naming ``where`` and the key when a value of ``obj``
-    does not fit the type of its ``cls`` field; keys of no field pass."""
+    does not fit the type of its ``cls`` field; keys of no field pass. Error
+    messages here echo at most 80 characters of the offending JSON."""
     hints = typing.get_type_hints(cls)
     for key, value in obj.items():
         hint = hints.get(key)
         if hint is not None and not _json_fits(value, hint):
             want = hint.__name__ if isinstance(hint, type) else hint
-            raise error(f"{where} key {key!r} must be {want}, got {json.dumps(value)}")
+            raise error(f"{where} key {key!r} must be {want}, got {json.dumps(value)[:80]}")
 
 
 def _header_config(train_cfg: dict, key: str, cls):
@@ -439,12 +492,12 @@ def _header_config(train_cfg: dict, key: str, cls):
     wrong type or that ``cls`` rejects raises CheckpointError naming ``key``."""
     fields = train_cfg.get(key)
     if not isinstance(fields, dict):
-        raise CheckpointError(f"checkpoint train.{key} must be an object, got {json.dumps(fields)}")
+        raise CheckpointError(f"checkpoint train.{key} must be an object, got {json.dumps(fields)[:80]}")
     _check_json_types(fields, cls, f"checkpoint train.{key}", CheckpointError)
     try:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)}: {exc}") from exc
+        raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)[:80]}: {exc}") from exc
 
 
 def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None = None) -> LmModel:

@@ -53,6 +53,33 @@ def full_row_loss(model, streams) -> float:
     return total
 
 
+def sequential_sift_loss(model, streams) -> float:
+    """``sift_batch_loss`` as one loop on the calling thread: each stream is
+    forwarded from its first target row, and its weighted ``cross_entropy``
+    is backpropagated straight into the adapters, in stream order."""
+    spans, counts = [], {}
+    for s in streams:
+        t = len(s.rendered.token_ids)
+        mine = [(task, max(start, 1) - 1, min(end, t) - 1) for task, (start, end) in s.tasks]
+        mine = [(task, lo, hi) for task, lo, hi in mine if hi > lo]
+        for task, lo, hi in mine:
+            counts[task] = counts.get(task, 0) + hi - lo
+        spans.append(mine)
+    total = 0.0
+    for s, mine in zip(streams, spans):
+        if not mine:
+            continue
+        ids = s.rendered.token_ids
+        first = min(lo for _, lo, _ in mine)
+        weights = np.zeros(len(ids) - first)
+        for task, lo, hi in mine:
+            weights[lo - first : hi - first] += 1.0 / (counts[task] * len(counts))
+        loss = ag.cross_entropy(model.forward(ids, first_row=first).logits, np.append(ids[1 + first :], 0), weights)
+        ag.backward(loss)
+        total += loss.item()
+    return total
+
+
 def task_streams(tasks) -> list[TrainingStream]:
     """One single-span stream per (token_ids, loss_mask) pair, its task being
     the index of its group. Each mask must be one contiguous run."""

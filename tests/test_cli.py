@@ -1,4 +1,5 @@
 import json
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -189,6 +190,35 @@ def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ill_typed_value_echo_is_cut(tmp_path, capsys):
+    """A value nested 990 lists deep is echoed as its first 80 characters of
+    JSON, both from a --config file (exit 2) and from a checkpoint header.
+    The recursion limit is raised so that pytest's own frames leave the
+    program the stack depth that it has when run from the command line."""
+    from msivd.train import CheckpointError, build_lm_from_checkpoint, load_checkpoint, save_checkpoint
+    from test_train import _sift_checkpoint
+
+    cfg_path = tmp_path / "config.json"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        nested = json.loads("[" * 990 + "]" * 990)
+        cfg_path.write_text(json.dumps({"epochs": nested}))
+        code = main(["ingest", "--nvd-dump", str(make_dump(tmp_path)), "--out", str(tmp_path / "s.jsonl"),
+                     "--config", str(cfg_path)])
+        ckpt = _sift_checkpoint()
+        ckpt.config["train"]["lm_config"]["d_model"] = nested
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        with pytest.raises(CheckpointError) as info:
+            build_lm_from_checkpoint(load_checkpoint(tmp_path / "m.ckpt"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: config file {cfg_path} key 'epochs' must be int | None, got {'[' * 80}"
+    assert str(info.value) == f"checkpoint train.lm_config key 'd_model' must be int, got {'[' * 80}"
 
 
 def test_config_file_with_every_key_accepted(tmp_path):

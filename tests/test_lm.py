@@ -157,6 +157,8 @@ def test_paper_profile_pins_dimensions():
 class _FixedLogits:
     """Stub model: forward returns preset logits regardless of input."""
 
+    adapters = {}
+
     def __init__(self, logits):
         self._logits = np.asarray(logits, dtype=np.float64)
 
@@ -194,6 +196,8 @@ def test_mean_of_task_means():
     assert l3 == pytest.approx(3.0, abs=1e-9)
 
     class _TwoTask:
+        adapters = {}
+
         def forward(self, ids, first_row=0):
             # first id selects which distribution this sample sees
             return (m1 if ids[0] == 0 else m3).forward(ids, first_row)

@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import signal
 import struct
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -399,6 +403,93 @@ def test_sift_loss_gradcheck_of_last_layer_adapters_across_a_tile_edge():
     ag.backward(f(*clones))
     assert all(np.array_equal(c.grad, g) for c, g in zip(clones, accumulated))
     assert ag.grad_check(f, tensors, h=1e-5) <= 1e-4  # measured 1.4e-5; the MLP's ReLU kinks limit it
+
+
+def _desk_model_and_streams(seed):
+    """The desk LM (2 layers, a 512 window) with random B factors, so that
+    every adapter gets a gradient, and 8 seed-0 multi-round streams."""
+    from msivd.lm import ByteTokenizer, LmModel
+
+    config = TrainConfig(stage="sift", sift_mode="multi-round")
+    model = LmModel(config.lm_config, seed=seed, lora=config.lora_config)
+    rng = np.random.default_rng(seed)
+    for ad in model.adapters.values():
+        ad.b.data[:] = rng.normal(0, 0.05, ad.b.shape)
+    dialogues = build_dialogues(make_synthetic_corpus(n=8, seed=0))
+    return model, render_training_streams(dialogues, ByteTokenizer(), config)
+
+
+@pytest.mark.parametrize("stress", [False, True], ids=["pool", "8-workers-short-switch"])
+def test_sift_batch_loss_bitwise_equals_sequential_loop(monkeypatch, stress):
+    """Streams run on worker threads and their gradients are added in stream
+    order, so the loss and every adapter gradient are the bytes of one
+    sequential loop over the same streams. The stress case runs the batch on
+    more workers than cores, with the interpreter switching threads every
+    10 microseconds."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from helpers_loss import sequential_sift_loss
+    from msivd import train
+
+    results = []
+    switch = sys.getswitchinterval()
+    with ThreadPoolExecutor(8) as pool:
+        if stress:
+            monkeypatch.setattr(train, "_stream_pool", lambda: pool)
+            sys.setswitchinterval(1e-5)
+        try:
+            for loss_fn in (sift_batch_loss, sequential_sift_loss):
+                model, streams = _desk_model_and_streams(seed=3)
+                assert model.config.n_layers == 2 and len(streams) == 8
+                loss = loss_fn(model, streams)
+                results.append((loss, {k: t.grad.tobytes() for k, t in model.adapter_parameters().items()}))
+        finally:
+            sys.setswitchinterval(switch)
+    (loss, grads), (seq_loss, seq_grads) = results
+    assert loss == seq_loss
+    assert grads == seq_grads
+
+
+def test_sift_batch_loss_error_adds_no_gradient():
+    """A stream longer than the window raises ShapeError out of the batch,
+    and no gradient of the streams that ran is added to the adapters."""
+    from helpers_loss import task_streams
+    from msivd import autograd as ag
+    from msivd.lm import LmModel
+
+    cfg = TransformerConfig(d_model=16, n_layers=2, n_heads=2, context_window=32)
+    model = LmModel(cfg, seed=0)
+    good = ([1, 2, 3, 4, 5, 6], [False, True, True, True, True, True])
+    too_long = ([7] * 40, [False] + [True] * 39)
+    with pytest.raises(ag.ShapeError, match="exceeds context window"):
+        sift_batch_loss(model, task_streams([[good, good], [too_long]]))
+    assert all(t.grad is None for t in model.adapter_parameters().values())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sift_batch_loss_in_a_forked_child():
+    """A child forked after a batch has none of the parent's worker threads:
+    it builds a pool of its own rather than wait forever on the parent's."""
+    from helpers_loss import task_streams
+    from msivd.lm import LmModel
+
+    model = LmModel(TransformerConfig(d_model=16, n_layers=2, n_heads=2, context_window=32), seed=0)
+    streams = task_streams([[([1, 2, 3, 4], [False, True, True, True])] * 3])
+    expected = sift_batch_loss(model, streams)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if sift_batch_loss(model, streams) == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_negative_only_corpus_multiround_errors():
