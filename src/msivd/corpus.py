@@ -573,16 +573,16 @@ def write_samples_jsonl(samples: list[CodeSample], path) -> None:
 
 def _sample_from_obj(obj) -> CodeSample:
     if not isinstance(obj, dict):
-        raise CorpusError(f"expected a JSON object, got {json.dumps(obj)}")
+        raise CorpusError(f"expected a JSON object, got {json.dumps(obj)[:80]}")
     if type(obj["label"]) is not bool:
-        raise CorpusError(f"label must be a JSON bool, got {json.dumps(obj['label'])}")
+        raise CorpusError(f"label must be a JSON bool, got {json.dumps(obj['label'])[:80]}")
     texts = ("sample_id", "code", "cwe_id", "cwe_category", "description", "origin_date")
     for key in texts:
         if not isinstance(obj[key], str):
-            raise CorpusError(f"{key} must be a string, got {json.dumps(obj[key])}")
+            raise CorpusError(f"{key} must be a string, got {json.dumps(obj[key])[:80]}")
     for key, kind in (("vuln_line_start", int), ("vuln_line_end", int), ("fix_code", str)):
         if obj.get(key) is not None and type(obj[key]) is not kind:
-            raise CorpusError(f"{key} must be a JSON {kind.__name__} or null, got {json.dumps(obj[key])}")
+            raise CorpusError(f"{key} must be a JSON {kind.__name__} or null, got {json.dumps(obj[key])[:80]}")
     return CodeSample(
         **{key: obj[key] for key in texts},
         label=obj["label"],

@@ -221,15 +221,15 @@ def serialize_jsonl(dialogues: list[DialogueRecord], path) -> None:
 def _text(obj: dict, key: str) -> str:
     value = obj[key]
     if not isinstance(value, str):
-        raise DialogueError(f"{key} must be a string, got {json.dumps(value)}")
+        raise DialogueError(f"{key} must be a string, got {json.dumps(value)[:80]}")
     return value
 
 
 def _record_from_obj(obj) -> DialogueRecord:
     if not isinstance(obj, dict):
-        raise DialogueError(f"expected a JSON object, got {json.dumps(obj)}")
+        raise DialogueError(f"expected a JSON object, got {json.dumps(obj)[:80]}")
     if type(obj["label"]) is not bool:
-        raise DialogueError(f"label must be a JSON bool, got {json.dumps(obj['label'])}")
+        raise DialogueError(f"label must be a JSON bool, got {json.dumps(obj['label'])[:80]}")
     return DialogueRecord(
         sample_id=_text(obj, "sample_id"),
         system_text=_text(obj, "system"),

@@ -332,12 +332,14 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
     Each stream is forwarded and backpropagated on a worker thread
     (``_stream_grads``), the longest streams handed out first; a worker
     drops its graph before it takes the next stream, so at most one stream
-    graph per worker is alive at a time. Once every stream is done, the
-    stream gradients are added into the adapters' ``grad`` and the losses
-    summed, both in stream order: each adapter gets one gradient per
-    stream, as a sequential loop would give it, so the result is bitwise the
-    same. If a stream raises, nothing is added and the first such error in
-    stream order is raised.
+    graph per worker is alive at a time, and the freed graph's memory stays
+    in the worker's malloc arena for the next stream instead of going back
+    to the kernel (the heap policy in ``msivd/__init__.py``). Once every
+    stream is done, the stream gradients are added into the adapters'
+    ``grad`` and the losses summed, both in stream order: each adapter gets
+    one gradient per stream, as a sequential loop would give it, so the
+    result is bitwise the same. If a stream raises, nothing is added and
+    the first such error in stream order is raised.
     """
     rows: list[list[tuple[int, int, int]]] = []  # per stream: (task, first row, end row) per span
     counts: dict[int, int] = {}
@@ -398,8 +400,9 @@ def _stream_grads(model: LmModel, ids: np.ndarray, first: int, weights: np.ndarr
 def _stream_pool() -> ThreadPoolExecutor:
     """The process's SIFT workers, one per usable CPU, or one when BLAS may
     run threads of its own (see ``msivd/__init__.py``). It is built once and
-    kept: a pool per batch spreads the freed graphs over more malloc arenas
-    and raises the peak RSS."""
+    kept, so each worker's next stream graph reuses the arena memory its
+    last one freed: a pool per batch spreads the freed graphs over more
+    malloc arenas and raises the peak RSS."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return ThreadPoolExecutor(cpus if _BLAS_THREADS_SET else 1, thread_name_prefix="msivd-sift")
 

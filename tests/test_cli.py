@@ -253,6 +253,19 @@ def test_unknown_eval_mode_lists_valid(tmp_path, capsys):
     assert "multi-round-sift-gnn" in err
 
 
+def test_bad_dialogues_file_error_is_one_bounded_line(tmp_path, capsys):
+    """A dialogues file whose line holds a huge ill-typed value exits 1 with
+    one error line that echoes 80 characters of it."""
+    dialogues = tmp_path / "dialogues.jsonl"
+    dialogues.write_text(json.dumps({"sample_id": "x", "system": "s", "rounds": [], "label": [[0] * 50] * 40}) + "\n")
+    splits = tmp_path / "splits.json"
+    splits.write_text(json.dumps({"train": ["x"], "eval": [], "test": []}))
+    code = main(["train-sift", "--dialogues", str(dialogues), "--splits", str(splits), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {dialogues}: bad dialogue at line 1: label must be a JSON bool, got {'[[' + '0, ' * 26}"
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """Full CLI pipeline on a small corpus: ingest-equivalent samples,

@@ -524,6 +524,17 @@ def test_hostile_line_raises_corpus_error_naming_it(tmp_path, line, match):
         read_samples_jsonl(p)
 
 
+def test_ill_typed_value_echo_is_cut(tmp_path):
+    """A bad value is echoed as its first 80 characters of JSON, so a huge
+    one does not flood the error (6,080 characters uncut)."""
+    p = tmp_path / "big.jsonl"
+    p.write_bytes(_sample_line(code=[[0] * 50] * 40) + b"\n")
+    with pytest.raises(CorpusError) as info:
+        read_samples_jsonl(p)
+    assert str(info.value).endswith(f"code must be a string, got {json.dumps([[0] * 50] * 40)[:80]}")
+    assert len(str(info.value)) < 80 + len(str(p)) + 60
+
+
 def test_unbroken_sample_line_reads(tmp_path):
     p = tmp_path / "one.jsonl"
     p.write_bytes(_sample_line() + b"\n" + _sample_line(label=True, vuln_line_start=1, vuln_line_end=1) + b"\n")

@@ -264,6 +264,20 @@ def test_truncated_line_reports_line_number(tmp_path):
         parse_jsonl(p)
 
 
+def test_ill_typed_value_echo_is_cut(tmp_path):
+    """A bad value is echoed as its first 80 characters of JSON, so a huge
+    one does not flood the error (6,080 characters uncut)."""
+    import json
+
+    label = [[0] * 50] * 40
+    p = tmp_path / "big.jsonl"
+    p.write_text(json.dumps({"sample_id": "x", "system": "s", "rounds": [], "label": label}) + "\n")
+    with pytest.raises(DialogueError) as info:
+        parse_jsonl(p)
+    assert str(info.value).endswith(f"label must be a JSON bool, got {json.dumps(label)[:80]}")
+    assert len(str(info.value)) < 80 + len(str(p)) + 60
+
+
 def test_jsonl_keys_are_exact(tmp_path):
     import json
 
