@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end desk experiment: synthetic corpus -> SIFT -> fused -> ablations.
 
-Writes all artifacts (samples, splits, dialogues, checkpoints, loss curves,
-report.json) under --out-dir and prints the per-mode metrics table.
+Writes the samples, splits, dialogues and report.json under --out-dir and
+prints the per-mode metrics table.
 """
 import argparse
 import sys

@@ -42,6 +42,9 @@ from .fusion import predict as fusion_predict
 from .gnn import GgnnConfig
 from .lm import LoraConfig, TransformerConfig
 from .train import (
+    SIFT_MODES,
+    Checkpoint,
+    LossCurve,
     TrainConfig,
     _check_json_types,
     build_bundle_from_checkpoint,
@@ -233,44 +236,53 @@ def cmd_prepare(args: argparse.Namespace, run: RunConfig) -> int:
     return 0
 
 
+def _read_splits(path_str: str) -> dict[str, str]:
+    """The sample id -> split map of a splits file; a value other than
+    "train", "eval" or "test" raises UsageError naming its sample."""
+    splits = _read_json_object(path_str, "splits file")
+    for sample_id, where in splits.items():
+        if where not in ("train", "eval", "test"):
+            raise UsageError(
+                f"splits file {path_str} sample {sample_id!r} must be \"train\", \"eval\" or \"test\", "
+                f"got {json.dumps(where)[:80]}"
+            )
+    return splits
+
+
 def _load_dataset(samples_path: str, splits_path: str, name: str) -> AblationDataset:
     samples = read_samples_jsonl(_require_file(samples_path, "samples file"))
-    splits = _read_json_object(splits_path, "splits file")
+    splits = _read_splits(splits_path)
     parts: dict[str, list[CodeSample]] = {"train": [], "eval": [], "test": []}
     for s in samples:
-        where = splits.get(s.sample_id)
-        if where in parts:
-            parts[where].append(s)
+        if s.sample_id in splits:
+            parts[splits[s.sample_id]].append(s)
     return AblationDataset(name=name, train=parts["train"], eval=parts["eval"], test=parts["test"])
+
+
+def _save_training(out: Path, ckpt: Checkpoint, curve: LossCurve, run: RunConfig) -> None:
+    """Write a trained checkpoint, its loss curve and its provenance side by
+    side, and print the run's step count and final loss."""
+    save_checkpoint(ckpt, out)
+    curve.to_csv(out.parent / (out.name + ".loss_curve.csv"))
+    _write_provenance(out, run)
+    print(json.dumps({"steps": len(curve.rows), "final_loss": curve.rows[-1][1]}))
 
 
 def cmd_train_sift(args: argparse.Namespace, run: RunConfig) -> int:
     dialogues = parse_jsonl(_require_file(args.dialogues, "dialogues file"))
     if args.splits:
-        splits = _read_json_object(args.splits, "splits file")
+        splits = _read_splits(args.splits)
         dialogues = [d for d in dialogues if splits.get(d.sample_id) == "train"]
-    config = run.train_config("sift")
-    ckpt, curve = train_sift(dialogues, config)
-    out = Path(args.out)
-    save_checkpoint(ckpt, out)
-    curve_path = out.parent / "loss_curve.csv"
-    curve.to_csv(curve_path)
-    _write_provenance(out, run)
-    print(json.dumps({"steps": len(curve.rows), "final_loss": curve.rows[-1][1]}))
+    ckpt, curve = train_sift(dialogues, run.train_config("sift"))
+    _save_training(Path(args.out), ckpt, curve, run)
     return 0
 
 
 def cmd_train_fused(args: argparse.Namespace, run: RunConfig) -> int:
     dataset = _load_dataset(args.samples, args.splits, name="cli")
     sift_ckpt = load_checkpoint(_require_file(args.sift_ckpt, "SIFT checkpoint")) if args.sift_ckpt else None
-    config = run.train_config("fused")
-    ckpt, curve = train_fused(dataset.train, sift_ckpt, config)
-    out = Path(args.out)
-    save_checkpoint(ckpt, out)
-    curve_path = out.parent / "loss_curve.csv"
-    curve.to_csv(curve_path)
-    _write_provenance(out, run)
-    print(json.dumps({"steps": len(curve.rows), "final_loss": curve.rows[-1][1]}))
+    ckpt, curve = train_fused(dataset.train, sift_ckpt, run.train_config("fused"))
+    _save_training(Path(args.out), ckpt, curve, run)
     return 0
 
 
@@ -367,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sift.add_argument("--dialogues", required=True)
     p_sift.add_argument("--splits")
     p_sift.add_argument("--out", default="sift.ckpt")
-    p_sift.add_argument("--sift-mode", dest="sift_mode", choices=("multi-round", "single-round", "label-only"), default=None)
+    p_sift.add_argument("--sift-mode", dest="sift_mode", choices=SIFT_MODES, default=None)
     p_sift.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p_sift.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_sift.add_argument("--epochs", type=int, default=None)

@@ -13,7 +13,7 @@ from .corpus import CodeSample
 from .dialogue import build_dialogues
 from .fusion import ReadOut, predict, predict_pretrained
 from .lm import ByteTokenizer, LmModel
-from .train import TrainConfig, build_bundle_from_checkpoint, train_fused, train_sift
+from .train import Checkpoint, TrainConfig, build_bundle_from_checkpoint, train_fused, train_sift
 
 log = logging.getLogger("msivd.evaluation")
 
@@ -30,13 +30,14 @@ __all__ = [
     "write_report_json",
 ]
 
-ABLATION_MODES = (
-    "pre-trained",
-    "label-only-ft",
-    "single-round-sift",
-    "multi-round-sift",
-    "multi-round-sift-gnn",
-)
+# each ablation row: (the SIFT mode of its LM, None for the untrained LM; whether it fuses the GGNN)
+ABLATION_MODES = {
+    "pre-trained": (None, False),
+    "label-only-ft": ("label-only", False),
+    "single-round-sift": ("single-round", False),
+    "multi-round-sift": ("multi-round", False),
+    "multi-round-sift-gnn": ("multi-round", True),
+}
 
 
 @dataclass(frozen=True)
@@ -158,24 +159,16 @@ class AblationDataset:
 def _run_mode(
     mode: str,
     dataset: AblationDataset,
+    sift_ckpt: Checkpoint | None,
     sift_config: TrainConfig,
     fused_config: TrainConfig,
 ) -> MetricsReport:
-    if mode == "pre-trained":
+    if sift_ckpt is None:
         read_out = ReadOut(LmModel(sift_config.lm_config, seed=sift_config.seed, lora=sift_config.lora_config),
                            ByteTokenizer())
         preds = [predict_pretrained(read_out, s) for s in dataset.test]
     else:
-        sift_mode = {
-            "label-only-ft": "label-only",
-            "single-round-sift": "single-round",
-            "multi-round-sift": "multi-round",
-            "multi-round-sift-gnn": "multi-round",
-        }[mode]
-        s_cfg = replace(sift_config, stage="sift", sift_mode=sift_mode)
-        sift_ckpt, _ = train_sift(build_dialogues(dataset.train), s_cfg)
-        use_gnn = mode == "multi-round-sift-gnn"
-        f_cfg = replace(fused_config, stage="fused", use_gnn=use_gnn)
+        f_cfg = replace(fused_config, stage="fused", use_gnn=ABLATION_MODES[mode][1])
         fused_ckpt, _ = train_fused(dataset.train, sift_ckpt, f_cfg)
         bundle = build_bundle_from_checkpoint(fused_ckpt)
         preds = [predict(s, bundle) for s in dataset.test]
@@ -191,16 +184,27 @@ def run_ablation(
     report_path=None,
 ) -> list[MetricsReport]:
     """Run each requested ablation mode end-to-end and collect one report per
-    mode. A failing mode aborts the run; reports finished so far are still
-    persisted when a report path is given."""
+    mode. SIFT runs once for each distinct SIFT mode (``ABLATION_MODES``),
+    on the train dialogues built once, when the first mode that needs it
+    comes up; every later mode with that SIFT mode shares its checkpoint, so
+    a mode reports the same as when run alone. A failing mode aborts the
+    run; reports finished so far are still persisted when a report path is
+    given."""
     unknown = [m for m in modes if m not in ABLATION_MODES]
     if unknown:
         raise ValueError(f"unknown ablation mode(s) {unknown}; valid: {list(ABLATION_MODES)}")
     reports: list[MetricsReport] = []
+    sift_ckpts: dict[str, Checkpoint] = {}
+    dialogues = None
     try:
         for mode in modes:
             log.info("ablation mode %s on %s", mode, dataset.name)
-            reports.append(_run_mode(mode, dataset, sift_config, fused_config))
+            sift_mode = ABLATION_MODES[mode][0]
+            if sift_mode is not None and sift_mode not in sift_ckpts:
+                dialogues = dialogues or build_dialogues(dataset.train)
+                s_cfg = replace(sift_config, stage="sift", sift_mode=sift_mode)
+                sift_ckpts[sift_mode], _ = train_sift(dialogues, s_cfg)
+            reports.append(_run_mode(mode, dataset, sift_ckpts.get(sift_mode), sift_config, fused_config))
     finally:
         if report_path is not None:
             write_report_json(reports, report_path)

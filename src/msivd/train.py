@@ -16,6 +16,7 @@ import math
 import os
 import random
 import struct
+import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
@@ -300,13 +301,23 @@ def render_training_streams(
     """Each complete dialogue becomes a single training stream.
 
     Multi-round mode keeps all rounds, the teacher span of round r being
-    task r - 1; single-round and label-only modes keep round 1 only.
-    Negatives always train their single round under task 0 (detection).
+    task r - 1; single-round mode keeps round 1 with its whole answer.
+    Label-only mode keeps round 1 up to and including ``<|teacher|>``,
+    followed by the one label id (``YES`` for a positive, ``NO`` for a
+    negative) as the only teacher span: the pair that
+    ``fusion.predict_pretrained`` reads. Negatives always train their single
+    round under task 0 (detection). A stream over the window loses ids from
+    the left.
     """
     window = config.lm_config.context_window
     streams: list[TrainingStream] = []
     for d in dialogues:
-        if d.label and config.sift_mode == "multi-round":
+        if config.sift_mode == "label-only":
+            whole = render(d, tokenizer, up_to_round=1, context_window=sys.maxsize)
+            label = tokenizer.YES if d.label else tokenizer.NO
+            ids = np.append(whole.token_ids[: whole.teacher_spans[0][0]], label)[-window:]
+            rendered = RenderedDialogue(token_ids=ids, teacher_spans=[(len(ids) - 1, len(ids))])
+        elif d.label and config.sift_mode == "multi-round":
             rendered = render(d, tokenizer, context_window=window)
         else:
             rendered = render(d, tokenizer, up_to_round=1, context_window=window)

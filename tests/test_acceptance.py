@@ -14,6 +14,7 @@ from helpers_corpus import uniform_samples
 from helpers_dfa import enumerate_reaching, random_cfg
 from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
+from msivd import evaluation
 from msivd.autograd import Tensor
 from msivd.corpus import (
     CodeSample,
@@ -249,7 +250,7 @@ def test_end_to_end_desk_training():
         assert time.monotonic() - start < 600.0
 
 
-def test_ablation_harness_all_modes():
+def test_ablation_harness_all_modes(monkeypatch):
     with criterion("ablation-harness"):
         corpus = make_synthetic_corpus(n=30, seed=4)
         train, eval_set, test_set = make_split(corpus, SplitSpec(seed=4))
@@ -264,8 +265,17 @@ def test_ablation_harness_all_modes():
             stage="fused", learning_rate=0.2, batch_size=8, epochs=5, seed=0,
             lm_config=tiny_lm, gnn_config=tiny_gnn, lora_config=LoraConfig(rank=2),
         )
+        sift_modes = []
+
+        def counted_train_sift(dialogues, config):
+            sift_modes.append(config.sift_mode)
+            return train_sift(dialogues, config)
+
+        # one SIFT run per distinct SIFT mode: the two multi-round modes share theirs
+        monkeypatch.setattr(evaluation, "train_sift", counted_train_sift)
         reports = run_ablation(dataset, list(ABLATION_MODES), sift_cfg, fused_cfg)
         assert [r.mode for r in reports] == list(ABLATION_MODES)
+        assert sift_modes == ["label-only", "single-round", "multi-round"]
         for r in reports:
             assert r.dataset == "synthetic-desk"
             assert r.TP + r.FP + r.TN + r.FN == len(test_set)

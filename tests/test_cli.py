@@ -240,9 +240,12 @@ def test_config_file_with_every_key_accepted(tmp_path):
 
 
 def test_config_schema_lists_exactly_the_config_file_keys():
+    from msivd.train import SIFT_MODES
+
     schema_path = Path(__file__).resolve().parents[1] / "schemas" / "run_config.schema.json"
     schema = json.loads(schema_path.read_text(encoding="utf-8"))
     assert set(schema["properties"]) == set(RunConfig.__dataclass_fields__) - {"command"}
+    assert schema["properties"]["sift_mode"]["enum"] == list(SIFT_MODES)
 
 
 def test_unknown_eval_mode_lists_valid(tmp_path, capsys):
@@ -293,10 +296,19 @@ def pipeline_dir(tmp_path_factory):
 
 
 def test_pipeline_artifacts_exist(pipeline_dir):
-    assert (pipeline_dir / "sift.ckpt").is_file()
-    assert (pipeline_dir / "fused.ckpt").is_file()
-    assert (pipeline_dir / "loss_curve.csv").read_text().startswith("step,loss\n")
-    assert (pipeline_dir / "sift.ckpt.provenance.json").is_file()
+    """Each training command writes its loss curve next to its checkpoint,
+    one row per optimizer step of its own stage."""
+    from msivd.train import load_checkpoint
+
+    steps = {}
+    for name in ("sift.ckpt", "fused.ckpt"):
+        history = load_checkpoint(pipeline_dir / name).metrics_history
+        steps[name] = history[-1]["steps"]
+        lines = (pipeline_dir / f"{name}.loss_curve.csv").read_text().splitlines()
+        assert lines[0] == "step,loss"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(steps[name]))
+        assert (pipeline_dir / f"{name}.provenance.json").is_file()
+    assert steps["sift.ckpt"] != steps["fused.ckpt"]
 
 
 def test_predict_emits_one_line_json(pipeline_dir, tmp_path, capsys):
@@ -358,6 +370,30 @@ def test_bad_splits_file_usage_error(pipeline_dir, tmp_path, capsys, command, co
                  "--config", str(pipeline_dir / "config.json")])
     assert code == 2
     assert f"splits file {splits} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [["train"] * 40, "valid", None], ids=["list", "other_string", "null"])
+@pytest.mark.parametrize("command", ["train-sift", "train-fused", "eval"])
+def test_bad_splits_value_usage_error(pipeline_dir, tmp_path, capsys, command, value):
+    """A splits value other than "train", "eval" or "test" is a usage error
+    naming its sample and echoing at most 80 characters of it, whichever
+    command reads the file."""
+    splits = json.loads((pipeline_dir / "splits.json").read_text())
+    sample_id = sorted(splits)[1]
+    splits[sample_id] = value
+    splits_path = tmp_path / "splits.json"
+    splits_path.write_text(json.dumps(splits))
+    out = tmp_path / "out"
+    inputs = {"train-sift": ["--dialogues", str(pipeline_dir / "dialogues.jsonl")],
+              "train-fused": ["--samples", str(pipeline_dir / "samples.jsonl")],
+              "eval": ["--mode", "pre-trained", "--samples", str(pipeline_dir / "samples.jsonl")]}[command]
+    code = main([command, *inputs, "--splits", str(splits_path), "--out", str(out),
+                 "--config", str(pipeline_dir / "config.json")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: splits file {splits_path} sample {sample_id!r} must be "
+                    f"\"train\", \"eval\" or \"test\", got {json.dumps(value)[:80]}")
     assert not out.exists()
 
 

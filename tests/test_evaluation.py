@@ -175,3 +175,34 @@ def test_per_category_reports_mirror_type_rows(tmp_path):
     for r in named:
         assert r.mode == "pre-trained"
         assert r.TP + r.FP + r.TN + r.FN > 0
+
+
+def test_modes_sharing_a_sift_run_report_as_if_run_alone(monkeypatch):
+    """The two multi-round modes train SIFT once. The plain mode runs second,
+    on the checkpoint that the GGNN mode's SIFT run left, and reports
+    exactly what a run of that mode alone reports."""
+    from msivd import evaluation
+    from msivd.corpus import make_split, SplitSpec
+    from msivd.evaluation import AblationDataset
+    from msivd.synth import make_synthetic_corpus
+
+    train, ev, te = make_split(make_synthetic_corpus(n=30, seed=4), SplitSpec(seed=4))
+    ds = AblationDataset(name="synthetic", train=train, eval=ev, test=te)
+    tiny_lm = TransformerConfig(d_model=16, n_layers=1, n_heads=2, context_window=384)
+    cfg = TrainConfig(
+        stage="sift", lm_config=tiny_lm, gnn_config=GgnnConfig(state_dim=16, steps=1),
+        lora_config=LoraConfig(rank=2), epochs=1, batch_size=8, learning_rate=0.01,
+    )
+    sift_modes = []
+    train_sift = evaluation.train_sift
+
+    def counted(dialogues, config):
+        sift_modes.append(config.sift_mode)
+        return train_sift(dialogues, config)
+
+    monkeypatch.setattr(evaluation, "train_sift", counted)
+    gnn_report, shared_report = run_ablation(ds, ["multi-round-sift-gnn", "multi-round-sift"], cfg, cfg)
+    assert sift_modes == ["multi-round"]
+    (alone_report,) = run_ablation(ds, ["multi-round-sift"], cfg, cfg)
+    assert shared_report == alone_report
+    assert gnn_report.mode == "multi-round-sift-gnn"

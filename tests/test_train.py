@@ -340,32 +340,74 @@ def test_stream_loss_matches_multitask_loss_two_layers():
 FULL_ROW_GRAD_TOL = 1e-5
 
 
-@pytest.mark.parametrize("mode", ["multi-round", "single-round", "label-only"])
-def test_sift_gradients_match_full_row_loss(mode):
-    """With the last layer and the head started at each stream's first target
-    row, the loss and every adapter gradient match those of the full-row
-    forward within the stated bounds."""
-    from helpers_loss import full_row_loss
+def _seed4_loss_and_grads(mode, loss_fn):
+    """``loss_fn``'s loss and adapter gradients on the 8 seed-4 dialogues in
+    ``mode``, on a 2-layer LM whose B factors are random."""
     from msivd.lm import ByteTokenizer, LmModel
 
     dialogues = build_dialogues(make_synthetic_corpus(n=8, seed=4))
     lm_config = TransformerConfig(d_model=32, n_layers=2, n_heads=2, context_window=512)
     config = tiny_config(sift_mode=mode, lm_config=lm_config)
     streams = render_training_streams(dialogues, ByteTokenizer(), config)
-    results = []
-    for loss_fn in (sift_batch_loss, full_row_loss):
-        model = LmModel(lm_config, seed=2, lora=config.lora_config)
-        rng = np.random.default_rng(0)
-        for ad in model.adapters.values():
-            ad.b.data[:] = rng.normal(0, 0.05, ad.b.shape)
-        loss = loss_fn(model, streams)
-        results.append((loss, {k: t.grad for k, t in model.adapter_parameters().items()}))
-    (loss, grads), (full_loss, full_grads) = results
+    model = LmModel(lm_config, seed=2, lora=config.lora_config)
+    rng = np.random.default_rng(0)
+    for ad in model.adapters.values():
+        ad.b.data[:] = rng.normal(0, 0.05, ad.b.shape)
+    loss = loss_fn(model, streams)
+    return loss, {k: t.grad for k, t in model.adapter_parameters().items()}
+
+
+@pytest.mark.parametrize("mode", ["multi-round", "single-round", "label-only"])
+def test_sift_gradients_match_full_row_loss(mode):
+    """With the last layer and the head started at each stream's first target
+    row, the loss and every adapter gradient match those of the full-row
+    forward within the stated bounds."""
+    from helpers_loss import full_row_loss
+
+    loss, grads = _seed4_loss_and_grads(mode, sift_batch_loss)
+    full_loss, full_grads = _seed4_loss_and_grads(mode, full_row_loss)
     assert loss == pytest.approx(full_loss, abs=1e-6)
     scale = max(np.abs(g).max() for g in full_grads.values())
     assert scale > 0
     for name, g in full_grads.items():
         assert np.max(np.abs(grads[name] - g)) <= FULL_ROW_GRAD_TOL * scale, name
+
+
+def test_label_only_and_single_round_train_different_targets():
+    """Label-only trains the label id, single-round the whole round-1
+    answer, so on one batch they give different losses and adapter
+    gradients (both modes once trained the same streams)."""
+    label_loss, label_grads = _seed4_loss_and_grads("label-only", sift_batch_loss)
+    round_loss, round_grads = _seed4_loss_and_grads("single-round", sift_batch_loss)
+    assert label_loss != round_loss
+    assert all(not np.array_equal(label_grads[k], round_grads[k]) for k in round_grads)
+
+
+@pytest.mark.parametrize("window", [512, 160], ids=["whole", "cut"])
+def test_label_only_stream_is_the_read_out_prompt_and_its_label(window):
+    """A label-only stream is round 1 up to and including ``<|teacher|>``,
+    which is the prompt ``predict_pretrained`` reads when nothing is cut,
+    followed by the label id, its only teacher span. Over the window it
+    loses ids from the left and keeps the marker and the label."""
+    from msivd.dialogue import render_prompt
+    from msivd.lm import ByteTokenizer
+
+    samples = make_synthetic_corpus(n=8, seed=4)
+    lm_config = TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=window)
+    tok = ByteTokenizer()
+    config = tiny_config(sift_mode="label-only", lm_config=lm_config)
+    streams = render_training_streams(build_dialogues(samples), tok, config)
+    assert {s.label for s in samples} == {True, False}
+    for sample, stream in zip(samples, streams):
+        ids = stream.rendered.token_ids
+        assert ids[-1] == (tok.YES if sample.label else tok.NO)
+        assert stream.tasks == [(0, (len(ids) - 1, len(ids)))]
+        assert stream.rendered.teacher_spans == [(len(ids) - 1, len(ids))]
+        prompt = render_prompt(sample.code, tok, context_window=10_000)
+        if len(prompt) < window:
+            assert np.array_equal(ids[:-1], prompt)
+        else:
+            assert len(ids) == window and np.array_equal(ids[:-1], prompt[len(prompt) - window + 1 :])
 
 
 def test_sift_loss_gradcheck_of_last_layer_adapters_across_a_tile_edge():
