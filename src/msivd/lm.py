@@ -1,7 +1,9 @@
 """Byte-level tokenizer and a small decoder-only transformer with LoRA.
 
 The base weights are frozen; low-rank adapters on the attention query/value
-projections carry all of the fine-tuning signal. The task-averaged SIFT loss
+projections carry all of the fine-tuning signal. Every projection (adapted
+or not), MLP, layer norm and the attention is one fused autograd kernel, so a
+layer records 10 tape nodes. The task-averaged SIFT loss
 over these forwards (the paper's Eq. 2) is ``train.sift_batch_loss``.
 """
 from __future__ import annotations
@@ -127,22 +129,22 @@ def make_adapter(d_in: int, d_out: int, cfg: LoraConfig, rng: np.random.Generato
 
 
 def lora_forward(x: Tensor, w0: Tensor, adapter: LoraAdapter | None) -> Tensor:
-    """x @ W0^T plus the scaled low-rank path (alpha/r) x A^T B^T.
+    """x @ W0^T plus the scaled low-rank path (alpha/r) x A^T B^T, recorded
+    as one ``autograd.lora_linear`` tape node (``autograd.linear`` without
+    an adapter).
 
-    W0 stays frozen; only A and B are trainable. With B at its zero
-    initialization the output equals the base layer exactly.
+    W0 stays frozen; only A and B are trainable. With B at zero, its
+    initialization, the output equals the base layer exactly.
     """
-    base = ag.matmul(x, ag.transpose(w0))
     if adapter is None:
-        return base
+        return ag.linear(x, w0)
     d_out, d_in = w0.shape
     if adapter.a.shape != (adapter.rank, d_in) or adapter.b.shape != (d_out, adapter.rank):
         raise ag.ShapeError(
             f"adapter rank mismatch: A {adapter.a.shape}, B {adapter.b.shape} "
             f"for weight {w0.shape} rank {adapter.rank}"
         )
-    delta = ag.matmul(ag.matmul(x, ag.transpose(adapter.a)), ag.transpose(adapter.b))
-    return ag.add(base, ag.scale(delta, adapter.alpha / adapter.rank))
+    return ag.lora_linear(x, w0, adapter.a, adapter.b, adapter.alpha / adapter.rank)
 
 
 @dataclass
@@ -272,21 +274,18 @@ class LmModel:
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             q = lora_forward(ag.slice_rows(xn, cut, n) if cut else xn,
                              layer["wq"], self.adapters.get(f"layer{i}.wq"))
-            k = ag.matmul(xn, ag.transpose(layer["wk"]))
+            k = ag.linear(xn, layer["wk"])
             v = lora_forward(xn, layer["wv"], self.adapters.get(f"layer{i}.wv"))
             if prefix is not None:
                 k, v = (Tensor(np.concatenate([c, new.data])) for c, new in zip(prefix.kv[i], (k, v)))
             kv.append((k.data, v.data))
-            attn_out = ag.matmul(ag.causal_attention(q, k, v, self.config.n_heads), ag.transpose(layer["wo"]))
+            attn_out = ag.linear(ag.causal_attention(q, k, v, self.config.n_heads), layer["wo"])
             if cut:
                 x = ag.slice_rows(x, cut, n)
             x = ag.add(x, attn_out)
-
             xn2 = ag.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
-            hdn = ag.relu(ag.add(ag.matmul(xn2, ag.transpose(layer["w1"])), layer["b1"]))
-            mlp_out = ag.add(ag.matmul(hdn, ag.transpose(layer["w2"])), layer["b2"])
-            x = ag.add(x, mlp_out)
+            x = ag.add(x, ag.mlp(xn2, layer["w1"], layer["b1"], layer["w2"], layer["b2"]))
 
         hidden = ag.layer_norm(x, self.ln_f_g, self.ln_f_b)
-        logits = ag.matmul(hidden, ag.transpose(self.lm_head))
+        logits = ag.linear(hidden, self.lm_head)
         return LmOutput(logits=logits, hidden=hidden, kv=kv)

@@ -11,7 +11,7 @@ from helpers_attention import per_head_attention
 from msivd import autograd as ag
 from msivd.autograd import Tensor
 from msivd.dialogue import build_dialogues
-from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
+from msivd.lm import ByteTokenizer, LmModel, LoraAdapter, LoraConfig, TransformerConfig, lora_forward
 from msivd.synth import make_synthetic_corpus
 from msivd.train import TrainConfig, render_training_streams, sift_batch_loss
 
@@ -259,6 +259,65 @@ def test_kernel_gradients(name):
     assert ag.grad_check(f, xs, h=1e-3) <= 1e-4
 
 
+def _mlp_case(rng):
+    """Row 0 of the input is small and every hidden bias is below -1, so all
+    of row 0's pre-activations are negative; the other rows mix both signs."""
+    x = rand((4, 5), rng)
+    x.data[0] *= 0.1
+    w1, w2 = rand((6, 5), rng), rand((3, 6), rng)
+    b1 = Tensor(-1.0 - np.abs(rng.standard_normal(6)) * 0.2, requires_grad=True, dtype=np.float64)
+    pre = x.data.astype(np.float64) @ w1.data.T.astype(np.float64) + b1.data
+    assert (pre[0] < 0).all() and (pre[1:] > 0).any() and (pre[1:] < 0).any()
+    return (
+        lambda x_, w1_, b1_, w2_, b2_: ag.sum_all(ag.sigmoid(ag.mlp(x_, w1_, b1_, w2_, b2_))),
+        [x, w1, b1, w2, rand((3,), rng)],
+    )
+
+
+def _lora_case(w0_frozen):
+    def case(rng):
+        w0 = rand((5, 4), rng, scale=0.5, dtype=np.float64, requires_grad=not w0_frozen)
+        xs = [rand((3, 4), rng), rand((2, 4), rng, scale=0.5), rand((5, 2), rng, scale=0.5)]
+        if w0_frozen:
+            return (
+                lambda x, a, b: ag.sum_all(ag.sigmoid(lora_forward(x, w0, LoraAdapter(a=a, b=b, rank=2, alpha=3.0)))),
+                xs,
+            )
+        return lambda x, w, a, b: ag.sum_all(ag.sigmoid(ag.lora_linear(x, w, a, b, 1.5))), [xs[0], w0, *xs[1:]]
+
+    return case
+
+
+def _linear_frozen_w_case(rng):
+    w = rand((5, 4), rng, dtype=np.float64, requires_grad=False)
+    return lambda x, b: ag.sum_all(ag.sigmoid(ag.linear(x, w, b))), [rand((3, 4), rng), rand((5,), rng)]
+
+
+# The fused kernels of the LM: one tape node each for a projection (adapted or
+# not) and the MLP. The step is 1e-5, as for attention across tiles.
+FUSED_CASES = {
+    "linear": lambda rng: (
+        lambda x, w, b: ag.sum_all(ag.sigmoid(ag.linear(x, w, b))),
+        [rand((3, 4), rng), rand((5, 4), rng), rand((5,), rng)],
+    ),
+    "linear_no_bias": lambda rng: (
+        lambda x, w: ag.sum_all(ag.sigmoid(ag.linear(x, w))),
+        [rand((3, 4), rng), rand((5, 4), rng)],
+    ),
+    "linear_frozen_w": _linear_frozen_w_case,
+    "lora_forward": _lora_case(w0_frozen=True),
+    "lora_linear_trainable_w0": _lora_case(w0_frozen=False),
+    "mlp": _mlp_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_fused_kernel_gradients(name):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    f, xs = FUSED_CASES[name](rng)
+    assert ag.grad_check(f, xs, h=1e-5) <= 1e-4
+
+
 def _unreachable_after(build) -> int:
     """Objects the cyclic GC finds once ``build()`` has returned and dropped
     everything it made; an acyclic tape is freed by reference counting and
@@ -272,10 +331,10 @@ def _unreachable_after(build) -> int:
         gc.enable()
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES) + sorted(FUSED_CASES))
 def test_backward_leaves_no_cyclic_garbage(name):
     def build():
-        f, xs = KERNEL_CASES[name](np.random.default_rng(0))
+        f, xs = {**KERNEL_CASES, **FUSED_CASES}[name](np.random.default_rng(0))
         ag.backward(f(*xs))
 
     assert _unreachable_after(build) == 0
@@ -447,3 +506,92 @@ def test_causal_attention_suffix_queries_match_last_rows(t, tq):
     suffix = ag.causal_attention(ag.slice_rows(q, t - tq, t), k, v, 2).data
     assert suffix.shape == (tq, 8)
     assert np.max(np.abs(suffix - full[t - tq:])) <= 1e-12
+
+
+# --- fused linear, LoRA and MLP kernels against the composed ops --------------------
+
+
+def _composed_linear(x, w, b):
+    return ag.add(ag.matmul(x, ag.transpose(w)), b)
+
+
+def _composed_lora(x, w0, a, b, s):
+    delta = ag.matmul(ag.matmul(x, ag.transpose(a)), ag.transpose(b))
+    return ag.add(ag.matmul(x, ag.transpose(w0)), ag.scale(delta, s))
+
+
+def _composed_mlp(x, w1, b1, w2, b2):
+    return _composed_linear(ag.relu(_composed_linear(x, w1, b1)), w2, b2)
+
+
+T, D, R = 512, 64, 8
+# (fused, composed, input shapes and init scales): the LM's shapes and init at
+# d_model 64; every input requires grad, so every branch of backward runs
+PARITY_CASES = {
+    "linear": (ag.linear, _composed_linear, [((T, D), 1.0), ((D, D), D**-0.5), ((D,), 0.1)]),
+    "lora_linear": (
+        lambda *xs: ag.lora_linear(*xs, 1.5),
+        lambda *xs: _composed_lora(*xs, 1.5),
+        [((T, D), 1.0), ((D, D), D**-0.5), ((R, D), 0.02), ((D, R), 0.3)],
+    ),
+    "mlp": (
+        ag.mlp,
+        _composed_mlp,
+        [((T, D), 1.0), ((4 * D, D), D**-0.5), ((4 * D,), 0.1), ((D, 4 * D), (4 * D) ** -0.5), ((D,), 0.1)],
+    ),
+}
+
+
+def _output_and_grads(kernel, shapes, frozen=()):
+    rng = np.random.default_rng(11)
+    xs = [rand(shape, rng, scale=scale, requires_grad=i not in frozen) for i, (shape, scale) in enumerate(shapes)]
+    out = kernel(*xs)
+    upstream = Tensor(rng.standard_normal(out.shape), dtype=np.float32)
+    ag.backward(ag.sum_all(ag.mul(out, upstream)))
+    return out.data, [x.grad for x in xs]
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_fused_kernel_matches_composed_ops_float32(name):
+    """At T = 512, d = 64 the fused kernel's output and the gradients of all
+    its inputs stay within 1e-5 of the composed matmul/transpose/add/scale/relu
+    graph in float32."""
+    fused, composed, shapes = PARITY_CASES[name]
+    out, grads = _output_and_grads(fused, shapes)
+    ref_out, ref_grads = _output_and_grads(composed, shapes)
+    assert out.dtype == np.float32
+    assert np.max(np.abs(out - ref_out)) <= 1e-5
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape and g.dtype == np.float32
+        assert np.max(np.abs(g - ref)) <= 1e-5
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_fused_kernel_frozen_weights_get_no_grad(name):
+    """With every input but x frozen, as in the LM's base layers, the weights
+    end with no gradient and x's gradient is unchanged."""
+    fused, _, shapes = PARITY_CASES[name]
+    _, grads = _output_and_grads(fused, shapes)
+    _, frozen = _output_and_grads(fused, shapes, frozen=range(1, len(shapes)))
+    assert all(g is None for g in frozen[1:])
+    assert np.array_equal(frozen[0], grads[0])
+
+
+@pytest.mark.parametrize(
+    "kernel, shapes, match",
+    [
+        (ag.linear, [(3, 4), (5, 3)], "linear needs"),
+        (ag.linear, [(2, 3, 4), (5, 4)], "linear needs"),
+        (ag.linear, [(3, 4), (5, 4), (4,)], "linear bias"),
+        (lambda x, w, a, b: ag.lora_linear(x, w, a, b, 1.0), [(3, 4), (5, 4), (2, 5), (5, 2)], "adapter shapes"),
+        (lambda x, w, a, b: ag.lora_linear(x, w, a, b, 1.0), [(3, 4), (5, 4), (2, 4), (5, 3)], "adapter shapes"),
+        (ag.mlp, [(3, 4), (6, 4), (6,), (2, 5), (2,)], "second layer"),
+        (ag.mlp, [(3, 4), (6, 4), (6,), (2, 6), (3,)], "second layer"),
+        (ag.mlp, [(3, 4), (6, 4), (5,), (2, 6), (2,)], "mlp bias"),
+    ],
+    ids=["linear_inner", "linear_3d", "linear_bias", "lora_a", "lora_b", "mlp_w2", "mlp_b2", "mlp_b1"],
+)
+def test_fused_kernels_reject_bad_shapes(kernel, shapes, match):
+    rng = np.random.default_rng(13)
+    with pytest.raises(ag.ShapeError, match=match):
+        kernel(*(rand(s, rng) for s in shapes))

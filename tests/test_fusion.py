@@ -246,18 +246,22 @@ def test_predict_forwards_only_the_rows_after_the_scaffold(overfit_bundle, monke
     t = len(render_prompt(sample.code, bundle.tokenizer, bundle.context_window))
     p = len(bundle.read_out.prefix.ids)
     seen = []
-    attend, matmul = ag.causal_attention, ag.matmul
+    attend = ag.causal_attention
 
     def recording_attention(q, k, v, n_heads):
         seen.append(("attention", q.shape[0], k.shape[0]))
         return attend(q, k, v, n_heads)
 
-    def recording_matmul(a, b):
-        seen.append(("matmul", a.shape[0]))
-        return matmul(a, b)
+    def recording(kernel):  # the rows of every matrix product: LM projections and MLP, GGNN, classifier
+        def run(x, *weights):
+            seen.append(("matmul", x.shape[0]))
+            return kernel(x, *weights)
+
+        return run
 
     monkeypatch.setattr(ag, "causal_attention", recording_attention)
-    monkeypatch.setattr(ag, "matmul", recording_matmul)
+    for name in ("matmul", "linear", "lora_linear", "mlp"):
+        monkeypatch.setattr(ag, name, recording(getattr(ag, name)))
     predict(sample, bundle)
     first = seen.index(("attention", t - p, t))
     assert first >= 3 and seen[:first] == [("matmul", t - p)] * first

@@ -62,6 +62,18 @@ def test_zero_init_adapter_equals_base_exactly():
     assert np.array_equal(lora_forward(x, w0, ad).data, lora_forward(x, w0, None).data)
 
 
+@pytest.mark.parametrize("t, d", [(5, 8), (512, 64)])
+def test_zero_b_is_bitwise_the_base_linear(t, d):
+    """The fused LoRA kernel adds s·(x·Aᵀ)·Bᵀ to x·W0ᵀ; with B = 0 that sum
+    leaves every byte of the base layer's output as it is."""
+    rng = np.random.default_rng(t)
+    x = Tensor(rng.normal(0, 1, (t, d)).astype(np.float32))
+    w0 = Tensor(rng.normal(0, d**-0.5, (d, d)).astype(np.float32))
+    ad = make_adapter(d, d, LoraConfig(rank=8, init_std=0.5), rng)
+    assert not ad.b.data.any() and ad.a.data.any()
+    assert lora_forward(x, w0, ad).data.tobytes() == ag.linear(x, w0).data.tobytes()
+
+
 def test_lora_matches_dense_materialization():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(0, 1, (4, 8)).astype(np.float32))
@@ -309,6 +321,31 @@ def test_model_forward_gradcheck_through_adapter():
     assert ag.grad_check(f, [adapter.a, adapter.b], h=1e-5) <= 1e-4
 
 
+def _tape_nodes(out: Tensor) -> int:
+    """Recorded operations reachable from ``out``."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._bw is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_each_layer_records_ten_tape_nodes():
+    """Per layer: two layer norms, the q/k/v and output projections, attention,
+    the MLP and two residual adds; around them the two embeddings and their
+    add, the final layer norm and the head. Every parameter is made
+    trainable, so that every operation is recorded."""
+    nodes = []
+    for n in (1, 2, 3):
+        model = LmModel(replace(TINY, n_layers=n), seed=16)
+        for t in model.parameters().values():
+            t.requires_grad = True
+        nodes.append(_tape_nodes(model.forward(list(range(1, 20))).logits))
+    assert nodes == [5 + 10, 5 + 20, 5 + 30]
+
+
 # --- last-position read-out ---------------------------------------------------------
 
 
@@ -346,21 +383,25 @@ def test_last_only_runs_final_layer_and_head_on_one_row(monkeypatch):
     ids = list(range(1, 8))
     prefix = KvPrefix(ids=np.asarray(ids[:4]), kv=model.forward(ids[:4]).kv)
     rows = {"queries": [], "keys": [], "head": []}
-    attend, matmul = ag.causal_attention, ag.matmul
+    attend = ag.causal_attention
 
     def recording_attention(q, k, v, n_heads):
         rows["queries"].append(q.shape[0])
         rows["keys"].append(k.shape[0])
         return attend(q, k, v, n_heads)
 
-    def recording_matmul(a, b):
-        out = matmul(a, b)
-        if out.shape[-1] == cfg.vocab_size:
-            rows["head"].append(out.shape[0])
-        return out
+    def recording(kernel):
+        def run(x, *weights):
+            out = kernel(x, *weights)
+            if out.shape[-1] == cfg.vocab_size:
+                rows["head"].append(out.shape[0])
+            return out
+
+        return run
 
     monkeypatch.setattr(ag, "causal_attention", recording_attention)
-    monkeypatch.setattr(ag, "matmul", recording_matmul)
+    for name in ("linear", "lora_linear", "mlp"):
+        monkeypatch.setattr(ag, name, recording(getattr(ag, name)))
 
     def rows_of(prefix, first_row):
         for calls in rows.values():
