@@ -3,6 +3,9 @@
 Storage is 32-bit by default; gradient verification runs the same kernels on
 64-bit tensors for headroom. Summation order inside every kernel is fixed
 (numpy row-major), so identical inputs give bitwise-identical outputs.
+``backward`` frees the recorded graph as it walks it, so its peak memory
+stays near what the forward left allocated; afterwards only leaves (tensors
+that no recorded operation produced) keep a ``grad``.
 """
 from __future__ import annotations
 
@@ -53,7 +56,10 @@ class Tensor:
     scalar result replays the recorded tape once, accumulating into the
     ``grad`` buffer of every ``requires_grad`` tensor it reaches. A rule is
     passed its output's gradient and holds only its inputs, so a graph has no
-    cycle and reference counting frees it when its last tensor goes.
+    cycle. ``backward`` drops each operation's rule, inputs and gradient once
+    it has run the rule, so an intermediate tensor's data goes as soon as the
+    walk is past it and nothing else holds it. Only leaves keep ``grad``, as
+    PyTorch does for non-leaf tensors by default.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "_consumed")
@@ -604,8 +610,13 @@ def backward(loss: Tensor) -> None:
     """Run the recorded tape in reverse from a scalar loss.
 
     Each recorded operation is visited once, after all that read its output,
-    and its rule is called with that output's gradient; afterwards the tape
-    is consumed and a second call on the same loss raises.
+    and its rule is called with that output's gradient. Before the call the
+    operation's rule, inputs and gradient are taken off its output, so the
+    rule's saved buffers and the gradient go when it returns: the walk frees
+    the graph as it goes, and afterwards only leaves hold a ``grad`` (the
+    loss and every intermediate tensor hold None). The loss is marked
+    consumed before the walk starts, so a second call on it raises, even
+    after a rule raised partway.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -630,11 +641,15 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._bw is not None:
-            node._bw(node.grad)
     loss._consumed = True
+    loss.grad = np.ones_like(loss.data)
+    while topo:
+        node = topo.pop()
+        if node._bw is None:
+            continue
+        bw, g = node._bw, node.grad
+        node._bw, node._parents, node.grad = None, (), None
+        bw(g)
 
 
 def grad_check(f, xs, h: float = 1e-3, tol: float | None = None) -> float:

@@ -80,13 +80,14 @@ class FusedClassifier:
 
 def _pair_prediction(pair, flagged: bool = False) -> Prediction:
     """The prediction from a (yes, no) logit pair, its LogSoftmax taken in
-    64-bit floats."""
+    64-bit floats. The score is clamped to the nearest floats inside (0, 1),
+    which a saturated pair would otherwise reach; ``log_probs`` stay exact."""
     lp = np.asarray(pair, dtype=np.float64)
     lp = lp - lp.max()
     lp -= np.log(np.exp(lp).sum())
     return Prediction(
         label=bool(np.argmax(lp) == YES_INDEX),
-        score=float(np.exp(lp[YES_INDEX])),
+        score=float(np.clip(np.exp(lp[YES_INDEX]), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))),
         log_probs=(float(lp[YES_INDEX]), float(lp[NO_INDEX])),
         flagged=flagged,
     )

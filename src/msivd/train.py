@@ -136,12 +136,13 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary container: magic, u32 version, u32 header length, JSON header
-    (config + tensor directory), raw little-endian float payload."""
+    (config + tensor directory), raw little-endian float payload. A tensor
+    holding a non-finite value raises CheckpointError before the file opens."""
     directory = {}
     offset = 0
     payloads = []
     for name in sorted(ckpt.tensors):
-        arr = ckpt.tensors[name]
+        arr = _finite(name, ckpt.tensors[name])
         dtype = "<f8" if arr.dtype == np.float64 else "<f4"
         blob = np.ascontiguousarray(arr).astype(dtype).tobytes()
         directory[name] = {
@@ -213,7 +214,14 @@ def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
     if nbytes != math.prod(shape) * np.dtype(meta["dtype"]).itemsize:
         raise CheckpointError(f"tensor {name!r}: {nbytes} bytes do not hold shape {shape} of {meta['dtype']}")
     blob = payload[offset : offset + nbytes]
-    return np.frombuffer(blob, dtype=meta["dtype"]).reshape(shape).astype(CKPT_DTYPES[meta["dtype"]])
+    return _finite(name, np.frombuffer(blob, dtype=meta["dtype"]).reshape(shape).astype(CKPT_DTYPES[meta["dtype"]]))
+
+
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``, or CheckpointError naming the tensor when it holds a NaN or an infinity."""
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+    return arr
 
 
 def _apply_state(params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:
@@ -238,7 +246,8 @@ def _apply_state(params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> N
 
 class Sgd:
     """Plain mini-batch gradient descent under a global gradient-norm bound of
-    ``CLIP_NORM``; ``step`` logs the clip and returns whether it fired."""
+    ``CLIP_NORM``; ``step`` logs the clip and returns whether it fired, and
+    raises FloatingPointError, moving no parameter, on a non-finite norm."""
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
@@ -251,6 +260,8 @@ class Sgd:
     def step(self) -> bool:
         grads = [t.grad for t in self.params.values() if t.grad is not None]
         total = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+        if not math.isfinite(total):
+            raise FloatingPointError(f"global gradient norm is {total}")
         clipped = total > CLIP_NORM
         if clipped:
             for g in grads:
@@ -268,7 +279,9 @@ def _run_epochs(
     """The mini-batch loop of both stages: each epoch shuffles the item
     indices with the run's seeded generator, then each batch of indices is
     one ``zero_grad``, one ``batch_loss`` (which backpropagates and returns
-    the batch's loss), one ``step`` and one curve row."""
+    the batch's loss), one ``step`` and one curve row. A non-finite loss or
+    gradient norm stops a diverging run with FloatingPointError naming the
+    stage and the step, before that step moves any parameter."""
     curve = LossCurve()
     order_rng = random.Random(config.seed)
     for _epoch in range(config.epochs):
@@ -277,7 +290,12 @@ def _run_epochs(
         for start in range(0, n_items, config.batch_size):
             optimizer.zero_grad()
             loss = batch_loss(order[start : start + config.batch_size])
-            optimizer.step()
+            try:
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"batch loss is {loss}")
+                optimizer.step()
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{config.stage} step {len(curve.rows)} diverged: {exc}") from None
             curve.append(len(curve.rows), loss)
     return curve
 
@@ -341,11 +359,12 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
     rows first_row .. T-1 only.
 
     Each stream is forwarded and backpropagated on a worker thread
-    (``_stream_grads``), the longest streams handed out first; a worker
-    drops its graph before it takes the next stream, so at most one stream
-    graph per worker is alive at a time, and the freed graph's memory stays
-    in the worker's malloc arena for the next stream instead of going back
-    to the kernel (the heap policy in ``msivd/__init__.py``). Once every
+    (``_stream_grads``), the longest streams handed out first. Backward
+    frees a stream's graph as it walks it, so a worker's peak is about one
+    forward graph, not the graph plus every intermediate gradient, and none
+    of it is left when the worker takes the next stream. The freed memory
+    stays in the worker's malloc arena for the next stream instead of going
+    back to the kernel (the heap policy in ``msivd/__init__.py``). Once every
     stream is done, the stream gradients are added into the adapters'
     ``grad`` and the losses summed, both in stream order: each adapter gets
     one gradient per stream, as a sequential loop would give it, so the

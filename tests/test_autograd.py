@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -149,6 +150,51 @@ def test_second_backward_errors():
     ag.backward(loss)
     with pytest.raises(ag.TapeError, match="consumed"):
         ag.backward(loss)
+
+
+def test_second_backward_errors_after_a_rule_raised():
+    """The loss is consumed before the walk starts, so a rule that raises
+    partway leaves a tape that a second call refuses."""
+    x = Tensor([1.0, -2.0], requires_grad=True)
+
+    def failing_rule(g):
+        raise ArithmeticError("rule failed")
+
+    loss = ag.sum_all(ag.relu(ag._result(x.data * 2, (x,), failing_rule)))
+    with pytest.raises(ArithmeticError, match="rule failed"):
+        ag.backward(loss)
+    with pytest.raises(ag.TapeError, match="consumed"):
+        ag.backward(loss)
+
+
+def test_backward_frees_intermediates_as_it_walks():
+    """An array that only the tape holds is freed once backward returns,
+    while the loss is still held."""
+    rng = np.random.default_rng(5)
+    x, w = rand((4, 3), rng), rand((3, 5), rng)
+    hidden = ag.matmul(x, w)
+    ref = weakref.ref(hidden.data)
+    loss = ag.sum_all(ag.relu(hidden))
+    del hidden
+    assert ref() is not None
+    ag.backward(loss)
+    assert ref() is None
+    assert loss.data.shape == ()
+
+
+def test_only_leaves_keep_grad():
+    """Like PyTorch's default for non-leaf tensors: after backward the leaves
+    hold their gradient, and neither an intermediate nor the loss does."""
+    x = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
+    w = Tensor([[2.0], [1.0], [-1.0]], requires_grad=True)
+    frozen = Tensor([[0.5]])
+    hidden = ag.matmul(x, w)
+    loss = ag.sum_all(ag.mul(ag.add(hidden, frozen), ag.add(hidden, frozen)))
+    ag.backward(loss)
+    h = (x.data @ w.data + frozen.data).item()  # -3.5
+    assert np.array_equal(x.grad, 2 * h * w.data.T)
+    assert np.array_equal(w.grad, 2 * h * x.data.T)
+    assert hidden.grad is None and loss.grad is None
 
 
 def test_matmul_sigmoid_chain_matches_finite_differences():

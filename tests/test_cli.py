@@ -353,6 +353,17 @@ def test_corrupt_checkpoint_is_runtime_failure(pipeline_dir, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_diverging_training_exits_1_and_writes_no_checkpoint(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "fused.ckpt"
+    code = main(["train-fused", "--samples", str(pipeline_dir / "samples.jsonl"),
+                 "--splits", str(pipeline_dir / "splits.json"), "--out", str(out),
+                 "--config", str(pipeline_dir / "config.json"), "--learning-rate", "1e30"])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: fused step ") and line.endswith(" diverged: batch loss is nan")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"{not json", "is not valid JSON"),
     (b"\xff\xfe", "is not valid JSON"),

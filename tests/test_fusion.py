@@ -89,6 +89,23 @@ def test_classify_argmax_label():
     assert pred.score > 0.5
 
 
+@pytest.mark.parametrize("pair, score", [
+    ((0.0, -8018.5), np.nextafter(1.0, 0.0)),
+    ((-8018.5, 0.0), np.nextafter(0.0, 1.0)),
+], ids=["yes_saturated", "no_saturated"])
+def test_saturated_score_stays_inside_the_open_interval(pair, score):
+    """A saturated logit pair gives the nearest float inside (0, 1) as its
+    score; the log-probabilities stay exact."""
+    clf = FusedClassifier(in_dim=2, seed=0)
+    clf.w.data[:] = 0
+    clf.b.data[:] = pair
+    pred = clf.classify(Tensor(np.ones((1, 2), dtype=np.float32)))
+    assert 0.0 < pred.score < 1.0
+    assert pred.score == score
+    assert pred.log_probs == pair
+    assert pred.label is (pair[0] > pair[1])
+
+
 def test_classify_shift_invariance():
     clf = FusedClassifier(in_dim=3, seed=1)
     x = Tensor(np.array([[0.4, -0.2, 1.0]], dtype=np.float32))

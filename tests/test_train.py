@@ -121,6 +121,27 @@ def test_version_mismatch_errors(tmp_path):
         load_checkpoint(p)
 
 
+def test_save_checkpoint_refuses_a_non_finite_tensor(tmp_path):
+    p = tmp_path / "nan.ckpt"
+    tensors = {"lm.a": np.zeros(3, dtype=np.float32), "lm.b": np.array([1.0, np.nan], dtype=np.float32)}
+    with pytest.raises(CheckpointError, match="'lm.b'.*non-finite"):
+        save_checkpoint(Checkpoint(CKPT_VERSION, {}, tensors), p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_load_checkpoint_refuses_a_non_finite_tensor(tmp_path, value):
+    """The last float of the payload belongs to the last tensor by name."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(Checkpoint(CKPT_VERSION, {}, {"lm.a": np.zeros(3, dtype=np.float32),
+                                                  "lm.b": np.ones(2, dtype=np.float32)}), p)
+    raw = bytearray(p.read_bytes())
+    raw[-4:] = np.float32(value).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="'lm.b'.*non-finite"):
+        load_checkpoint(p)
+
+
 def _sift_checkpoint():
     """An untrained SIFT checkpoint of the tiny LM."""
     from msivd.lm import LmModel
@@ -672,6 +693,36 @@ def test_loss_curve_csv_round_trip(tmp_path):
     assert header == "step,loss"
     rows = [(int(step), float(loss)) for step, loss in (line.split(",") for line in lines)]
     assert rows == [(0, 1.5), (1, 0.75)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sgd_step_refuses_a_non_finite_gradient_norm(bad):
+    from msivd.autograd import Tensor
+    from msivd.train import Sgd
+
+    t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    u = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    t.grad = np.array([0.1, bad, 0.1], dtype=np.float32)
+    u.grad = np.full(2, 0.1, dtype=np.float32)
+    with pytest.raises(FloatingPointError, match="gradient norm is (nan|inf)"):
+        Sgd({"t": t, "u": u}, lr=0.1).step()
+    assert np.array_equal(t.data, np.ones(3)) and np.array_equal(u.data, np.ones(2))
+
+
+def test_diverging_fused_run_stops_naming_stage_and_step(small_corpus):
+    """At lr 1e30 the first step blows the weights up and the second loss is
+    NaN; the run stops there instead of returning a NaN checkpoint."""
+    config = tiny_config(stage="fused", learning_rate=1e30, batch_size=6, epochs=3)
+    with pytest.raises(FloatingPointError, match=r"^fused step 1 diverged: batch loss is nan$"):
+        train_fused(small_corpus, None, config)
+
+
+def test_non_finite_sift_loss_stops_the_run(small_corpus, monkeypatch):
+    import msivd.train as train
+
+    monkeypatch.setattr(train, "sift_batch_loss", lambda model, streams: math.inf)
+    with pytest.raises(FloatingPointError, match=r"^sift step 0 diverged: batch loss is inf$"):
+        train_sift(build_dialogues(small_corpus), tiny_config())
 
 
 def test_gradient_clipping_is_logged(caplog):
