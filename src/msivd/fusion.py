@@ -4,12 +4,14 @@ Code becomes two inputs: the frozen language model's hidden row at the
 ``<|teacher|>`` marker of the round-1 prompt (``ReadOut``, which caches the
 keys and values of the scaffold that every prompt starts with, so a read-out
 forwards only the code rows), and the mini-C CFG with its dataflow node
-features (``graph_inputs``). ``fused_vector`` concatenates the row with the
-mean-pooled GGNN embedding of the graph; a linear projection onto the yes/no
+features (``graph_inputs``). ``fused_vector`` concatenates each row with the
+mean-pooled GGNN embedding of its graph; a linear projection onto the yes/no
 label pair plus LogSoftmax yields the vulnerable/safe prediction. Code that
 the mini-C analyzer cannot parse falls back to a zero graph embedding and the
-prediction is flagged. ``train.train_fused`` computes the two inputs once per
-sample and ``fused_vector`` on every step; ``predict`` runs the whole path.
+prediction is flagged. Everything after the two inputs takes a batch of rows:
+``train.train_fused`` computes the inputs once per sample and, on every step,
+one ``Ggnn.embed`` and one classifier pass over the mini-batch; ``predict``
+runs the whole path on a batch of one.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from .autograd import Tensor
 from .corpus import CodeSample
 from .dfa import build_node_features, reaching_definitions
 from .dialogue import prompt_scaffold, render_prompt
-from .gnn import Ggnn, GgnnConfig
+from .gnn import Ggnn, GgnnConfig, GraphInputs
 from .lm import ByteTokenizer, KvPrefix, LmModel, LmOutput, TransformerConfig
-from .minic import ControlFlowGraph, MiniCError, parse_mini_c
+from .minic import MiniCError, parse_mini_c
 
 __all__ = [
     "Prediction",
@@ -69,10 +71,10 @@ class FusedClassifier:
         return {"clf.w": self.w, "clf.b": self.b}
 
     def logits(self, fused: Tensor) -> Tensor:
-        """The [1 x 2] (yes, no) logit row of a [1 x in_dim] fused row."""
+        """The [B x 2] (yes, no) logit rows of [B x in_dim] fused rows."""
         if fused.shape[-1] != self.in_dim:
             raise ag.ShapeError(f"classifier expects width {self.in_dim}, got {fused.shape[-1]}")
-        return ag.add(ag.matmul(fused, ag.transpose(self.w)), self.b)
+        return ag.linear(fused, self.w, self.b)
 
     def classify(self, fused: Tensor, flagged: bool = False) -> Prediction:
         return _pair_prediction(self.logits(fused).data[0], flagged)
@@ -93,13 +95,12 @@ def _pair_prediction(pair, flagged: bool = False) -> Prediction:
     )
 
 
-def label_nll(logits: Tensor, label: bool) -> Tensor:
-    """Negative log-likelihood of the true label under the LogSoftmax of a
-    [1 x 2] logit row."""
-    return ag.cross_entropy(logits, [YES_INDEX if label else NO_INDEX], [1.0])
-
-
-GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x width]
+def label_nll(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood of the B true labels under the
+    LogSoftmax of their [B x 2] logit rows."""
+    labels = np.asarray(labels, dtype=bool)
+    weights = np.full(labels.shape, 1.0 / labels.size)
+    return ag.cross_entropy(logits, np.where(labels, YES_INDEX, NO_INDEX), weights)
 
 
 class ReadOut:
@@ -132,20 +133,17 @@ def graph_inputs(code: str, width: int) -> GraphInputs | None:
 
 
 def graph_embedding(graph: GraphInputs | None, gnn: Ggnn) -> Tensor:
-    """Mean-pooled [1 x state_dim] GGNN embedding of ``graph``; a zero row
-    for the fallback."""
-    if graph is None:
-        return Tensor(np.zeros((1, gnn.config.state_dim), dtype=np.float32))
-    return gnn.forward(*graph)
+    """Mean-pooled [1 x state_dim] GGNN embedding of ``graph``; the zero row
+    of ``Ggnn.embed`` for the fallback."""
+    return gnn.embed([None]) if graph is None else gnn.forward(*graph)
 
 
-def fused_vector(row: np.ndarray, graph: GraphInputs | None, gnn: Ggnn | None) -> Tensor:
-    """The [1 x n] classifier input: ``row`` followed by the graph
-    embedding, or ``row`` alone without a GGNN."""
-    hidden = Tensor(row)
-    if gnn is None:
-        return hidden
-    return ag.concat_last_dim([hidden, graph_embedding(graph, gnn)])
+def fused_vector(rows: np.ndarray, embeddings: Tensor | None) -> Tensor:
+    """The [B x in] classifier input: each of the [B x d_model] LM ``rows``
+    followed by its graph's row of ``embeddings``, or ``rows`` alone without
+    a GGNN."""
+    hidden = Tensor(rows)
+    return hidden if embeddings is None else ag.concat_last_dim([hidden, embeddings])
 
 
 @dataclass
@@ -167,11 +165,10 @@ def predict(sample: CodeSample, bundle: InferenceBundle) -> Prediction:
     """Read out the frozen LM and the graph, fuse, classify; ``flagged``
     marks the zero-embedding fallback."""
     row = bundle.read_out(sample.code).hidden.data
-    graph = None
-    if bundle.gnn is not None:
-        graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
-    flagged = bundle.gnn is not None and graph is None
-    return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=flagged)
+    if bundle.gnn is None:
+        return bundle.classifier.classify(fused_vector(row, None))
+    graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
+    return bundle.classifier.classify(fused_vector(row, graph_embedding(graph, bundle.gnn)), flagged=graph is None)
 
 
 def predict_pretrained(read_out: ReadOut, sample: CodeSample) -> Prediction:

@@ -1,8 +1,11 @@
 """Gated graph network over CFG nodes carrying dataflow features.
 
-Messages are MLP-transformed neighbor states summed along edge direction;
-node updates run a standard GRU cell; the graph embedding is the mean-pooled
-final node state.
+A batch of graphs runs as one disjoint union: the node features stack, the
+in-edge counts form one block-diagonal adjacency, and a [B x N] mean-pool
+matrix turns the final node states into one row per graph. Each propagation
+step is three tape nodes: the message MLP (``autograd.mlp``) on every node
+state, the sum of the messages along in-edges (one ``matmul`` with the
+adjacency) and a GRU step (``autograd.gru``).
 """
 from __future__ import annotations
 
@@ -16,22 +19,21 @@ from .minic import ControlFlowGraph
 
 __all__ = [
     "GgnnConfig",
-    "GruParams",
     "Ggnn",
     "adjacency",
-    "mlp_aggregate",
-    "gru_update",
 ]
+
+GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x state_dim]
 
 
 @dataclass(frozen=True)
 class GgnnConfig:
     state_dim: int = 16
     steps: int = 5
-    mlp_hidden: tuple[int, ...] = (16,)
+    mlp_hidden: int = 16
 
     def __post_init__(self):
-        if self.state_dim <= 0 or any(h <= 0 for h in self.mlp_hidden):
+        if self.state_dim <= 0 or self.mlp_hidden <= 0:
             raise ValueError("GGNN dims must be positive")
         if self.steps < 0:
             raise ValueError(f"GGNN steps must be >= 0, got {self.steps}")
@@ -39,33 +41,7 @@ class GgnnConfig:
     @classmethod
     def paper(cls) -> "GgnnConfig":
         """The paper's dimensions: 256-wide states and one 256-wide MLP hidden layer."""
-        return cls(state_dim=256, mlp_hidden=(256,))
-
-
-@dataclass
-class GruParams:
-    wz: Tensor
-    uz: Tensor
-    bz: Tensor
-    wr: Tensor
-    ur: Tensor
-    br: Tensor
-    wh: Tensor
-    uh: Tensor
-    bh: Tensor
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {k: getattr(self, k) for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")}
-
-
-def mlp_forward(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """ReLU MLP; the final layer is linear."""
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h = ag.add(ag.matmul(h, ag.transpose(w)), b)
-        if i < len(layers) - 1:
-            h = ag.relu(h)
-    return h
+        return cls(state_dim=256, mlp_hidden=256)
 
 
 def adjacency(n: int, edges: list[tuple[int, int]], dtype=np.float32) -> np.ndarray:
@@ -82,75 +58,59 @@ def adjacency(n: int, edges: list[tuple[int, int]], dtype=np.float32) -> np.ndar
     return adj_t
 
 
-def mlp_aggregate(
-    states: Tensor,
-    adj_t: np.ndarray,
-    mlp_layers: list[tuple[Tensor, Tensor]],
-) -> Tensor:
-    """Per-node incoming message: sum over in-neighbors of MLP(state), with
-    the in-neighbors given as ``adjacency`` counts; isolated nodes get a zero
-    message."""
-    transformed = mlp_forward(states, mlp_layers)
-    return ag.matmul(Tensor(adj_t), transformed)
-
-
-def gru_update(state: Tensor, message: Tensor, p: GruParams) -> Tensor:
-    """Standard GRU cell applied row-wise: update/reset gates, candidate, blend."""
-    if state.shape != message.shape:
-        raise ag.ShapeError(f"gru dims differ: state {state.shape} vs message {message.shape}")
-    z = ag.sigmoid(ag.add(ag.add(ag.matmul(message, ag.transpose(p.wz)), ag.matmul(state, ag.transpose(p.uz))), p.bz))
-    r = ag.sigmoid(ag.add(ag.add(ag.matmul(message, ag.transpose(p.wr)), ag.matmul(state, ag.transpose(p.ur))), p.br))
-    cand = ag.tanh(
-        ag.add(ag.add(ag.matmul(message, ag.transpose(p.wh)), ag.matmul(ag.mul(r, state), ag.transpose(p.uh))), p.bh)
-    )
-    keep = ag.add(Tensor(np.ones(z.shape, dtype=z.dtype)), ag.scale(z, -1.0))  # 1 - z
-    return ag.add(ag.mul(keep, state), ag.mul(z, cand))
-
-
 class Ggnn:
     """Message-passing network producing one embedding per graph."""
 
     def __init__(self, config: GgnnConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         rng = np.random.default_rng(seed)
-        d = config.state_dim
+        d, hidden = config.state_dim, config.mlp_hidden
 
-        def mat(rows, cols, std):
-            return Tensor(rng.normal(0.0, std, size=(rows, cols)).astype(dtype), requires_grad=True)
+        def mat(rows, cols):
+            return rng.normal(0.0, cols**-0.5, size=(rows, cols)).astype(dtype)
 
-        def vec(n):
-            return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+        def param(data):
+            return Tensor(data, requires_grad=True)
 
-        dims = [d, *config.mlp_hidden, d]
-        self.mlp_layers = [
-            (mat(dims[i + 1], dims[i], dims[i] ** -0.5), vec(dims[i + 1])) for i in range(len(dims) - 1)
-        ]
-        self.gru = GruParams(
-            wz=mat(d, d, d**-0.5), uz=mat(d, d, d**-0.5), bz=vec(d),
-            wr=mat(d, d, d**-0.5), ur=mat(d, d, d**-0.5), br=vec(d),
-            wh=mat(d, d, d**-0.5), uh=mat(d, d, d**-0.5), bh=vec(d),
-        )
+        w1, w2 = mat(hidden, d), mat(d, hidden)
+        self.mlp = (param(w1), param(np.zeros(hidden, dtype)), param(w2), param(np.zeros(d, dtype)))
+        wz, uz, wr, ur, wc, uc = (mat(d, d) for _ in range(6))
+        self.gru = (param(np.concatenate([wz, wr, wc])), param(np.concatenate([uz, ur, uc])),
+                    param(np.zeros(3 * d, dtype)))
 
     def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for i, (w, b) in enumerate(self.mlp_layers):
-            params[f"gnn.mlp{i}.w"] = w
-            params[f"gnn.mlp{i}.b"] = b
-        for name, t in self.gru.tensors().items():
-            params[f"gnn.gru.{name}"] = t
-        return params
+        names = ("gnn.mlp.w1", "gnn.mlp.b1", "gnn.mlp.w2", "gnn.mlp.b2", "gnn.gru.w", "gnn.gru.u", "gnn.gru.b")
+        return dict(zip(names, self.mlp + self.gru))
+
+    def embed(self, graphs: list[GraphInputs | None]) -> Tensor:
+        """The [B x state_dim] embeddings of B graphs: ``steps`` rounds of
+        aggregate+update over their disjoint union, then each graph's mean
+        node state. A None graph (the parse fallback) has no nodes and an
+        all-zero pool row, so its embedding is exactly zero."""
+        d, dtype = self.config.state_dim, self.mlp[0].dtype
+        sizes = [0 if graph is None else len(graph[0].nodes) for graph in graphs]
+        total = sum(sizes)
+        h = Tensor(np.zeros((total, d), dtype=dtype))
+        adj_t = np.zeros((total, total), dtype=dtype)
+        pool = np.zeros((len(graphs), total), dtype=dtype)
+        start = 0
+        for i, (graph, n) in enumerate(zip(graphs, sizes)):
+            if graph is None:
+                continue
+            cfg, features = graph
+            if features.shape[0] != n:
+                raise ValueError(f"features rows {features.shape[0]} != node count {n}")
+            if features.shape[1] != d:
+                raise ValueError(f"feature width {features.shape[1]} != state dim {d}")
+            h.data[start : start + n] = features
+            adj_t[start : start + n, start : start + n] = adjacency(n, cfg.edges, dtype=dtype)
+            pool[i, start : start + n] = 1.0 / n
+            start += n
+        adj = Tensor(adj_t)
+        for _ in range(self.config.steps):
+            h = ag.gru(h, ag.matmul(adj, ag.mlp(h, *self.mlp)), *self.gru)
+        return ag.matmul(Tensor(pool), h)
 
     def forward(self, cfg: ControlFlowGraph, features: np.ndarray) -> Tensor:
-        """Run ``steps`` rounds of aggregate+update and mean-pool the node
-        states into one [1 x state_dim] row."""
-        n = len(cfg.nodes)
-        if features.shape[0] != n:
-            raise ValueError(f"features rows {features.shape[0]} != node count {n}")
-        if features.shape[1] != self.config.state_dim:
-            raise ValueError(f"feature width {features.shape[1]} != state dim {self.config.state_dim}")
-        h = Tensor(np.asarray(features, dtype=self.mlp_layers[0][0].dtype))
-        adj_t = adjacency(n, cfg.edges, dtype=h.dtype)
-        for _ in range(self.config.steps):
-            msg = mlp_aggregate(h, adj_t, self.mlp_layers)
-            h = gru_update(h, msg, self.gru)
-        return ag.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=h.dtype)), h)
+        """The [1 x state_dim] embedding of one graph: ``embed`` of a batch of one."""
+        return self.embed([(cfg, features)])

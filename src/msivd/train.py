@@ -4,8 +4,9 @@ Stage one optimizes the LoRA adapters only under the task-averaged dialogue
 loss (the paper's Eq. 2, ``sift_batch_loss``). Stage two freezes the language
 model entirely and trains the graph network plus the label classifier on the
 read-out path of ``fusion``: the LM row and the graph inputs are computed
-once per sample, the fused vector on every step. Both stages log one loss row
-per optimizer step and are bitwise deterministic for a fixed seed.
+once per sample, and each step runs one batched GGNN pass (``Ggnn.embed``)
+and one classifier pass over its mini-batch. Both stages log one loss row per
+optimizer step and are bitwise deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ SIFT_MODES = ("multi-round", "single-round", "label-only")
 CLIP_NORM = 1.0  # global gradient-norm bound of both stages
 
 CKPT_MAGIC = b"MSIVDCKP"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 CKPT_DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
 
@@ -492,13 +493,11 @@ def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
 def _json_fits(value, hint) -> bool:
     """Whether a decoded JSON value fits a config field type: a bool fits no
     number, an int fits a float, and a tuple field takes a list or tuple of
-    its length (of any length for ``tuple[X, ...]``)."""
+    its length."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             return False
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
         return len(value) == len(args) and all(map(_json_fits, value, args))
     if args:  # a union such as ``float | None``
         return any(_json_fits(value, h) for h in args)
@@ -520,15 +519,15 @@ def _check_json_types(obj: dict, cls, where: str, error: type[Exception]) -> Non
 
 
 def _header_config(train_cfg: dict, key: str, cls):
-    """``cls`` built from the checkpoint's ``train.<key>`` object, JSON lists
-    read back as tuples; a missing object, an unknown key, or a value of the
-    wrong type or that ``cls`` rejects raises CheckpointError naming ``key``."""
+    """``cls`` built from the checkpoint's ``train.<key>`` object; a missing
+    object, an unknown key, or a value of the wrong type or that ``cls``
+    rejects raises CheckpointError naming ``key``."""
     fields = train_cfg.get(key)
     if not isinstance(fields, dict):
         raise CheckpointError(f"checkpoint train.{key} must be an object, got {json.dumps(fields)[:80]}")
     _check_json_types(fields, cls, f"checkpoint train.{key}", CheckpointError)
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+        return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)[:80]}: {exc}") from exc
 
@@ -557,9 +556,10 @@ def train_fused(
 ) -> tuple[Checkpoint, LossCurve]:
     """Train the GNN and label classifier against the frozen language model.
 
-    The LM (base and adapters) receives no gradient; its read-out row and
+    The LM (base and adapters) receives no gradient; its read-out rows and
     the graph inputs are computed once per sample and cached for the whole
-    loop, so each step runs only the GGNN and the classifier.
+    loop, so each step runs only the GGNN, over the disjoint union of the
+    mini-batch's graphs, and the classifier, over the batch's fused rows.
     """
     if not samples:
         raise ValueError("train_fused needs at least one sample")
@@ -569,9 +569,9 @@ def train_fused(
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
     read_out = ReadOut(lm, tokenizer)
-    rows = [read_out(s.code).hidden.data for s in samples]
+    rows = np.concatenate([read_out(s.code).hidden.data for s in samples])
+    labels = np.array([s.label for s in samples])
     gnn: Ggnn | None = None
-    graphs = [None] * len(samples)
     if config.use_gnn:
         gnn = Ggnn(config.gnn_config, seed=config.seed)
         graphs = [graph_inputs(s.code, gnn.config.state_dim) for s in samples]
@@ -586,12 +586,8 @@ def train_fused(
     optimizer = Sgd(trainable, lr=config.learning_rate)
 
     def batch_loss(batch: list[int]) -> float:
-        total = None
-        for si in batch:
-            fused = fused_vector(rows[si], graphs[si], gnn)
-            nll = label_nll(classifier.logits(fused), samples[si].label)
-            total = nll if total is None else ag.add(total, nll)
-        loss = ag.scale(total, 1.0 / len(batch))
+        embeddings = None if gnn is None else gnn.embed([graphs[i] for i in batch])
+        loss = label_nll(classifier.logits(fused_vector(rows[batch], embeddings)), labels[batch])
         ag.backward(loss)
         return loss.item()
 
@@ -619,7 +615,8 @@ def train_fused(
 
 
 def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
-    """Reconstruct the inference bundle (LM + optional GNN + classifier)."""
+    """Reconstruct the inference bundle (LM + optional GNN + classifier),
+    every tensor frozen, so that ``predict`` records no tape."""
     if ckpt.config.get("stage") != "fused":
         raise CheckpointError("inference needs a fused-stage checkpoint")
     train_cfg, seed = _header_train(ckpt)
@@ -633,4 +630,6 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     if gnn is not None:
         heads.update(gnn.parameters())
     _apply_state(heads, {k: v for k, v in ckpt.tensors.items() if k not in lm_tensors})
+    for t in heads.values():
+        t.requires_grad = False
     return InferenceBundle(read_out=ReadOut(lm, ByteTokenizer()), classifier=classifier, gnn=gnn)

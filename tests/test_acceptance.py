@@ -35,7 +35,7 @@ from msivd.evaluation import (
     run_ablation,
 )
 from msivd.fusion import fused_input_width, predict
-from msivd.gnn import GgnnConfig, GruParams, gru_update, mlp_forward
+from msivd.gnn import GgnnConfig
 from msivd.lm import (
     LmModel,
     LoraAdapter,
@@ -103,19 +103,18 @@ def test_gradient_suite():
             err = ag.grad_check(f, xs, h=1e-3)
             assert err <= 1e-4, f"kernel {name}: {err}"
 
-        # GRU cell
+        # GRU cell: the three gates' weights packed z, r, candidate
         rng = np.random.default_rng(101)
         dim = 3
         h = Tensor(rng.normal(0, 0.5, (2, dim)), requires_grad=True, dtype=np.float64)
         m = Tensor(rng.normal(0, 0.5, (2, dim)), requires_grad=True, dtype=np.float64)
-        mats = [Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(6)]
-        vecs = [Tensor(rng.normal(0, 0.1, dim), requires_grad=True, dtype=np.float64) for _ in range(3)]
+        w, u = (Tensor(rng.normal(0, 0.4, (3 * dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(2))
+        bias = Tensor(rng.normal(0, 0.1, 3 * dim), requires_grad=True, dtype=np.float64)
 
-        def gru_f(h_, m_, wz, uz, wr, ur, wh, uh, bz, br, bh):
-            p = GruParams(wz=wz, uz=uz, bz=bz, wr=wr, ur=ur, br=br, wh=wh, uh=uh, bh=bh)
-            return ag.sum_all(gru_update(h_, m_, p))
+        def gru_f(h_, m_, w_, u_, b_):
+            return ag.sum_all(ag.gru(h_, m_, w_, u_, b_))
 
-        assert ag.grad_check(gru_f, [h, m, *mats, *vecs], h=1e-4) <= 1e-4
+        assert ag.grad_check(gru_f, [h, m, w, u, bias], h=1e-4) <= 1e-4
 
         # one attention block
         t, d = 4, 3
@@ -149,20 +148,19 @@ def test_gradient_suite():
         # 2-step unrolled GGNN
         feats = rng.normal(0, 0.5, (3, dim))
         adj_t = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float64)
-        w1 = Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64)
-        b1 = Tensor(np.zeros(dim), requires_grad=True, dtype=np.float64)
-        gmats = [Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(6)]
-        gvecs = [Tensor(np.zeros(dim), requires_grad=True, dtype=np.float64) for _ in range(3)]
+        w1, w2 = (Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(2))
+        b1, b2 = (Tensor(np.zeros(dim), requires_grad=True, dtype=np.float64) for _ in range(2))
+        gw, gu = (Tensor(rng.normal(0, 0.4, (3 * dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(2))
+        gb = Tensor(np.zeros(3 * dim), requires_grad=True, dtype=np.float64)
 
-        def ggnn_f(w1_, b1_, wz, uz, wr, ur, wh, uh, bz, br, bh):
-            p = GruParams(wz=wz, uz=uz, bz=bz, wr=wr, ur=ur, br=br, wh=wh, uh=uh, bh=bh)
+        def ggnn_f(w1_, b1_, w2_, b2_, gw_, gu_, gb_):
             state = Tensor(feats, dtype=np.float64)
             for _ in range(2):
-                msg = ag.matmul(Tensor(adj_t, dtype=np.float64), mlp_forward(state, [(w1_, b1_)]))
-                state = gru_update(state, msg, p)
+                msg = ag.matmul(Tensor(adj_t, dtype=np.float64), ag.mlp(state, w1_, b1_, w2_, b2_))
+                state = ag.gru(state, msg, gw_, gu_, gb_)
             return ag.sum_all(state)
 
-        assert ag.grad_check(ggnn_f, [w1, b1, *gmats, *gvecs], h=1e-4) <= 1e-4
+        assert ag.grad_check(ggnn_f, [w1, b1, w2, b2, gw, gu, gb], h=1e-4) <= 1e-4
         assert time.monotonic() - start < 60.0
 
 
@@ -220,7 +218,7 @@ def test_dimension_bookkeeping():
         assert fused_input_width(lm_cfg, gnn_cfg) == 4096 + 256 == 4352
         # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
         assert lm_cfg.n_layers == 8
-        assert gnn_cfg.mlp_hidden == (256,)
+        assert gnn_cfg.mlp_hidden == 256
         assert lm_cfg.context_window == 2048
 
 

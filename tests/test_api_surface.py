@@ -25,6 +25,10 @@ BENCHMARK_PINNED = {
     "autograd.select_row",
     "autograd.slice_last_dim",
     "autograd.sum_all",
+    "autograd.mul",
+    "autograd.scale",
+    "autograd.sigmoid",
+    "autograd.relu",
 }
 
 ALLOWED = BENCHMARK_PINNED | {

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_attention import per_head_attention
+from helpers_gnn import gru_update
 from msivd import autograd as ag
 from msivd.autograd import Tensor
 from msivd.dialogue import build_dialogues
@@ -277,6 +278,12 @@ KERNEL_CASES = {
     "cross_entropy": lambda rng: (
         lambda a: ag.cross_entropy(a, [1, 0, 2, 3], [0.7, 0.0, 1.9, 0.3]),
         [rand((4, 4), rng)],
+    ),
+    # the GGNN's GRU step, one tape node; every input requires grad
+    "gru": lambda rng: (
+        lambda h, m, w, u, b: ag.sum_all(ag.sigmoid(ag.gru(h, m, w, u, b))),
+        [rand((3, 4), rng), rand((3, 4), rng), rand((12, 4), rng, scale=0.5), rand((12, 4), rng, scale=0.5),
+         rand((12,), rng, scale=0.1)],
     ),
 }
 
@@ -572,7 +579,8 @@ def _composed_mlp(x, w1, b1, w2, b2):
 
 T, D, R = 512, 64, 8
 # (fused, composed, input shapes and init scales): the LM's shapes and init at
-# d_model 64; every input requires grad, so every branch of backward runs
+# d_model 64 (the GRU's composed reference is the GGNN's old per-op cell, with
+# 512 node states); every input requires grad, so every branch of backward runs
 PARITY_CASES = {
     "linear": (ag.linear, _composed_linear, [((T, D), 1.0), ((D, D), D**-0.5), ((D,), 0.1)]),
     "lora_linear": (
@@ -585,6 +593,7 @@ PARITY_CASES = {
         _composed_mlp,
         [((T, D), 1.0), ((4 * D, D), D**-0.5), ((4 * D,), 0.1), ((D, 4 * D), (4 * D) ** -0.5), ((D,), 0.1)],
     ),
+    "gru": (ag.gru, gru_update, [((T, D), 1.0), ((T, D), 1.0), ((3 * D, D), D**-0.5), ((3 * D, D), D**-0.5), ((3 * D,), 0.1)]),
 }
 
 
@@ -601,7 +610,7 @@ def _output_and_grads(kernel, shapes, frozen=()):
 def test_fused_kernel_matches_composed_ops_float32(name):
     """At T = 512, d = 64 the fused kernel's output and the gradients of all
     its inputs stay within 1e-5 of the composed matmul/transpose/add/scale/relu
-    graph in float32."""
+    (and mul/sigmoid/tanh) graph in float32."""
     fused, composed, shapes = PARITY_CASES[name]
     out, grads = _output_and_grads(fused, shapes)
     ref_out, ref_grads = _output_and_grads(composed, shapes)
@@ -634,8 +643,12 @@ def test_fused_kernel_frozen_weights_get_no_grad(name):
         (ag.mlp, [(3, 4), (6, 4), (6,), (2, 5), (2,)], "second layer"),
         (ag.mlp, [(3, 4), (6, 4), (6,), (2, 6), (3,)], "second layer"),
         (ag.mlp, [(3, 4), (6, 4), (5,), (2, 6), (2,)], "mlp bias"),
+        (ag.gru, [(3, 4), (3, 5), (12, 4), (12, 4), (12,)], "gru needs"),
+        (ag.gru, [(3, 4), (3, 4), (12, 4), (8, 4), (12,)], "gru weights"),
+        (ag.gru, [(3, 4), (3, 4), (12, 4), (12, 4), (4,)], "gru weights"),
     ],
-    ids=["linear_inner", "linear_3d", "linear_bias", "lora_a", "lora_b", "mlp_w2", "mlp_b2", "mlp_b1"],
+    ids=["linear_inner", "linear_3d", "linear_bias", "lora_a", "lora_b", "mlp_w2", "mlp_b2", "mlp_b1",
+         "gru_message", "gru_u", "gru_bias"],
 )
 def test_fused_kernels_reject_bad_shapes(kernel, shapes, match):
     rng = np.random.default_rng(13)

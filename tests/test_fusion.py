@@ -38,9 +38,11 @@ def test_fuse_widths():
     rng = np.random.default_rng(0)
     row = rng.normal(0, 1, (1, 8)).astype(np.float32)
     gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
-    assert fused_vector(row, graph_inputs("x = 1; use(x);", 16), gnn).shape == (1, 24)
-    assert fused_vector(row, None, gnn).shape == (1, 24)
-    assert fused_vector(row, None, None).shape == (1, 8)
+    assert fused_vector(row, graph_embedding(graph_inputs("x = 1; use(x);", 16), gnn)).shape == (1, 24)
+    assert fused_vector(row, graph_embedding(None, gnn)).shape == (1, 24)
+    assert fused_vector(row, None).shape == (1, 8)
+    rows = np.concatenate([row, 2 * row, 3 * row])
+    assert fused_vector(rows, gnn.embed([None, graph_inputs("x = 1; use(x);", 16), None])).shape == (3, 24)
 
 
 def test_read_out_is_last_hidden_row_of_prompt():
@@ -58,7 +60,7 @@ def test_read_out_is_last_hidden_row_of_prompt():
     assert np.max(np.abs(row - full.hidden.data[-1:])) <= READ_OUT_TOL
     assert np.max(np.abs(out.logits.data - full.logits.data[-1:])) <= READ_OUT_TOL
     gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
-    assert np.array_equal(fused_vector(row, None, gnn).data[:, : TINY.d_model], row)
+    assert np.array_equal(fused_vector(row, graph_embedding(None, gnn)).data[:, : TINY.d_model], row)
 
 
 def test_paper_profile_dimension_bookkeeping():
@@ -67,7 +69,7 @@ def test_paper_profile_dimension_bookkeeping():
     assert fused_input_width(lm_cfg, gnn_cfg) == 4096 + 256 == 4352
     # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
     assert lm_cfg.n_layers == 8
-    assert gnn_cfg.mlp_hidden == (256,)
+    assert gnn_cfg.mlp_hidden == 256
 
 
 def test_classify_symmetric_logits():
@@ -129,8 +131,17 @@ def test_label_nll_matches_log_softmax():
     logits = clf.logits(x)
     assert logits.shape == (1, 2)
     lp = ag.log_softmax(logits).data[0]
-    assert label_nll(clf.logits(x), True).item() == pytest.approx(-lp[0], abs=1e-6)
-    assert label_nll(clf.logits(x), False).item() == pytest.approx(-lp[1], abs=1e-6)
+    assert label_nll(clf.logits(x), [True]).item() == pytest.approx(-lp[0], abs=1e-6)
+    assert label_nll(clf.logits(x), [False]).item() == pytest.approx(-lp[1], abs=1e-6)
+
+
+def test_label_nll_of_a_batch_is_the_mean_row_nll():
+    clf = FusedClassifier(in_dim=3, seed=4)
+    x = Tensor(np.random.default_rng(4).normal(0, 1, (5, 3)).astype(np.float32))
+    labels = [True, False, False, True, True]
+    lp = ag.log_softmax(clf.logits(x)).data
+    want = -np.mean([lp[i, 0 if y else 1] for i, y in enumerate(labels)])
+    assert label_nll(clf.logits(x), labels).item() == pytest.approx(want, abs=1e-6)
 
 
 def test_prediction_probabilities_normalized():
@@ -225,7 +236,7 @@ def _full_read_out(sample, bundle) -> Prediction:
     ids = render_prompt(sample.code, bundle.tokenizer, bundle.context_window)
     row = bundle.read_out.lm.forward(ids).hidden.data[-1:]
     graph = graph_inputs(sample.code, bundle.gnn.config.state_dim)
-    return bundle.classifier.classify(fused_vector(row, graph, bundle.gnn), flagged=graph is None)
+    return bundle.classifier.classify(fused_vector(row, graph_embedding(graph, bundle.gnn)), flagged=graph is None)
 
 
 def _long_samples(corpus):

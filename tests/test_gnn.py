@@ -3,7 +3,8 @@ import pytest
 
 from msivd import autograd as ag
 from msivd.autograd import Tensor
-from msivd.gnn import Ggnn, GgnnConfig, GruParams, adjacency, gru_update, mlp_aggregate, mlp_forward
+from helpers_gnn import reference_embedding, tape_nodes
+from msivd.gnn import Ggnn, GgnnConfig, adjacency
 from msivd.minic import CfgNode, ControlFlowGraph
 
 
@@ -20,16 +21,26 @@ def tiny_mlp(rng, dim, dtype=np.float32):
     b1 = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
     w2 = Tensor(rng.normal(0, 0.4, (dim, dim)).astype(dtype), requires_grad=True)
     b2 = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-    return [(w1, b1), (w2, b2)]
+    return w1, b1, w2, b2
 
 
 def zero_gru(dim, dtype=np.float32):
     z = lambda *s: Tensor(np.zeros(s, dtype=dtype), requires_grad=True)
-    return GruParams(
-        wz=z(dim, dim), uz=z(dim, dim), bz=z(dim),
-        wr=z(dim, dim), ur=z(dim, dim), br=z(dim),
-        wh=z(dim, dim), uh=z(dim, dim), bh=z(dim),
-    )
+    return z(3 * dim, dim), z(3 * dim, dim), z(3 * dim)
+
+
+def packed_gru(rng, dim, bias_std=0.0):
+    """Float64 GRU parameters drawn as six [dim x dim] gate matrices in the
+    order wz, uz, wr, ur, wh, uh and three biases, packed z, r, candidate."""
+    wz, uz, wr, ur, wh, uh = (rng.normal(0, 0.4, (dim, dim)) for _ in range(6))
+    biases = [rng.normal(0, bias_std, (dim,)) if bias_std else np.zeros(dim) for _ in range(3)]
+    return (Tensor(np.concatenate(p), requires_grad=True, dtype=np.float64)
+            for p in ([wz, wr, wh], [uz, ur, uh], biases))
+
+
+def mlp_aggregate(states, adj_t, mlp):
+    """One step's messages as ``Ggnn.embed`` computes them."""
+    return ag.matmul(Tensor(adj_t), ag.mlp(states, *mlp))
 
 
 def test_no_edges_gives_zero_messages():
@@ -57,8 +68,9 @@ def test_chain_message_matches_dense_unroll():
     msgs = mlp_aggregate(states, adjacency(3, [(0, 1), (1, 2)]), mlp)
     # hand-unrolled dense reference for node 2: MLP(state_1)
     s1 = states.data[1]
-    h = np.maximum(s1 @ mlp[0][0].data.T + mlp[0][1].data, 0)
-    ref = h @ mlp[1][0].data.T + mlp[1][1].data
+    w1, b1, w2, b2 = (t.data for t in mlp)
+    h = np.maximum(s1 @ w1.T + b1, 0)
+    ref = h @ w2.T + b2
     assert np.allclose(msgs.data[2], ref, atol=1e-5)
     assert np.allclose(msgs.data[0], 0.0)
 
@@ -74,7 +86,7 @@ def test_gru_zero_params_halves_state():
     rng = np.random.default_rng(4)
     h = Tensor(rng.normal(0, 1, (3, 5)).astype(np.float32))
     msg = Tensor(rng.normal(0, 1, (3, 5)).astype(np.float32))
-    out = gru_update(h, msg, zero_gru(5))
+    out = ag.gru(h, msg, *zero_gru(5))
     assert np.allclose(out.data, 0.5 * h.data, atol=1e-6)
 
 
@@ -83,7 +95,7 @@ def test_gru_output_dims():
     h = Tensor(rng.normal(0, 1, (2, 16)).astype(np.float32))
     m = Tensor(rng.normal(0, 1, (2, 16)).astype(np.float32))
     g = Ggnn(GgnnConfig(state_dim=16), seed=0)
-    assert gru_update(h, m, g.gru).shape == (2, 16)
+    assert ag.gru(h, m, *g.gru).shape == (2, 16)
 
 
 def test_gru_gradients_match_finite_differences():
@@ -91,14 +103,12 @@ def test_gru_gradients_match_finite_differences():
     dim = 3
     h = Tensor(rng.normal(0, 0.5, (2, dim)), requires_grad=True, dtype=np.float64)
     msg = Tensor(rng.normal(0, 0.5, (2, dim)), requires_grad=True, dtype=np.float64)
-    params = [Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(6)]
-    biases = [Tensor(rng.normal(0, 0.1, (dim,)), requires_grad=True, dtype=np.float64) for _ in range(3)]
+    w, u, b = packed_gru(rng, dim, bias_std=0.1)
 
-    def f(h_, m_, wz, uz, wr, ur, wh, uh, bz, br, bh):
-        p = GruParams(wz=wz, uz=uz, bz=bz, wr=wr, ur=ur, br=br, wh=wh, uh=uh, bh=bh)
-        return ag.sum_all(gru_update(h_, m_, p))
+    def f(h_, m_, w_, u_, b_):
+        return ag.sum_all(ag.gru(h_, m_, w_, u_, b_))
 
-    err = ag.grad_check(f, [h, msg, *params, *biases], h=1e-4)
+    err = ag.grad_check(f, [h, msg, w, u, b], h=1e-4)
     assert err <= 1e-4
 
 
@@ -152,13 +162,10 @@ def test_two_step_forward_matches_dense_unroll():
     out = g.forward(cfg, feats).data
 
     # dense reference with the same parameters
+    w1, b1, w2, b2 = (t.data for t in g.mlp)
+
     def np_mlp(x):
-        h = x
-        for i, (w, b) in enumerate(g.mlp_layers):
-            h = h @ w.data.T + b.data
-            if i < len(g.mlp_layers) - 1:
-                h = np.maximum(h, 0)
-        return h
+        return np.maximum(x @ w1.T + b1, 0) @ w2.T + b2
 
     def np_sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
@@ -167,12 +174,12 @@ def test_two_step_forward_matches_dense_unroll():
     for s, d in cfg.edges:
         adj_t[d, s] += 1
     h = feats.copy()
-    p = g.gru
+    (wz, wr, wh), (uz, ur, uh), (bz, br, bh) = (np.split(t.data, 3) for t in g.gru)
     for _ in range(2):
         m = adj_t @ np_mlp(h)
-        z = np_sigmoid(m @ p.wz.data.T + h @ p.uz.data.T + p.bz.data)
-        r = np_sigmoid(m @ p.wr.data.T + h @ p.ur.data.T + p.br.data)
-        cand = np.tanh(m @ p.wh.data.T + (r * h) @ p.uh.data.T + p.bh.data)
+        z = np_sigmoid(m @ wz.T + h @ uz.T + bz)
+        r = np_sigmoid(m @ wr.T + h @ ur.T + br)
+        cand = np.tanh(m @ wh.T + (r * h) @ uh.T + bh)
         h = (1 - z) * h + z * cand
     assert np.allclose(out, h.mean(axis=0), atol=1e-5)
 
@@ -181,10 +188,7 @@ def test_zero_weight_closed_form_decay():
     cfg = chain_cfg(4)
     k = 3
     g = Ggnn(GgnnConfig(state_dim=4, steps=k), seed=4)
-    for w, b in g.mlp_layers:
-        w.data[:] = 0
-        b.data[:] = 0
-    for t in g.gru.tensors().values():
+    for t in g.parameters().values():
         t.data[:] = 0
     feats = np.arange(16, dtype=np.float32).reshape(4, 4)
     out = g.forward(cfg, feats)
@@ -199,22 +203,22 @@ def test_two_step_ggnn_gradients():
 
     w1 = Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64)
     b1 = Tensor(np.zeros(dim), requires_grad=True, dtype=np.float64)
-    gmats = [Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64) for _ in range(6)]
-    gvecs = [Tensor(np.zeros(dim), requires_grad=True, dtype=np.float64) for _ in range(3)]
+    w2 = Tensor(rng.normal(0, 0.4, (dim, dim)), requires_grad=True, dtype=np.float64)
+    b2 = Tensor(np.zeros(dim), requires_grad=True, dtype=np.float64)
+    w, u, b = packed_gru(rng, dim)
 
     adj_t = np.zeros((3, 3))
     for s, d in cfg.edges:
         adj_t[d, s] += 1
 
-    def f(w1_, b1_, wz, uz, wr, ur, wh, uh, bz, br, bh):
-        p = GruParams(wz=wz, uz=uz, bz=bz, wr=wr, ur=ur, br=br, wh=wh, uh=uh, bh=bh)
+    def f(w1_, b1_, w2_, b2_, w_, u_, b_):
         h = Tensor(feats, dtype=np.float64)
         for _ in range(2):
-            m = ag.matmul(Tensor(adj_t, dtype=np.float64), mlp_forward(h, [(w1_, b1_)]))
-            h = gru_update(h, m, p)
+            m = ag.matmul(Tensor(adj_t, dtype=np.float64), ag.mlp(h, w1_, b1_, w2_, b2_))
+            h = ag.gru(h, m, w_, u_, b_)
         return ag.sum_all(h)
 
-    err = ag.grad_check(f, [w1, b1, *gmats, *gvecs], h=1e-4)
+    err = ag.grad_check(f, [w1, b1, w2, b2, w, u, b], h=1e-4)
     assert err <= 1e-4
 
 
@@ -222,10 +226,89 @@ def test_paper_profile_layer_bookkeeping():
     cfg = GgnnConfig.paper()
     assert cfg.state_dim == 256
     # two MLP linears around one hidden layer, plus the GRU: 3 layers
-    assert cfg.mlp_hidden == (256,)
+    assert cfg.mlp_hidden == 256
 
 
 def test_width_mismatch_without_projection_errors():
     g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
     with pytest.raises(ValueError, match="state dim"):
         g.forward(chain_cfg(3), np.ones((3, 4), dtype=np.float32))
+
+
+
+# --- the batched pass against the per-graph composed reference ---------------------
+
+
+def _parity_batch(width):
+    """Two parsed desk graphs, the parse fallback, and a hand-made graph with
+    an isolated node (2) and a duplicate edge (0 -> 1 twice)."""
+    from msivd.fusion import graph_inputs
+    from msivd.synth import make_synthetic_corpus
+
+    parsed = [graph_inputs(s.code, width) for s in make_synthetic_corpus(n=2, seed=5)]
+    assert all(g is not None for g in parsed)
+    nodes = [CfgNode(id=0, kind="entry"), CfgNode(id=1, kind="assign", defines="x"),
+             CfgNode(id=2, kind="assign", defines="y"), CfgNode(id=3, kind="exit")]
+    odd = ControlFlowGraph(nodes=nodes, edges=[(0, 1), (0, 1), (1, 3)], entry=0, exit=3)
+    feats = np.random.default_rng(10).normal(0, 1, (4, width)).astype(np.float32)
+    return [parsed[0], None, (odd, feats), parsed[1]]
+
+
+def _rows_and_grads(g, rows, upstream):
+    """The [B x d] rows stacked from the blocks that ``rows()`` returns,
+    and the gradient of every GGNN parameter under the loss Σ rows ⊙ upstream."""
+    for t in g.parameters().values():
+        t.zero_grad()
+    out = rows()
+    loss, start = None, 0
+    for row in out:
+        term = ag.sum_all(ag.mul(row, Tensor(upstream[start : start + row.shape[0]])))
+        start += row.shape[0]
+        loss = term if loss is None or not loss.requires_grad else ag.add(loss, term)
+    ag.backward(loss)
+    return np.concatenate([row.data for row in out]), {k: t.grad for k, t in g.parameters().items()}
+
+
+def test_embed_matches_per_graph_reference_float32():
+    """Output and every parameter gradient of one batched pass stay within
+    1e-5 of the composed formulas run graph by graph; the fallback's row is
+    exactly zero."""
+    g = Ggnn(GgnnConfig(), seed=11)
+    batch = _parity_batch(g.config.state_dim)
+    upstream = np.random.default_rng(12).normal(0, 1, (len(batch), g.config.state_dim)).astype(np.float32)
+    out, grads = _rows_and_grads(g, lambda: [g.embed(batch)], upstream)
+    ref, ref_grads = _rows_and_grads(g, lambda: [reference_embedding(g, gr) for gr in batch], upstream)
+    assert out.dtype == np.float32 and out.shape == (4, g.config.state_dim)
+    assert not out[1].any()
+    assert np.max(np.abs(out - ref)) <= 1e-5
+    for name, grad in grads.items():
+        assert grad.dtype == np.float32 and grad.shape == ref_grads[name].shape
+        assert np.max(np.abs(grad - ref_grads[name])) <= 1e-5, name
+
+
+def test_embed_rows_equal_one_graph_forwards():
+    """A graph's row does not depend on the other graphs of its batch."""
+    g = Ggnn(GgnnConfig(steps=3), seed=13)
+    batch = _parity_batch(g.config.state_dim)
+    rows = g.embed(batch).data
+    for i, graph in enumerate(batch):
+        alone = g.embed([graph]).data if graph is None else g.forward(*graph).data
+        assert np.allclose(rows[i : i + 1], alone, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+def test_embed_records_at_most_three_tape_nodes_per_step(steps):
+    """Message MLP, aggregation and GRU per step, plus the mean pool."""
+    g = Ggnn(GgnnConfig(steps=steps), seed=14)
+    out = g.embed(_parity_batch(g.config.state_dim))
+    assert tape_nodes(out) <= 3 * steps + 1
+
+
+def test_embed_rejects_features_that_do_not_fit():
+    g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
+    good = (chain_cfg(3), np.ones((3, 6), dtype=np.float32))
+    with pytest.raises(ValueError, match="node count"):
+        g.embed([good, (chain_cfg(3), np.ones((4, 6), dtype=np.float32))])
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) references missing node \(n=3\)"):
+        g.embed([good, (ControlFlowGraph(nodes=chain_cfg(3).nodes, edges=[(0, 3)], entry=0, exit=2),
+                        np.ones((3, 6), dtype=np.float32)), good])

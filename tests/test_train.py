@@ -228,8 +228,11 @@ BAD_CONFIGS = {
                        {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": True}}},
                        r"train\.lora_config key 'rank' must be int, got true"),
     "float-mlp-hidden": (build_bundle_from_checkpoint,
-                         {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16.0]}}},
-                         r"train\.gnn_config key 'mlp_hidden' must be tuple\[int, \.\.\.\], got \[16\.0\]"),
+                         {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": 16.0}}},
+                         r"train\.gnn_config key 'mlp_hidden' must be int, got 16\.0"),
+    "list-mlp-hidden": (build_bundle_from_checkpoint,
+                        {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16]}}},
+                        r"train\.gnn_config key 'mlp_hidden' must be int, got \[16\]"),
     "zero-heads": (build_lm_from_checkpoint,
                    {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_heads": 0}}},
                    r"train\.lm_config .*n_layers, n_heads and context_window must be >= 1"),
@@ -627,6 +630,38 @@ def test_inference_read_out_records_no_tape(small_corpus, monkeypatch):
     evaluation.run_ablation(data, ["pre-trained"], tiny_config(), tiny_config(stage="fused"))
     # one forward builds the prefix, then one read-out per test sample
     assert forwards == [(True, False, False)] + [(True, False, True)] * 5
+
+
+def test_predict_records_no_tape(small_corpus, monkeypatch):
+    """The rebuilt bundle's GGNN and classifier are frozen like its LM, so a
+    prediction, parsed or fallback, records no operation."""
+    from msivd import autograd as ag
+    from msivd.fusion import predict
+
+    ckpt, _ = train_fused(small_corpus[:4], None, tiny_config(stage="fused", epochs=1))
+    bundle = build_bundle_from_checkpoint(ckpt)
+    recorded = []
+    result = ag._result
+
+    def recording_result(data, parents, bw):
+        out = result(data, parents, bw)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ag, "_result", recording_result)
+    rejected = dataclasses.replace(small_corpus[0], code=small_corpus[0].code + "\nfor (i = 0; i < n; i = i + 1) { g(i); }")
+    assert [predict(s, bundle).flagged for s in (small_corpus[0], rejected)] == [False, True]
+    assert recorded and not any(recorded)
+
+
+def test_fused_training_with_gnn_repeats_bitwise(small_corpus):
+    config = tiny_config(stage="fused", learning_rate=0.2, batch_size=8, epochs=2)
+    (first, first_curve), (second, second_curve) = (train_fused(small_corpus, None, config) for _ in range(2))
+    assert any(k.startswith("gnn.") for k in first.tensors)
+    assert first_curve.rows == second_curve.rows
+    assert first.tensors.keys() == second.tensors.keys()
+    for name, arr in first.tensors.items():
+        assert arr.dtype == second.tensors[name].dtype and arr.tobytes() == second.tensors[name].tobytes(), name
 
 
 @pytest.mark.parametrize("case", ["gnn", "no-gnn", "mini-c-rejects"])
