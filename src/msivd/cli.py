@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+from ._jsontypes import json_fields
 from .corpus import (
     CodeSample,
     CorpusError,
@@ -46,7 +47,6 @@ from .train import (
     Checkpoint,
     LossCurve,
     TrainConfig,
-    _check_json_types,
     build_bundle_from_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -133,7 +133,8 @@ def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(file_cfg) - settable)
         if unknown:
             raise UsageError(f"config file {config_path} has unknown keys {unknown}; valid: {sorted(settable)}")
-        _check_json_types(file_cfg, RunConfig, f"config file {config_path}", UsageError)
+        # "command" is no file key, but RunConfig has no default for it
+        json_fields({"command": command, **file_cfg}, RunConfig, f"config file {config_path}", UsageError)
         settings.update(file_cfg)
     for key, value in vars(args).items():
         if key in field_names and value is not None:
@@ -168,7 +169,8 @@ def _read_json_object(path_str: str, what: str) -> dict:
     path = _require_file(path_str, what)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSON, UTF-8 and an integer too long to convert; RecursionError, JSON nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise UsageError(f"{what} {path} must hold a JSON object, not {type(obj).__name__}")

@@ -1,8 +1,8 @@
 """Vulnerability corpus ingestion, filtering, and cutoff-aware splitting.
 
-Two input shapes are accepted by the parser: the NVD v2 API dump and this
-project's fixture schema (see schemas/nvd_fixture.schema.json), which carries
-patch code inline so no repository cloning is needed. ``ingest_records`` is
+The parser reads one input shape, this project's fixture schema (see
+schemas/nvd_fixture.schema.json), which carries patch code inline so no
+repository cloning is needed. ``ingest_records`` is
 the one pass from parsed records to samples: it makes every per-patch
 decision (Patch-tagged commit link, C/C++ suffix, changed fraction, whether
 a negative exists, exclusion filters and their counts), and positives and
@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+
+from ._jsontypes import json_fields
 
 log = logging.getLogger("msivd.corpus")
 
@@ -99,7 +101,7 @@ class FilePatch:
             raise CorpusError(f"patch {self.path} has empty pre-code")
         n_lines = len(self.pre_code.splitlines())
         for r in self.changed_ranges:
-            if not (len(r) == 2 and all(type(x) is int for x in r) and 1 <= r[0] <= r[1] <= n_lines):
+            if not 1 <= r[0] <= r[1] <= n_lines:
                 raise CorpusError(f"{self.path}: changed range {list(r)} is not a line pair within 1-{n_lines}")
 
 
@@ -116,16 +118,15 @@ class VulnerabilityRecord:
     file_patches: list[FilePatch] = field(default_factory=list)
 
     def __post_init__(self):
-        if not (isinstance(self.cve_id, str) and self.cve_id):
-            raise CorpusError(f"cve_id must be a nonempty string, got {self.cve_id!r}")
+        if not self.cve_id:
+            raise CorpusError("cve_id must be nonempty")
         self.fix_commit_date = _parse_date(self.fix_commit_date)
         try:
-            score = float(self.exploitability_score)
             self.severity = Severity(self.severity)
             self.attack_complexity = AttackComplexity(self.attack_complexity)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"{self.cve_id}: {exc}") from exc
-        if not 0.0 <= score <= 10.0:
+        if not 0.0 <= self.exploitability_score <= 10.0:
             raise CorpusError(f"exploitability_score out of range: {self.exploitability_score}")
 
 
@@ -180,17 +181,15 @@ class SplitSpec:
 
 # --- parsing ------------------------------------------------------------------
 
-# errors that skip one malformed entry of a dump
-_ENTRY_ERRORS = (KeyError, CorpusError, TypeError, AttributeError)
-
-
 def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
-    """Parse a vulnerability dump (fixture schema or NVD v2 API schema).
+    """Parse a fixture-schema dump: an object whose ``records`` list holds
+    one entry per CVE, or that list alone.
 
-    Emits one record per CVE entry carrying at least one reference URL;
-    entries that are not objects or miss a mandatory field are skipped with a
-    logged reason, while bytes that are not UTF-8 or entries that are not a
-    list raise CorpusError. ``patch_links`` collects the URLs tagged "Patch".
+    Emits one record per entry carrying at least one reference URL; an
+    entry that does not fit ``VulnerabilityRecord``, or a patch of it that
+    does not fit ``FilePatch``, is skipped with a logged reason, while bytes
+    that are not UTF-8 JSON, or entries that are not a list, raise
+    CorpusError. ``patch_links`` collects the URLs tagged "Patch".
     """
     if isinstance(raw, bytes):
         try:
@@ -203,38 +202,49 @@ def parse_nvd_dump(raw: bytes | str) -> list[VulnerabilityRecord]:
         raise CorpusError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
     except RecursionError as exc:
         raise CorpusError(f"JSON nested too deeply: {exc}") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise CorpusError(f"unreadable JSON: {exc}") from exc
 
-    nvd = isinstance(doc, dict) and "vulnerabilities" in doc
-    if nvd:
-        entries = doc["vulnerabilities"]
-    elif isinstance(doc, dict) and "records" in doc:
+    if isinstance(doc, dict) and "records" in doc:
         entries = doc["records"]
     elif isinstance(doc, list):
         entries = doc
     else:
-        raise CorpusError("unrecognized dump shape: expected 'vulnerabilities' or 'records'")
+        raise CorpusError("unrecognized dump shape: expected a 'records' list")
     if not isinstance(entries, list):
         raise CorpusError(f"the dump's entries must be a JSON list, got {json.dumps(entries)[:80]}")
 
     records = []
     for entry in entries:
-        name = "entry"
+        name = entry.get("cve_id") or "<missing id>" if isinstance(entry, dict) else "entry"
         try:
-            if not isinstance(entry, dict):
-                raise CorpusError(f"expected a JSON object, got {json.dumps(entry)[:80]}")
-            cve = entry.get("cve", {}) if nvd else entry
-            if not isinstance(cve, dict):
-                raise CorpusError(f"'cve' must be a JSON object, got {json.dumps(cve)[:80]}")
-            name = cve.get("id" if nvd else "cve_id") or "<missing id>"
-            patch_links, n_refs = _tagged_patch_links(cve.get("references"))
-            if n_refs == 0:
-                log.info("skipping %s: no reference URLs", name)
-                continue
-            records.append((_from_nvd_v2 if nvd else _from_fixture)(cve, patch_links))
-        except _ENTRY_ERRORS as exc:
+            record = _from_fixture(entry)
+        except CorpusError as exc:
             log.warning("skipping %s: %s", name, exc)
+            continue
+        if record is None:
+            log.info("skipping %s: no reference URLs", name)
+        else:
+            records.append(record)
     records.sort(key=lambda r: r.cve_id)
     return records
+
+
+def _from_fixture(entry) -> VulnerabilityRecord | None:
+    """The record of a dump entry, or None when it has no reference URL."""
+    if isinstance(entry, dict) and entry.get("cwe_id") in (None, ""):
+        entry = {**entry, "cwe_id": "CWE-unknown"}
+    fields = json_fields(entry, VulnerabilityRecord, "record", CorpusError, {"file_patches": "patches"})
+    fields["patch_links"], n_refs = _tagged_patch_links(entry.get("references"))
+    if n_refs == 0:
+        return None
+    patches = []
+    for obj in fields.get("file_patches", []):
+        patch = json_fields({"post_code": "", **obj}, FilePatch, "patch", CorpusError)
+        patch["changed_ranges"] = [tuple(r) for r in patch.get("changed_ranges", [])]
+        patches.append(FilePatch(**patch))
+    fields["file_patches"] = patches
+    return VulnerabilityRecord(**fields)
 
 
 def _tagged_patch_links(references) -> tuple[list[str], int]:
@@ -244,61 +254,13 @@ def _tagged_patch_links(references) -> tuple[list[str], int]:
         url = ref.get("url") if isinstance(ref, dict) else None
         if not url:
             continue
+        if not isinstance(url, str):
+            raise CorpusError(f"reference url must be a string, got {json.dumps(url)[:80]}")
         total += 1
         tags = ref.get("tags")
         if isinstance(tags, list) and "Patch" in tags:
             links.append(url)
     return links, total
-
-
-def _from_fixture(entry: dict, patch_links: list[str]) -> VulnerabilityRecord:
-    patches = [
-        FilePatch(
-            path=p["path"],
-            pre_code=p["pre_code"],
-            post_code=p.get("post_code", ""),
-            changed_ranges=[tuple(r) for r in p.get("changed_ranges", [])],
-        )
-        for p in entry.get("patches", [])
-    ]
-    return VulnerabilityRecord(
-        cve_id=entry.get("cve_id", ""),
-        cwe_id=entry.get("cwe_id") or "CWE-unknown",
-        description=entry.get("description", ""),
-        exploitability_score=entry["exploitability_score"],
-        severity=entry["severity"],
-        attack_complexity=entry["attack_complexity"],
-        fix_commit_date=entry["fix_commit_date"],
-        patch_links=patch_links,
-        file_patches=patches,
-    )
-
-
-def _from_nvd_v2(cve: dict, patch_links: list[str]) -> VulnerabilityRecord:
-    desc = next((d["value"] for d in cve.get("descriptions", []) if d.get("lang") == "en"), "")
-    cwe_id = "CWE-unknown"
-    for weakness in cve.get("weaknesses", []):
-        for d in weakness.get("description", []):
-            if str(d.get("value", "")).startswith("CWE-"):
-                cwe_id = d["value"]
-                break
-    metrics = cve.get("metrics", {})
-    cvss_list = metrics.get("cvssMetricV31") or metrics.get("cvssMetricV30") or []
-    if not cvss_list:
-        raise KeyError("cvss metrics")
-    cvss = cvss_list[0]
-    data = cvss["cvssData"]
-    return VulnerabilityRecord(
-        cve_id=cve.get("id", ""),
-        cwe_id=cwe_id,
-        description=desc,
-        exploitability_score=cvss.get("exploitabilityScore", 0.0),
-        severity=data["baseSeverity"].lower(),
-        attack_complexity=data["attackComplexity"].lower(),
-        fix_commit_date=cve.get("published", cve.get("lastModified")),
-        patch_links=patch_links,
-        file_patches=[],
-    )
 
 
 # --- sample construction --------------------------------------------------------
@@ -571,27 +533,6 @@ def write_samples_jsonl(samples: list[CodeSample], path) -> None:
             fh.write(json.dumps(_sample_to_obj(s), ensure_ascii=False) + "\n")
 
 
-def _sample_from_obj(obj) -> CodeSample:
-    if not isinstance(obj, dict):
-        raise CorpusError(f"expected a JSON object, got {json.dumps(obj)[:80]}")
-    if type(obj["label"]) is not bool:
-        raise CorpusError(f"label must be a JSON bool, got {json.dumps(obj['label'])[:80]}")
-    texts = ("sample_id", "code", "cwe_id", "cwe_category", "description", "origin_date")
-    for key in texts:
-        if not isinstance(obj[key], str):
-            raise CorpusError(f"{key} must be a string, got {json.dumps(obj[key])[:80]}")
-    for key, kind in (("vuln_line_start", int), ("vuln_line_end", int), ("fix_code", str)):
-        if obj.get(key) is not None and type(obj[key]) is not kind:
-            raise CorpusError(f"{key} must be a JSON {kind.__name__} or null, got {json.dumps(obj[key])[:80]}")
-    return CodeSample(
-        **{key: obj[key] for key in texts},
-        label=obj["label"],
-        vuln_line_start=obj.get("vuln_line_start"),
-        vuln_line_end=obj.get("vuln_line_end"),
-        fix_code=obj.get("fix_code"),
-    )
-
-
 def read_samples_jsonl(path) -> list[CodeSample]:
     """The samples of a JSONL file; a line that is not UTF-8, not JSON or not
     a well-formed sample raises CorpusError naming it."""
@@ -601,10 +542,11 @@ def read_samples_jsonl(path) -> list[CodeSample]:
             if not raw.strip():
                 continue
             try:
-                samples.append(_sample_from_obj(json.loads(raw.decode("utf-8"))))
-            # ValueError covers JSON, UTF-8 and CorpusError; RecursionError, JSON nested too deeply
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise CorpusError(f"{path}: bad sample at line {lineno}: {exc}") from exc
+                obj = json.loads(raw.decode("utf-8"))
+                samples.append(CodeSample(**json_fields(obj, CodeSample, "sample", CorpusError)))
+            # ValueError covers JSON, UTF-8, CorpusError and CweCategory; RecursionError, deep JSON
+            except (ValueError, RecursionError) as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
     return samples
 
 

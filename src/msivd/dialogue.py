@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsontypes import json_fields
 from .corpus import CodeSample
 from .lm import ByteTokenizer
 
@@ -218,24 +219,12 @@ def serialize_jsonl(dialogues: list[DialogueRecord], path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def _text(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise DialogueError(f"{key} must be a string, got {json.dumps(value)[:80]}")
-    return value
-
-
 def _record_from_obj(obj) -> DialogueRecord:
-    if not isinstance(obj, dict):
-        raise DialogueError(f"expected a JSON object, got {json.dumps(obj)[:80]}")
-    if type(obj["label"]) is not bool:
-        raise DialogueError(f"label must be a JSON bool, got {json.dumps(obj['label'])[:80]}")
-    return DialogueRecord(
-        sample_id=_text(obj, "sample_id"),
-        system_text=_text(obj, "system"),
-        rounds=[DialogueRound(_text(r, "student"), _text(r, "teacher")) for r in obj["rounds"]],
-        label=obj["label"],
-    )
+    fields = json_fields(obj, DialogueRecord, "dialogue", DialogueError, {"system_text": "system"})
+    round_keys = {"student_text": "student", "teacher_text": "teacher"}
+    fields["rounds"] = [DialogueRound(**json_fields(r, DialogueRound, "round", DialogueError, round_keys))
+                        for r in fields["rounds"]]
+    return DialogueRecord(**fields)
 
 
 def parse_jsonl(path) -> list[DialogueRecord]:
@@ -249,6 +238,6 @@ def parse_jsonl(path) -> list[DialogueRecord]:
             try:
                 out.append(_record_from_obj(json.loads(raw.decode("utf-8"))))
             # ValueError covers JSON, UTF-8 and DialogueError; RecursionError, JSON nested too deeply
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise DialogueError(f"{path}: bad dialogue at line {lineno}: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise DialogueError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -108,7 +108,7 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("LoRA rank must be >= 1")
-        if not (np.isfinite(self.alpha) and 0 <= self.init_std < np.inf):
+        if not (-np.inf < self.alpha < np.inf and 0 <= self.init_std < np.inf):
             raise ValueError(f"LoRA needs a finite alpha and a finite init_std >= 0: {self.alpha}, {self.init_std}")
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _BLAS_THREADS_SET
 from . import autograd as ag
+from ._jsontypes import json_fields
 from .autograd import Tensor
 from .corpus import CodeSample
 from .dialogue import DialogueRecord, RenderedDialogue, render
@@ -184,7 +185,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("checkpoint truncated inside its header")
     try:
         header = json.loads(raw[16:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers JSON, UTF-8 and an integer too long to convert; RecursionError, JSON nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"checkpoint header is not UTF-8 JSON: {exc}") from exc
     if not (
         isinstance(header, dict)
@@ -202,20 +204,29 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
+@dataclass
+class _TensorEntry:
+    """One entry of a checkpoint's tensor directory."""
+
+    shape: list[int]
+    dtype: str
+    offset: int
+    nbytes: int
+
+
 def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
     """One tensor of the directory, checked against its shape and the payload."""
-    if not isinstance(meta, dict) or meta.get("dtype") not in CKPT_DTYPES:
+    t = _TensorEntry(**json_fields(meta, _TensorEntry, f"tensor {name!r}", CheckpointError))
+    if t.dtype not in CKPT_DTYPES:
         raise CheckpointError(f"tensor {name!r}: dtype must be one of {sorted(CKPT_DTYPES)}")
-    shape, offset, nbytes = meta.get("shape"), meta.get("offset"), meta.get("nbytes")
-    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-        raise CheckpointError(f"tensor {name!r}: bad shape {shape!r}")
-    if not (type(offset) is int and type(nbytes) is int and 0 <= offset and 0 <= nbytes
-            and offset + nbytes <= len(payload)):
-        raise CheckpointError(f"tensor {name!r}: bytes {offset!r}+{nbytes!r} outside the {len(payload)}-byte payload")
-    if nbytes != math.prod(shape) * np.dtype(meta["dtype"]).itemsize:
-        raise CheckpointError(f"tensor {name!r}: {nbytes} bytes do not hold shape {shape} of {meta['dtype']}")
-    blob = payload[offset : offset + nbytes]
-    return _finite(name, np.frombuffer(blob, dtype=meta["dtype"]).reshape(shape).astype(CKPT_DTYPES[meta["dtype"]]))
+    if min(t.shape, default=0) < 0:
+        raise CheckpointError(f"tensor {name!r}: negative dimension in shape {t.shape}")
+    if not 0 <= t.offset <= t.offset + t.nbytes <= len(payload):
+        raise CheckpointError(f"tensor {name!r}: bytes {t.offset}+{t.nbytes} outside the {len(payload)}-byte payload")
+    if t.nbytes != math.prod(t.shape) * np.dtype(t.dtype).itemsize:
+        raise CheckpointError(f"tensor {name!r}: {t.nbytes} bytes do not hold shape {t.shape} of {t.dtype}")
+    blob = payload[t.offset : t.offset + t.nbytes]
+    return _finite(name, np.frombuffer(blob, dtype=t.dtype).reshape(t.shape).astype(CKPT_DTYPES[t.dtype]))
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -480,42 +491,11 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
 
 
 def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
-    """The ``train`` section of a checkpoint's config and its seed."""
+    """The ``train`` section of a checkpoint's config, checked against
+    ``TrainConfig``, and its seed."""
     train_cfg = ckpt.config.get("train")
-    if not isinstance(train_cfg, dict):
-        raise CheckpointError(f"checkpoint config needs a 'train' object, got {json.dumps(train_cfg)[:80]}")
-    seed = train_cfg.get("seed", 0)
-    if type(seed) is not int:
-        raise CheckpointError(f"checkpoint train.seed must be an integer, got {json.dumps(seed)[:80]}")
-    return train_cfg, seed
-
-
-def _json_fits(value, hint) -> bool:
-    """Whether a decoded JSON value fits a config field type: a bool fits no
-    number, an int fits a float, and a tuple field takes a list or tuple of
-    its length."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        return len(value) == len(args) and all(map(_json_fits, value, args))
-    if args:  # a union such as ``float | None``
-        return any(_json_fits(value, h) for h in args)
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    return isinstance(value, hint)
-
-
-def _check_json_types(obj: dict, cls, where: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming ``where`` and the key when a value of ``obj``
-    does not fit the type of its ``cls`` field; keys of no field pass. Error
-    messages here echo at most 80 characters of the offending JSON."""
-    hints = typing.get_type_hints(cls)
-    for key, value in obj.items():
-        hint = hints.get(key)
-        if hint is not None and not _json_fits(value, hint):
-            want = hint.__name__ if isinstance(hint, type) else hint
-            raise error(f"{where} key {key!r} must be {want}, got {json.dumps(value)[:80]}")
+    json_fields(train_cfg, TrainConfig, "checkpoint train", CheckpointError)
+    return train_cfg, train_cfg.get("seed", 0)
 
 
 def _header_config(train_cfg: dict, key: str, cls):
@@ -523,12 +503,10 @@ def _header_config(train_cfg: dict, key: str, cls):
     object, an unknown key, or a value of the wrong type or that ``cls``
     rejects raises CheckpointError naming ``key``."""
     fields = train_cfg.get(key)
-    if not isinstance(fields, dict):
-        raise CheckpointError(f"checkpoint train.{key} must be an object, got {json.dumps(fields)[:80]}")
-    _check_json_types(fields, cls, f"checkpoint train.{key}", CheckpointError)
+    json_fields(fields, cls, f"checkpoint train.{key}", CheckpointError)
     try:
         return cls(**fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown key
         raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)[:80]}: {exc}") from exc
 
 
@@ -541,7 +519,10 @@ def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None 
             f"checkpoint d_model={lm_cfg.d_model}, config d_model={expect.d_model}"
         )
     lora_cfg = _header_config(train_cfg, "lora_config", LoraConfig) if train_cfg.get("lora_config") else None
-    model = LmModel(lm_cfg, seed=seed, lora=lora_cfg)
+    try:
+        model = LmModel(lm_cfg, seed=seed, lora=lora_cfg)
+    except ValueError as exc:  # numpy refuses a dimension or a seed
+        raise CheckpointError(f"checkpoint train config builds no model: {exc}") from exc
     _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, ckpt.tensors)
     return model
 
@@ -622,10 +603,12 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     train_cfg, seed = _header_train(ckpt)
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
     lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
-    gnn = None
-    if ckpt.config.get("use_gnn", True):
-        gnn = Ggnn(_header_config(train_cfg, "gnn_config", GgnnConfig), seed=seed)
-    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=seed + 1)
+    gnn_cfg = _header_config(train_cfg, "gnn_config", GgnnConfig) if ckpt.config.get("use_gnn", True) else None
+    try:
+        gnn = Ggnn(gnn_cfg, seed=seed) if gnn_cfg else None
+        classifier = FusedClassifier(fused_input_width(lm.config, gnn_cfg), seed=seed + 1)
+    except ValueError as exc:  # numpy refuses a dimension
+        raise CheckpointError(f"checkpoint train config builds no model: {exc}") from exc
     heads = dict(classifier.parameters())
     if gnn is not None:
         heads.update(gnn.parameters())

@@ -5,8 +5,13 @@ collects each name read, attribute read, import alias and keyword argument.
 A name in a module's ``__all__``, or a public member defined in the body of
 one of its classes, must be among them, not counting uses inside its own
 definition. The scan matches by name alone, so a member counts as used when
-any other object has a member of the same name. Enum members are not
-checked: the program reaches them by value, from the records it reads.
+any other object has a member of the same name. A module-level function of
+``autograd`` is the exception: numpy and ndarrays have members of the same
+names (``np.tanh``, ``.transpose``), so it counts as used only as a bare
+name that ``autograd`` defines or that is imported from it, or as an
+attribute of a name bound to the module (``ag.tanh``, ``autograd.tanh``).
+Enum members are not checked: the program reaches them by value, from the
+records it reads.
 """
 import ast
 import json
@@ -29,6 +34,8 @@ BENCHMARK_PINNED = {
     "autograd.scale",
     "autograd.sigmoid",
     "autograd.relu",
+    "autograd.tanh",
+    "autograd.transpose",
 }
 
 ALLOWED = BENCHMARK_PINNED | {
@@ -61,6 +68,33 @@ def _uses(tree) -> Counter:
     return found
 
 
+def _autograd_uses(tree, inside: bool) -> Counter:
+    """Reads of autograd's functions in ``tree``, which is autograd itself
+    when ``inside``: a bare name it defines or that is imported from it, or
+    an attribute of a name bound to the module."""
+    imported, bound = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (node.module or "").rsplit(".", 1)[-1] == "autograd":
+                    imported[alias.asname or alias.name] = alias.name
+                elif alias.name == "autograd":
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname for alias in node.names if alias.name.endswith(".autograd") and alias.asname)
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            if inside or node.id in imported:
+                found[imported.get(node.id, node.id)] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in bound
+                    or isinstance(owner, ast.Attribute) and owner.attr == "autograd"):
+                found[node.attr] += 1
+    return found
+
+
 def _exported(tree) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -84,6 +118,8 @@ def _member_definitions(cls: ast.ClassDef):
 def _unused() -> list[str]:
     trees = _trees()
     uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    autograd_path = PACKAGE / "autograd.py"
+    autograd_uses = sum((_autograd_uses(tree, path == autograd_path) for path, tree in trees.items()), Counter())
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -101,8 +137,11 @@ def _unused() -> list[str]:
                 definitions += [(f"{module}.{cls.name}.{member}", member, node)
                                 for member, node in _member_definitions(cls) if not member.startswith("_")]
         for qualified, name, node in definitions:
-            own = _uses(node)[name] if node is not None else 0
-            if uses[name] - own <= 0:
+            if qualified == f"autograd.{name}" and isinstance(node, ast.FunctionDef):
+                used = autograd_uses[name] - _autograd_uses(node, True)[name]
+            else:
+                used = uses[name] - (_uses(node)[name] if node is not None else 0)
+            if used <= 0:
                 unused.append(qualified)
     return unused
 

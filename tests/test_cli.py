@@ -1,12 +1,16 @@
+import argparse
 import json
 import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers_corpus import VULN_PRE, VULN_POST, fixture_dump, fixture_entry
-from msivd.cli import RunConfig, main
+from helpers_fuzz import FUZZ, cases, mutate
+from msivd.cli import RunConfig, UsageError, _merge_run_config, main
 from msivd.corpus import read_samples_jsonl
 from msivd.synth import make_synthetic_corpus, safe_code, vulnerable_code
 from msivd.corpus import write_samples_jsonl
@@ -239,6 +243,29 @@ def test_config_file_with_every_key_accepted(tmp_path):
     assert prov["config"] == {"command": "ingest", **settings}
 
 
+FULL_CONFIG = {
+    "profile": "desk", "seed": 3, "learning_rate": 0.5, "batch_size": 4, "epochs": 2,
+    "sift_mode": "single-round", "use_gnn": False, "d_model": 32, "n_layers": 1, "n_heads": 2,
+    "context_window": 384, "gnn_state_dim": 8, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8.0,
+    "window_tokens": 2048, "mix_preset": "bigvul", "cutoff": "2023-01-01", "ratios": [0.8, 0.1, 0.1],
+}
+
+
+@FUZZ
+@given(st.sampled_from(cases(FULL_CONFIG)))
+def test_fuzzed_config_file_is_usage_error_or_merges(tmp_path, case):
+    """A --config file with one value broken is a UsageError, or merges
+    into the run's settings."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(mutate(FULL_CONFIG, *case), encoding="utf-8")
+    args = argparse.Namespace(config=str(cfg_path))
+    try:
+        run = _merge_run_config("ingest", args)
+    except UsageError:
+        return
+    assert run.command == "ingest"
+
+
 def test_config_schema_lists_exactly_the_config_file_keys():
     from msivd.train import SIFT_MODES
 
@@ -266,7 +293,7 @@ def test_bad_dialogues_file_error_is_one_bounded_line(tmp_path, capsys):
     code = main(["train-sift", "--dialogues", str(dialogues), "--splits", str(splits), "--out", str(tmp_path / "m.ckpt")])
     assert code == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == f"error: {dialogues}: bad dialogue at line 1: label must be a JSON bool, got {'[[' + '0, ' * 26}"
+    assert line == f"error: {dialogues}: line 1: dialogue key 'label' must be bool, got {'[[' + '0, ' * 26}"
 
 
 @pytest.fixture(scope="module")
@@ -445,7 +472,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("default", "ingest_dump.json", []),
         ("cpp_only", "ingest_dump.json", ["--cpp-only"]),
         ("window", "ingest_dump.json", ["--config", str(GOLDEN / "ingest_window.config.json")]),
-        ("nvd", "ingest_nvd_dump.json", []),
     ],
 )
 def test_ingest_matches_golden(tmp_path, capsys, caplog, case, dump, flags):
@@ -453,9 +479,8 @@ def test_ingest_matches_golden(tmp_path, capsys, caplog, case, dump, flags):
 
     The fixture dump has multi-patch records, a .py path, a patch without
     post code, one without changed ranges, a positive for each drop reason
-    and malformed entries; the NVD v2 dump has malformed entries of its own.
-    The window config is small enough that a focus is trimmed and windows
-    grow up first and down first."""
+    and malformed entries. The window config is small enough that a focus
+    is trimmed and windows grow up first and down first."""
     out = tmp_path / "samples.jsonl"
     with caplog.at_level("INFO", logger="msivd.corpus"):
         assert main(["ingest", "--nvd-dump", str(GOLDEN / dump), "--out", str(out), *flags]) == 0
@@ -463,6 +488,32 @@ def test_ingest_matches_golden(tmp_path, capsys, caplog, case, dump, flags):
     assert capsys.readouterr().out == (GOLDEN / f"ingest_{case}.summary.json").read_text(encoding="utf-8")
     logged = [f"{r.levelname}: {r.getMessage()}" for r in caplog.records if r.name == "msivd.corpus"]
     assert logged == (GOLDEN / dump).with_suffix(".log").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize(
+    "dump, flags",
+    [
+        ("ingest_dump.json", []),
+        ("ingest_dump.json", ["--cpp-only"]),
+        ("ingest_dump.json", ["--config", str(GOLDEN / "ingest_window.config.json")]),
+        ("wrong_typed_description", []),
+    ],
+    ids=["default", "cpp_only", "window", "wrong_typed_description"],
+)
+def test_ingest_output_reads_back_as_written(tmp_path, capsys, dump, flags):
+    """Every samples file that `ingest` writes reads back to the samples it
+    holds: written again, they give the same bytes. An entry whose
+    description is not a string is skipped, not written."""
+    path = GOLDEN / dump
+    if dump == "wrong_typed_description":
+        path = tmp_path / "dump.json"
+        path.write_bytes(fixture_dump([fixture_entry(cve_id="CVE-2022-1", description=5),
+                                       fixture_entry(cve_id="CVE-2022-2")]))
+    out, again = tmp_path / "samples.jsonl", tmp_path / "again.jsonl"
+    assert main(["ingest", "--nvd-dump", str(path), "--out", str(out), *flags]) == 0
+    write_samples_jsonl(read_samples_jsonl(out), again)
+    assert again.read_bytes() == out.read_bytes()
+    assert json.loads(capsys.readouterr().out)["samples_kept"] == len(out.read_text().splitlines()) > 0
 
 
 def test_ingest_output_of_the_golden_dump_prepares(tmp_path, capsys):
@@ -497,7 +548,7 @@ def test_ingest_skips_a_record_with_a_changed_range_outside_its_file(tmp_path, c
     assert sorted(s.sample_id for s in read_samples_jsonl(out)) == [
         "CVE-2022-0:a.c:neg", "CVE-2022-0:a.c:pos", "CVE-2022-3:a.c:neg", "CVE-2022-3:a.c:pos",
     ]
-    assert [m for m in caplog.messages if "changed range" in m] == [
+    assert [m for m in caplog.messages if "changed" in m] == [
         "skipping CVE-2022-1: a.c: changed range [50, 60] is not a line pair within 1-7",
-        "skipping CVE-2022-2: a.c: changed range [1] is not a line pair within 1-7",
+        "skipping CVE-2022-2: patch key 'changed_ranges' must be list[tuple[int, int]], got [[1]]",
     ]

@@ -14,6 +14,7 @@ from helpers_corpus import (
     make_sample,
     uniform_samples,
 )
+from helpers_fuzz import FUZZ, cases, mutate
 from msivd.corpus import (
     AttackComplexity,
     CodeSample,
@@ -90,8 +91,8 @@ def test_parse_malformed_json_names_byte_offset():
     [
         pytest.param(b'[{"cve_id": "CVE-\xff"}]', "not UTF-8 at byte offset 17", id="not_utf8"),
         pytest.param(b'{"records": 7}', "must be a JSON list, got 7", id="records_not_list"),
-        pytest.param(b'{"vulnerabilities": {"cve": {}}}', "must be a JSON list", id="vulnerabilities_not_list"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, "nested too deeply", id="nested_too_deeply"),
+        pytest.param(b'{"records": [' + b"9" * 5000 + b"]}", "unreadable JSON: Exceeds the limit", id="huge_integer"),
     ],
 )
 def test_parse_hostile_dump_raises_corpus_error(raw, match):
@@ -102,29 +103,46 @@ def test_parse_hostile_dump_raises_corpus_error(raw, match):
 @pytest.mark.parametrize(
     "doc, reason",
     [
-        pytest.param([1], "expected a JSON object, got 1", id="fixture_entry_not_object"),
-        pytest.param({"records": ["CVE-1"]}, "expected a JSON object", id="record_not_object"),
-        pytest.param({"vulnerabilities": [5]}, "expected a JSON object, got 5", id="nvd_entry_not_object"),
-        pytest.param({"vulnerabilities": [{"cve": 3}]}, "'cve' must be a JSON object", id="nvd_cve_not_object"),
-        pytest.param([fixture_entry(cve_id=5)], "cve_id must be a nonempty string", id="cve_id_not_string"),
+        pytest.param([1], "record must be a JSON object, got 1", id="fixture_entry_not_object"),
+        pytest.param({"records": ["CVE-1"]}, "record must be a JSON object", id="record_not_object"),
+        pytest.param([fixture_entry(cve_id=5)], "record key 'cve_id' must be str, got 5", id="cve_id_not_string"),
+        pytest.param([fixture_entry(cve_id="")], "cve_id must be nonempty", id="cve_id_empty"),
         pytest.param([fixture_entry(references=5)], "no reference URLs", id="references_not_list"),
-        pytest.param([fixture_entry(severity=None)], "None is not a valid Severity", id="severity_null"),
+        pytest.param([fixture_entry(severity=None)], "record key 'severity' must be Severity, got null",
+                     id="severity_null"),
         pytest.param([fixture_entry(attack_complexity="bogus")], "'bogus' is not a valid AttackComplexity",
                      id="attack_complexity_bogus"),
-        pytest.param([fixture_entry(exploitability_score="x")], "could not convert string to float",
-                     id="exploitability_score_not_number"),
+        pytest.param([fixture_entry(exploitability_score="x")],
+                     "record key 'exploitability_score' must be float, got \"x\"", id="exploitability_score_not_number"),
+        pytest.param([fixture_entry(cwe_id=5)], "record key 'cwe_id' must be str, got 5", id="cwe_id_not_string"),
+        pytest.param([fixture_entry(description=5)], "record key 'description' must be str, got 5",
+                     id="description_not_string"),
+        pytest.param([fixture_entry(description="a\ud800")], "record key 'description' must be str, got \"a\\ud800\"",
+                     id="description_lone_surrogate"),
+        pytest.param([fixture_entry(references=[{"url": 5, "tags": ["Patch"]}])],
+                     "reference url must be a string, got 5", id="reference_url_not_string"),
+        pytest.param([fixture_entry(patches=[{"path": "a.c", "pre_code": VULN_PRE, "post_code": 5}])],
+                     "patch key 'post_code' must be str, got 5", id="post_code_not_string"),
+        pytest.param([fixture_entry(patches=[{"path": ["a.c"], "pre_code": VULN_PRE}])],
+                     "patch key 'path' must be str, got [\"a.c\"]", id="path_not_string"),
+        pytest.param([fixture_entry(patches=[{"path": "a.c"}])], "patch is missing key(s) 'pre_code'",
+                     id="pre_code_missing"),
         *(
             pytest.param(
                 [fixture_entry(patches=[{"path": "a.c", "pre_code": VULN_PRE, "changed_ranges": [r]}])],
                 f"a.c: changed range {r} is not a line pair within 1-7",
                 id=f"changed_range_{name}",
             )
-            for name, r in [("past_end", [50, 60]), ("not_pair", [1]), ("zero", [0, 2]), ("reversed", [4, 3]),
-                            ("not_int", [1, 2.5]), ("bool", [True, 2])]
+            for name, r in [("past_end", [50, 60]), ("zero", [0, 2]), ("reversed", [4, 3])]
         ),
-        pytest.param({"vulnerabilities": [{"cve": {"id": "CVE-2023-1", "descriptions": [3],
-                                                   "references": [{"url": "https://x/commit/1"}]}}]},
-                     "CVE-2023-1", id="nvd_description_not_object"),
+        *(
+            pytest.param(
+                [fixture_entry(patches=[{"path": "a.c", "pre_code": VULN_PRE, "changed_ranges": [r]}])],
+                f"patch key 'changed_ranges' must be list[tuple[int, int]], got {json.dumps([r])}",
+                id=f"changed_range_{name}",
+            )
+            for name, r in [("not_pair", [1]), ("not_int", [1, 2.5]), ("bool", [True, 2])]
+        ),
     ],
 )
 def test_parse_skips_malformed_entry_with_logged_reason(caplog, doc, reason):
@@ -137,8 +155,32 @@ def test_parse_skips_malformed_entry_with_logged_reason(caplog, doc, reason):
         doc = {"records": doc["records"] + [good]}
     with caplog.at_level("INFO", logger="msivd.corpus"):
         records = parse_nvd_dump(json.dumps(doc).encode())
-    assert [r.cve_id for r in records] == ([] if "vulnerabilities" in doc else ["CVE-2023-0010"])
+    assert [r.cve_id for r in records] == ["CVE-2023-0010"]
     assert any(reason in m for m in caplog.messages)
+
+
+DUMP = json.loads(fixture_dump([fixture_entry()]))
+
+
+@FUZZ
+@given(st.sampled_from(cases(DUMP)))
+def test_fuzzed_dump_entry_is_skipped_or_ingests_and_reads_back(tmp_path, caplog, case):
+    """A dump with one value broken raises CorpusError, or skips its entry
+    with a logged reason, or ingests, with and without ``cpp_only``, into
+    samples that write and read back unchanged."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="msivd.corpus"):
+        try:
+            records = parse_nvd_dump(mutate(DUMP, *case).encode("utf-8"))
+        except CorpusError:
+            return
+    if not records:
+        assert any(m.startswith("skipping ") for m in caplog.messages)
+    for cpp_only in (False, True):
+        result = ingest_records(records, cpp_only=cpp_only)
+        samples = result.positives + result.negatives
+        write_samples_jsonl(samples, tmp_path / "samples.jsonl")
+        assert read_samples_jsonl(tmp_path / "samples.jsonl") == samples
 
 
 def test_parse_missing_mandatory_field_skips_record(caplog):
@@ -157,7 +199,9 @@ def test_parse_missing_cwe_becomes_unknown():
     assert rec.cwe_id == "CWE-unknown"
 
 
-def test_parse_nvd_v2_shape():
+def test_nvd_v2_dump_is_rejected():
+    """An NVD v2 API dump carries no patch code, so no sample could come
+    of it: it is refused as a whole rather than read as zero samples."""
     doc = {
         "vulnerabilities": [
             {
@@ -181,11 +225,8 @@ def test_parse_nvd_v2_shape():
             }
         ]
     }
-    (rec,) = parse_nvd_dump(json.dumps(doc).encode())
-    assert rec.exploitability_score == pytest.approx(2.8)
-    assert rec.severity is Severity.MEDIUM
-    assert rec.cwe_id == "CWE-770"
-    assert rec.patch_links
+    with pytest.raises(CorpusError, match="unrecognized dump shape"):
+        parse_nvd_dump(json.dumps(doc).encode())
 
 
 # --- ingest_records -------------------------------------------------------------
@@ -498,17 +539,18 @@ def _sample_line(**over) -> bytes:
         pytest.param(b"\xff", "utf-8", id="not_utf8"),
         pytest.param(b"{", "Expecting", id="not_json"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, "recursion depth", id="nested_too_deeply"),
-        pytest.param(_sample_line(label="no"), "JSON bool", id="label_string"),
-        pytest.param(_sample_line(label=1), "JSON bool", id="label_int"),
+        pytest.param(_sample_line(label="no"), "sample key 'label' must be bool", id="label_string"),
+        pytest.param(_sample_line(label=1), "sample key 'label' must be bool", id="label_int"),
         pytest.param(_sample_line(cwe_category="Nonsense"), "Nonsense", id="bad_cwe_category"),
-        pytest.param(_sample_line(code=5), "code must be a string", id="code_not_string"),
+        pytest.param(_sample_line(code=5), "sample key 'code' must be str", id="code_not_string"),
         pytest.param(_sample_line(origin_date="soon"), "unparseable date", id="bad_date"),
         pytest.param(_sample_line(label=True, vuln_line_start="1", vuln_line_end=1), "", id="bad_vuln_lines"),
         pytest.param(_sample_line(label=True, vuln_line_start=1.5, vuln_line_end=2.0),
-                     "vuln_line_start must be a JSON int or null, got 1.5", id="vuln_lines_float"),
+                     r"sample key 'vuln_line_start' must be int \| None, got 1.5", id="vuln_lines_float"),
         pytest.param(_sample_line(label=True, vuln_line_start=1, vuln_line_end=True),
-                     "vuln_line_end must be a JSON int or null, got true", id="vuln_line_bool"),
-        pytest.param(_sample_line(fix_code=5), "fix_code must be a JSON str or null, got 5", id="fix_code_not_string"),
+                     r"sample key 'vuln_line_end' must be int \| None, got true", id="vuln_line_bool"),
+        pytest.param(_sample_line(fix_code=5), r"sample key 'fix_code' must be str \| None, got 5",
+                     id="fix_code_not_string"),
         pytest.param(_sample_line(vuln_line_start=-5, vuln_line_end=99), "negative sample with vulnerable lines -5-99",
                      id="negative_with_lines"),
     ],
@@ -531,8 +573,26 @@ def test_ill_typed_value_echo_is_cut(tmp_path):
     p.write_bytes(_sample_line(code=[[0] * 50] * 40) + b"\n")
     with pytest.raises(CorpusError) as info:
         read_samples_jsonl(p)
-    assert str(info.value).endswith(f"code must be a string, got {json.dumps([[0] * 50] * 40)[:80]}")
+    assert str(info.value).endswith(f"sample key 'code' must be str, got {json.dumps([[0] * 50] * 40)[:80]}")
     assert len(str(info.value)) < 80 + len(str(p)) + 60
+
+
+SAMPLE = json.loads(_sample_line(label=True, vuln_line_start=1, vuln_line_end=1, fix_code="return 1;"))
+
+
+@FUZZ
+@given(st.sampled_from(cases(SAMPLE)))
+def test_fuzzed_sample_line_raises_corpus_error_or_reads_back(tmp_path, case):
+    """A samples line with one value broken raises CorpusError, or reads as
+    a sample that writes and reads back unchanged."""
+    p = tmp_path / "fuzzed.jsonl"
+    p.write_text(mutate(SAMPLE, *case) + "\n", encoding="utf-8")
+    try:
+        samples = read_samples_jsonl(p)
+    except CorpusError:
+        return
+    write_samples_jsonl(samples, p)
+    assert read_samples_jsonl(p) == samples
 
 
 def test_unbroken_sample_line_reads(tmp_path):

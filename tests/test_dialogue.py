@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_corpus import make_sample
+from helpers_fuzz import FUZZ, cases, mutate
 from msivd.dialogue import (
     NEGATIVE_ANSWER,
     ROUND1_STUDENT,
@@ -274,7 +275,7 @@ def test_ill_typed_value_echo_is_cut(tmp_path):
     p.write_text(json.dumps({"sample_id": "x", "system": "s", "rounds": [], "label": label}) + "\n")
     with pytest.raises(DialogueError) as info:
         parse_jsonl(p)
-    assert str(info.value).endswith(f"label must be a JSON bool, got {json.dumps(label)[:80]}")
+    assert str(info.value).endswith(f"dialogue key 'label' must be bool, got {json.dumps(label)[:80]}")
     assert len(str(info.value)) < 80 + len(str(p)) + 60
 
 
@@ -296,9 +297,9 @@ def test_jsonl_keys_are_exact(tmp_path):
         pytest.param(b"\xff", "utf-8", id="not_utf8"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, "recursion depth", id="nested_too_deeply"),
         pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": "a"}], '
-                     b'"label": "no"}', "JSON bool", id="label_string"),
+                     b'"label": "no"}', "dialogue key 'label' must be bool", id="label_string"),
         pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": "a"}], '
-                     b'"label": 0}', "JSON bool", id="label_int"),
+                     b'"label": 0}', "dialogue key 'label' must be bool", id="label_int"),
         pytest.param(b'{"sample_id": "x", "system": "s", "rounds": [{"student": "q", "teacher": 5}], '
                      b'"label": false}', "teacher", id="teacher_not_string"),
         pytest.param(b'{"sample_id": "x", "system": "s", "rounds": ["q"], "label": false}', "",
@@ -314,3 +315,26 @@ def test_hostile_line_raises_dialogue_error_naming_it(tmp_path, line, match):
         fh.write(line + b"\n")
     with pytest.raises(DialogueError, match=f"line 2: .*{match}"):
         parse_jsonl(p)
+
+
+DIALOGUE = {
+    "sample_id": "S0001",
+    "system": SYSTEM_PROMPT,
+    "rounds": [{"student": f"question {i}", "teacher": f"answer {i}"} for i in range(1, 4)],
+    "label": True,
+}
+
+
+@FUZZ
+@given(st.sampled_from(cases(DIALOGUE)))
+def test_fuzzed_dialogue_line_raises_dialogue_error_or_reads_back(tmp_path, case):
+    """A dialogues line with one value broken raises DialogueError, or reads
+    as a dialogue that writes and reads back unchanged."""
+    p = tmp_path / "fuzzed.jsonl"
+    p.write_text(mutate(DIALOGUE, *case) + "\n", encoding="utf-8")
+    try:
+        dialogues = parse_jsonl(p)
+    except DialogueError:
+        return
+    serialize_jsonl(dialogues, p)
+    assert parse_jsonl(p) == dialogues

@@ -10,7 +10,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers_fuzz import FUZZ, cases, mutate
 from helpers_loss import eq2_reference
 from msivd.corpus import make_split, SplitSpec
 from msivd.dialogue import build_dialogues, build_negative_dialogue
@@ -207,9 +210,10 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, corruption):
 
 TRAIN = tiny_config().snapshot()
 BAD_CONFIGS = {
-    "empty": (build_lm_from_checkpoint, {}, "'train'"),
-    "fused-without-train": (build_bundle_from_checkpoint, {"stage": "fused"}, "'train'"),
-    "train-not-object": (build_lm_from_checkpoint, {"stage": "sift", "train": [1]}, "'train'"),
+    "empty": (build_lm_from_checkpoint, {}, "checkpoint train must be a JSON object, got null"),
+    "fused-without-train": (build_bundle_from_checkpoint, {"stage": "fused"}, "checkpoint train must be a JSON object"),
+    "train-not-object": (build_lm_from_checkpoint, {"stage": "sift", "train": [1]},
+                         r"checkpoint train must be a JSON object, got \[1\]"),
     "ill-typed-dimension": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "lm_config": {"d_model": "x"}}},
                             r"train\.lm_config"),
     "unknown-lm-setting": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "lm_config": {"bogus": 1}}},
@@ -217,7 +221,8 @@ BAD_CONFIGS = {
     "unknown-gnn-setting": (build_bundle_from_checkpoint,
                             {"stage": "fused", "train": {**TRAIN, "gnn_config": {"bogus": 1}}},
                             r"train\.gnn_config"),
-    "seed-not-integer": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "seed": "x"}}, r"train\.seed"),
+    "seed-not-integer": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "seed": "x"}},
+                         "checkpoint train key 'seed' must be int, got \"x\""),
     "float-d-model": (build_lm_from_checkpoint,
                       {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "d_model": 32.0}}},
                       r"train\.lm_config key 'd_model' must be int, got 32\.0"),
@@ -245,6 +250,12 @@ BAD_CONFIGS = {
     "nan-lora-alpha": (build_lm_from_checkpoint,
                        {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "alpha": float("nan")}}},
                        r"train\.lora_config .*needs a finite alpha"),
+    "huge-lora-rank": (build_lm_from_checkpoint,
+                       {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 10**300}}},
+                       "checkpoint train config builds no model: Maximum allowed dimension exceeded"),
+    "huge-gnn-state-dim": (build_bundle_from_checkpoint,
+                           {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 10**300}}},
+                           "checkpoint train config builds no model"),
     "negative-gnn-steps": (build_bundle_from_checkpoint,
                            {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "steps": -1}}},
                            r"train\.gnn_config .*steps must be >= 0"),
@@ -258,6 +269,41 @@ def test_bad_header_config_raises_checkpoint_error(tmp_path, case):
     save_checkpoint(dataclasses.replace(_sift_checkpoint(), config=config), p)
     with pytest.raises(CheckpointError, match=names):
         build(load_checkpoint(p))
+
+
+def _saved_header() -> tuple[bytes, dict, bytes]:
+    """A saved tiny SIFT checkpoint: its magic and version, its JSON header
+    and its payload."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(_sift_checkpoint(), f"{tmp}/m.ckpt")
+        with open(f"{tmp}/m.ckpt", "rb") as fh:
+            raw = fh.read()
+    (header_len,) = struct.unpack_from("<I", raw, 12)
+    return raw[:12], json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
+
+
+CKPT_START, HEADER, CKPT_PAYLOAD = _saved_header()
+# every tensor entry has the same fields, so the first one stands for all
+FIRST_TENSOR = min(HEADER["tensors"])
+HEADER_CASES = [c for c in cases(HEADER) if c[0][0] != "tensors" or c[0][1:2] in ((), (FIRST_TENSOR,))]
+
+
+@FUZZ
+@given(st.sampled_from(HEADER_CASES))
+def test_fuzzed_checkpoint_header_raises_checkpoint_error_or_loads(tmp_path, case):
+    """A checkpoint whose header has one value broken raises
+    CheckpointError, or loads, as ``train-fused`` loads a SIFT checkpoint:
+    against the LM config it expects. A config key that is gone takes its
+    default, so a loaded model need not be the one that was saved."""
+    header = mutate(HEADER, *case).encode("utf-8")
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(CKPT_START + struct.pack("<I", len(header)) + header + CKPT_PAYLOAD)
+    try:
+        build_lm_from_checkpoint(load_checkpoint(p), expect=TINY_LM)
+    except CheckpointError:
+        pass
 
 
 def test_loading_into_different_d_model_errors(tmp_path, small_corpus):
