@@ -330,9 +330,12 @@ def _patch_sample(
     focus = _focus(patch.changed_ranges, len(lines))
     rng = random.Random(f"{seed}:{record.cve_id}:{patch.path}" + ("" if vulnerable else ":neg"))
     lo, hi = _select_window(lines, focus, window_tokens, rng)
+    code = "\n".join(lines[lo - 1 : hi])
+    if not lines[hi - 1]:
+        code += "\n"  # else the window's blank last line, which may be a changed one, is lost
     return CodeSample(
         sample_id=f"{record.cve_id}:{patch.path}:{'pos' if vulnerable else 'neg'}",
-        code="\n".join(lines[lo - 1 : hi]),
+        code=code,
         label=vulnerable,
         cwe_id=record.cwe_id,
         cwe_category=classify_cwe(record.cwe_id),
@@ -376,13 +379,16 @@ def _select_window(
         up = not up
 
 
-def _fix_snippet(patch: FilePatch, context: int = 2) -> str:
+_FIX_CONTEXT = 2  # post-change lines kept on each side of the changed ranges
+
+
+def _fix_snippet(patch: FilePatch) -> str:
     """Post-change lines covering the changed ranges (the proposed fix)."""
     lines = patch.post_code.splitlines()
     if not lines:
         return ""
     first, last = _focus(patch.changed_ranges, len(lines))
-    return "\n".join(lines[max(1, first - context) - 1 : min(len(lines), last + context)])
+    return "\n".join(lines[max(1, first - _FIX_CONTEXT) - 1 : min(len(lines), last + _FIX_CONTEXT)])
 
 
 # --- exclusion filters -----------------------------------------------------------

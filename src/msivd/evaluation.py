@@ -97,15 +97,12 @@ def metrics(counts: ConfusionCounts) -> MetricValues:
     return MetricValues(precision=precision, recall=recall, f1=f1, zero_division=zero)
 
 
-def random_baseline(prevalence: float, predict_rate: float = 0.5) -> MetricValues:
-    """Expected metrics of a predictor that flags each sample with the given
-    rate: precision equals the prevalence, recall the predict rate."""
-    if not (0.0 <= prevalence <= 1.0 and 0.0 <= predict_rate <= 1.0):
-        raise ValueError("prevalence and predict_rate must lie in [0, 1]")
-    precision = prevalence
-    recall = predict_rate
-    if precision + recall == 0:
-        return MetricValues(0.0, 0.0, 0.0, zero_division=True)
+def random_baseline(prevalence: float) -> MetricValues:
+    """Expected metrics of a predictor that flags each sample on a fair coin
+    flip: precision equals the prevalence, recall is 0.5."""
+    if not 0.0 <= prevalence <= 1.0:
+        raise ValueError("prevalence must lie in [0, 1]")
+    precision, recall = prevalence, 0.5
     f1 = 2.0 * precision * recall / (precision + recall)
     return MetricValues(precision=precision, recall=recall, f1=f1)
 

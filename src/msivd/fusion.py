@@ -61,11 +61,11 @@ def fused_input_width(lm_config: TransformerConfig, gnn_config: GgnnConfig | Non
 class FusedClassifier:
     """Linear projection from the fused vector onto (yes, no) label logits."""
 
-    def __init__(self, in_dim: int, seed: int = 0, dtype=np.float32):
+    def __init__(self, in_dim: int, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.in_dim = in_dim
-        self.w = Tensor(rng.normal(0.0, in_dim**-0.5, size=(2, in_dim)).astype(dtype), requires_grad=True)
-        self.b = Tensor(np.zeros(2, dtype=dtype), requires_grad=True)
+        self.w = Tensor(rng.normal(0.0, in_dim**-0.5, size=(2, in_dim)).astype(np.float32), requires_grad=True)
+        self.b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"clf.w": self.w, "clf.b": self.b}

@@ -25,6 +25,10 @@ __all__ = [
 
 GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x state_dim]
 
+# GgnnConfig's bound on ``steps``: no tensor holds the step count, so a
+# checkpoint's payload cannot bound the work a forward does
+MAX_STEPS = 64
+
 
 @dataclass(frozen=True)
 class GgnnConfig:
@@ -35,8 +39,8 @@ class GgnnConfig:
     def __post_init__(self):
         if self.state_dim <= 0 or self.mlp_hidden <= 0:
             raise ValueError("GGNN dims must be positive")
-        if self.steps < 0:
-            raise ValueError(f"GGNN steps must be >= 0, got {self.steps}")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"GGNN steps must be >= 0 and at most {MAX_STEPS}, got {str(self.steps)[:80]}")
 
     @classmethod
     def paper(cls) -> "GgnnConfig":
@@ -44,7 +48,7 @@ class GgnnConfig:
         return cls(state_dim=256, mlp_hidden=256)
 
 
-def adjacency(n: int, edges: list[tuple[int, int]], dtype=np.float32) -> np.ndarray:
+def adjacency(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Dense in-edge counts of an ``n``-node graph: entry [dst, src] is the
     number of (src, dst) edges, so duplicate edges count twice (multiset
     semantics)."""
@@ -53,30 +57,31 @@ def adjacency(n: int, edges: list[tuple[int, int]], dtype=np.float32) -> np.ndar
     if bad.size:
         src, dst = pairs[bad[0]]
         raise ValueError(f"edge ({src}, {dst}) references missing node (n={n})")
-    adj_t = np.zeros((n, n), dtype=dtype)
+    adj_t = np.zeros((n, n), dtype=np.float32)
     np.add.at(adj_t, (pairs[:, 1], pairs[:, 0]), 1.0)
     return adj_t
 
 
 class Ggnn:
-    """Message-passing network producing one embedding per graph."""
+    """Message-passing network producing one embedding per graph, float32
+    parameters; ``embed`` computes in the dtype of its parameters."""
 
-    def __init__(self, config: GgnnConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: GgnnConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
         d, hidden = config.state_dim, config.mlp_hidden
 
         def mat(rows, cols):
-            return rng.normal(0.0, cols**-0.5, size=(rows, cols)).astype(dtype)
+            return rng.normal(0.0, cols**-0.5, size=(rows, cols)).astype(np.float32)
 
         def param(data):
             return Tensor(data, requires_grad=True)
 
         w1, w2 = mat(hidden, d), mat(d, hidden)
-        self.mlp = (param(w1), param(np.zeros(hidden, dtype)), param(w2), param(np.zeros(d, dtype)))
+        self.mlp = (param(w1), param(np.zeros(hidden, np.float32)), param(w2), param(np.zeros(d, np.float32)))
         wz, uz, wr, ur, wc, uc = (mat(d, d) for _ in range(6))
         self.gru = (param(np.concatenate([wz, wr, wc])), param(np.concatenate([uz, ur, uc])),
-                    param(np.zeros(3 * d, dtype)))
+                    param(np.zeros(3 * d, np.float32)))
 
     def parameters(self) -> dict[str, Tensor]:
         names = ("gnn.mlp.w1", "gnn.mlp.b1", "gnn.mlp.w2", "gnn.mlp.b2", "gnn.gru.w", "gnn.gru.u", "gnn.gru.b")
@@ -103,7 +108,7 @@ class Ggnn:
             if features.shape[1] != d:
                 raise ValueError(f"feature width {features.shape[1]} != state dim {d}")
             h.data[start : start + n] = features
-            adj_t[start : start + n, start : start + n] = adjacency(n, cfg.edges, dtype=dtype)
+            adj_t[start : start + n, start : start + n] = adjacency(n, cfg.edges)
             pool[i, start : start + n] = 1.0 / n
             start += n
         adj = Tensor(adj_t)

@@ -19,9 +19,6 @@ __all__ = [
     "ByteTokenizer",
     "TransformerConfig",
     "LoraConfig",
-    "LoraAdapter",
-    "make_adapter",
-    "lora_forward",
     "LmOutput",
     "KvPrefix",
     "LmModel",
@@ -103,48 +100,15 @@ class TransformerConfig:
 class LoraConfig:
     rank: int = 8
     alpha: float = 16.0
-    init_std: float = 0.02
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("LoRA rank must be >= 1")
-        if not (-np.inf < self.alpha < np.inf and 0 <= self.init_std < np.inf):
-            raise ValueError(f"LoRA needs a finite alpha and a finite init_std >= 0: {self.alpha}, {self.init_std}")
+        if not -np.inf < self.alpha < np.inf:
+            raise ValueError(f"LoRA needs a finite alpha: {self.alpha}")
 
 
-@dataclass
-class LoraAdapter:
-    """Low-rank delta for one frozen weight: A is Gaussian, B starts at zero."""
-
-    a: Tensor  # [r x d_in]
-    b: Tensor  # [d_out x r]
-    rank: int
-    alpha: float
-
-
-def make_adapter(d_in: int, d_out: int, cfg: LoraConfig, rng: np.random.Generator, dtype=np.float32) -> LoraAdapter:
-    a = Tensor(rng.normal(0.0, cfg.init_std, size=(cfg.rank, d_in)).astype(dtype), requires_grad=True)
-    b = Tensor(np.zeros((d_out, cfg.rank), dtype=dtype), requires_grad=True)
-    return LoraAdapter(a=a, b=b, rank=cfg.rank, alpha=cfg.alpha)
-
-
-def lora_forward(x: Tensor, w0: Tensor, adapter: LoraAdapter | None) -> Tensor:
-    """x @ W0^T plus the scaled low-rank path (alpha/r) x A^T B^T, recorded
-    as one ``autograd.lora_linear`` tape node (``autograd.linear`` without
-    an adapter).
-
-    W0 stays frozen; only A and B are trainable. With B at zero, its
-    initialization, the output equals the base layer exactly.
-    """
-    if adapter is None:
-        return ag.linear(x, w0)
-    d_out, d_in = w0.shape
-    if adapter.a.shape != (adapter.rank, d_in) or adapter.b.shape != (d_out, adapter.rank):
-        raise ag.ShapeError(
-            f"adapter rank mismatch: A {adapter.a.shape}, B {adapter.b.shape} "
-            f"for weight {w0.shape} rank {adapter.rank}"
-        )
-    return ag.lora_linear(x, w0, adapter.a, adapter.b, adapter.alpha / adapter.rank)
+LORA_INIT_STD = 0.02  # std of the Gaussian draw of every adapter's A; B starts at zero
 
 
 @dataclass
@@ -165,32 +129,29 @@ class KvPrefix:
 
 
 class LmModel:
-    """Decoder-only transformer over the byte vocabulary.
+    """Decoder-only transformer over the byte vocabulary, built in float32.
 
-    Base parameters are created frozen (requires_grad=False); when LoRA is
-    enabled the adapters are the only trainable tensors.
+    Base parameters are created frozen (requires_grad=False); the LoRA
+    adapters on the attention query/value projections are the only
+    trainable tensors. ``adapters`` maps each adapted projection's name
+    (``layer{i}.wq``, ``layer{i}.wv``) to its A [r x d_in], drawn Gaussian,
+    and B [d_out x r], zero, so the adapted model starts as the base model;
+    each adds ``lora_scale`` = alpha / r times x·Aᵀ·Bᵀ to its projection.
     """
 
-    def __init__(
-        self,
-        config: TransformerConfig,
-        seed: int = 0,
-        lora: LoraConfig | None = LoraConfig(),
-        dtype=np.float32,
-    ):
+    def __init__(self, config: TransformerConfig, seed: int = 0, lora: LoraConfig = LoraConfig()):
         self.config = config
-        self.lora_config = lora
         rng = np.random.default_rng(seed)
         d = config.d_model
 
         def frozen(shape, std):
-            return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=False)
+            return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32), requires_grad=False)
 
         def ones(n):
-            return Tensor(np.ones(n, dtype=dtype), requires_grad=False)
+            return Tensor(np.ones(n, dtype=np.float32), requires_grad=False)
 
         def zeros(n):
-            return Tensor(np.zeros(n, dtype=dtype), requires_grad=False)
+            return Tensor(np.zeros(n, dtype=np.float32), requires_grad=False)
 
         self.tok_emb = frozen((config.vocab_size, d), 0.02)
         self.pos_emb = frozen((config.context_window, d), 0.02)
@@ -209,12 +170,13 @@ class LmModel:
         self.ln_f_b = zeros(d)
         self.lm_head = frozen((config.vocab_size, d), 0.02)
 
-        # adapters on the attention query/value projections only
-        self.adapters: dict[str, LoraAdapter] = {}
-        if lora is not None:
-            for i in range(config.n_layers):
-                self.adapters[f"layer{i}.wq"] = make_adapter(d, d, lora, rng, dtype)
-                self.adapters[f"layer{i}.wv"] = make_adapter(d, d, lora, rng, dtype)
+        self.adapters: dict[str, tuple[Tensor, Tensor]] = {}
+        for i in range(config.n_layers):
+            for proj in ("wq", "wv"):
+                a = rng.normal(0.0, LORA_INIT_STD, size=(lora.rank, d)).astype(np.float32)
+                b = np.zeros((d, lora.rank), dtype=np.float32)
+                self.adapters[f"layer{i}.{proj}"] = (Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        self.lora_scale = lora.alpha / lora.rank
 
     # --- parameter access --------------------------------------------------
 
@@ -227,11 +189,7 @@ class LmModel:
         return params
 
     def adapter_parameters(self) -> dict[str, Tensor]:
-        params = {}
-        for name, ad in self.adapters.items():
-            params[f"{name}.lora_a"] = ad.a
-            params[f"{name}.lora_b"] = ad.b
-        return params
+        return {f"{name}.lora_{part}": t for name, pair in self.adapters.items() for part, t in zip("ab", pair)}
 
     def parameters(self) -> dict[str, Tensor]:
         return {**self.base_parameters(), **self.adapter_parameters()}
@@ -272,10 +230,10 @@ class LmModel:
             cut = first_row - p if i == len(self.layers) - 1 else 0
             n = x.shape[0]
             xn = ag.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            q = lora_forward(ag.slice_rows(xn, cut, n) if cut else xn,
-                             layer["wq"], self.adapters.get(f"layer{i}.wq"))
+            q = ag.lora_linear(ag.slice_rows(xn, cut, n) if cut else xn,
+                               layer["wq"], *self.adapters[f"layer{i}.wq"], self.lora_scale)
             k = ag.linear(xn, layer["wk"])
-            v = lora_forward(xn, layer["wv"], self.adapters.get(f"layer{i}.wv"))
+            v = ag.lora_linear(xn, layer["wv"], *self.adapters[f"layer{i}.wv"], self.lora_scale)
             if prefix is not None:
                 k, v = (Tensor(np.concatenate([c, new.data])) for c, new in zip(prefix.kv[i], (k, v)))
             kv.append((k.data, v.data))

@@ -54,20 +54,19 @@ def safe_code(rng: random.Random, tag: int) -> str:
     return "\n".join(lines)
 
 
-def make_synthetic_corpus(
-    n: int = 200,
-    seed: int = 0,
-    positive_fraction: float = 0.5,
-    post_cutoff_fraction: float = 0.2,
-) -> list[CodeSample]:
-    """``n`` samples; the last ``post_cutoff_fraction`` are dated after
-    2023-01-01 (eval/test pool), labels alternate inside each date pool."""
+_POSITIVE_FRACTION = 0.5  # of each date pool
+_POST_CUTOFF_FRACTION = 0.2  # of the corpus, dated after the 2023-01-01 cutoff
+
+
+def make_synthetic_corpus(n: int = 200, seed: int = 0) -> list[CodeSample]:
+    """``n`` samples; the last fifth are dated after 2023-01-01 (eval/test
+    pool), and each date pool is half positives in a seeded order."""
     rng = random.Random(seed)
-    n_post = round(n * post_cutoff_fraction)
+    n_post = round(n * _POST_CUTOFF_FRACTION)
     n_pre = n - n_post
 
     def pool_labels(m: int) -> list[bool]:
-        n_pos = round(m * positive_fraction)
+        n_pos = round(m * _POSITIVE_FRACTION)
         labels = [True] * n_pos + [False] * (m - n_pos)
         rng.shuffle(labels)
         return labels

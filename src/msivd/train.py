@@ -70,7 +70,7 @@ SIFT_MODES = ("multi-round", "single-round", "label-only")
 CLIP_NORM = 1.0  # global gradient-norm bound of both stages
 
 CKPT_MAGIC = b"MSIVDCKP"
-CKPT_VERSION = 4
+CKPT_VERSION = 5
 CKPT_DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
 
@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("learning rate, batch size and epochs must be positive, and the learning rate finite")
         if self.sift_mode not in SIFT_MODES:
             raise ValueError(f"unknown sift_mode {self.sift_mode!r}; have {SIFT_MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def snapshot(self) -> dict:
         """JSON-safe view of the full configuration (nested configs included)."""
@@ -416,26 +418,26 @@ def sift_batch_loss(model: LmModel, streams: list[TrainingStream]) -> float:
 
     total = 0.0
     for loss, grads in results:
-        for ad, (grad_a, grad_b) in zip(model.adapters.values(), grads):
-            ag._accum(ad.a, grad_a)
-            ag._accum(ad.b, grad_b)
+        for (a, b), (grad_a, grad_b) in zip(model.adapters.values(), grads):
+            ag._accum(a, grad_a)
+            ag._accum(b, grad_b)
         total += loss
     return total
 
 
 def _stream_grads(model: LmModel, ids: np.ndarray, first: int, weights: np.ndarray):
-    """One stream's weighted ``cross_entropy`` and the gradient of each
+    """One stream's weighted ``cross_entropy`` and the gradients of each
     adapter's A and B, in ``model.adapters`` order. The forward runs on a
     copy of ``model`` whose adapters are fresh leaves over the same arrays,
     so streams on other threads never add into the same ``grad``."""
     view = copy.copy(model)
     view.adapters = {
-        name: replace(ad, a=Tensor(ad.a.data, ad.a.requires_grad), b=Tensor(ad.b.data, ad.b.requires_grad))
-        for name, ad in model.adapters.items()
+        name: (Tensor(a.data, a.requires_grad), Tensor(b.data, b.requires_grad))
+        for name, (a, b) in model.adapters.items()
     }
     loss = ag.cross_entropy(view.forward(ids, first_row=first).logits, np.append(ids[1 + first :], 0), weights)
     ag.backward(loss)
-    return loss.item(), [(ad.a.grad, ad.b.grad) for ad in view.adapters.values()]
+    return loss.item(), [(a.grad, b.grad) for a, b in view.adapters.values()]
 
 
 @cache
@@ -492,10 +494,13 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
 
 def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
     """The ``train`` section of a checkpoint's config, checked against
-    ``TrainConfig``, and its seed."""
+    ``TrainConfig``, and its seed, which must be >= 0 as there."""
     train_cfg = ckpt.config.get("train")
     json_fields(train_cfg, TrainConfig, "checkpoint train", CheckpointError)
-    return train_cfg, train_cfg.get("seed", 0)
+    seed = train_cfg.get("seed", 0)
+    if seed < 0:
+        raise CheckpointError(f"checkpoint train seed must be >= 0, got {str(seed)[:80]}")
+    return train_cfg, seed
 
 
 def _header_config(train_cfg: dict, key: str, cls):
@@ -510,6 +515,31 @@ def _header_config(train_cfg: dict, key: str, cls):
         raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)[:80]}: {exc}") from exc
 
 
+def _lm_size(lm: TransformerConfig, lora: LoraConfig) -> int:
+    """The number of values in the parameters of ``LmModel(lm, lora=lora)``."""
+    d = lm.d_model
+    return (2 * lm.vocab_size + lm.context_window + 2) * d + lm.n_layers * (12 * d * d + 9 * d + 4 * lora.rank * d)
+
+
+def _ggnn_size(gnn: GgnnConfig) -> int:
+    """The number of values in the parameters of ``Ggnn(gnn)``."""
+    d, hidden = gnn.state_dim, gnn.mlp_hidden
+    return 2 * hidden * d + hidden + 6 * d * d + 4 * d
+
+
+def _check_size(keys: str, size: int, tensors: dict[str, np.ndarray], prefix: str) -> None:
+    """Refuse a header whose ``keys`` ask for a model of ``size`` values when
+    the file's ``prefix`` tensors hold fewer, before any model is built: the
+    build then costs no more than the file's own payload, and a model that
+    needs more values than the file holds could not load it anyway."""
+    held = sum(t.size for name, t in tensors.items() if name.startswith(prefix))
+    if size > held:
+        raise CheckpointError(
+            f"checkpoint {keys} would build a model of {str(size)[:80]} values, "
+            f"more than the {held} that its {prefix} tensors hold"
+        )
+
+
 def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None = None) -> LmModel:
     train_cfg, seed = _header_train(ckpt)
     lm_cfg = _header_config(train_cfg, "lm_config", TransformerConfig)
@@ -518,11 +548,9 @@ def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None 
             f"dimension mismatch between checkpoint and config: "
             f"checkpoint d_model={lm_cfg.d_model}, config d_model={expect.d_model}"
         )
-    lora_cfg = _header_config(train_cfg, "lora_config", LoraConfig) if train_cfg.get("lora_config") else None
-    try:
-        model = LmModel(lm_cfg, seed=seed, lora=lora_cfg)
-    except ValueError as exc:  # numpy refuses a dimension or a seed
-        raise CheckpointError(f"checkpoint train config builds no model: {exc}") from exc
+    lora_cfg = _header_config(train_cfg, "lora_config", LoraConfig)
+    _check_size("train.lm_config and train.lora_config", _lm_size(lm_cfg, lora_cfg), ckpt.tensors, "lm.")
+    model = LmModel(lm_cfg, seed=seed, lora=lora_cfg)
     _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, ckpt.tensors)
     return model
 
@@ -604,11 +632,10 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
     lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
     gnn_cfg = _header_config(train_cfg, "gnn_config", GgnnConfig) if ckpt.config.get("use_gnn", True) else None
-    try:
-        gnn = Ggnn(gnn_cfg, seed=seed) if gnn_cfg else None
-        classifier = FusedClassifier(fused_input_width(lm.config, gnn_cfg), seed=seed + 1)
-    except ValueError as exc:  # numpy refuses a dimension
-        raise CheckpointError(f"checkpoint train config builds no model: {exc}") from exc
+    if gnn_cfg:
+        _check_size("train.gnn_config", _ggnn_size(gnn_cfg), ckpt.tensors, "gnn.")
+    gnn = Ggnn(gnn_cfg, seed=seed) if gnn_cfg else None
+    classifier = FusedClassifier(fused_input_width(lm.config, gnn_cfg), seed=seed + 1)
     heads = dict(classifier.parameters())
     if gnn is not None:
         heads.update(gnn.parameters())

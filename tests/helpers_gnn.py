@@ -41,7 +41,7 @@ def reference_embedding(gnn, graph):
     cfg, features = graph
     n = len(cfg.nodes)
     h = Tensor(np.asarray(features, dtype=dtype))
-    adj_t = Tensor(adjacency(n, cfg.edges, dtype=dtype))
+    adj_t = Tensor(adjacency(n, cfg.edges).astype(dtype))
     for _ in range(gnn.config.steps):
         h = gru_update(h, ag.matmul(adj_t, mlp_forward(h, *gnn.mlp)), *gnn.gru)
     return ag.matmul(Tensor(np.full((1, n), 1.0 / n, dtype=dtype)), h)

@@ -1,4 +1,5 @@
-"""Greedy decoding over ``LmModel``, for tests that check what a model learned."""
+"""Greedy decoding over ``LmModel``, for tests that check what a model
+learned, and the cast of a model's parameters for checks in 64 bits."""
 import numpy as np
 
 from msivd import autograd as ag
@@ -27,3 +28,12 @@ def generate_greedy(model: LmModel, prompt_ids, max_new: int) -> list[int]:
         if nxt == ByteTokenizer.EOS:
             break
     return out
+
+
+def cast(model, dtype):
+    """``model`` with every parameter cast to ``dtype`` in place; the kernels
+    compute in the dtype of their inputs, so a 64-bit model runs its forward
+    and backward in 64 bits."""
+    for t in model.parameters().values():
+        t.data = t.data.astype(dtype)
+    return model

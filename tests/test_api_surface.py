@@ -12,6 +12,15 @@ name that ``autograd`` defines or that is imported from it, or as an
 attribute of a name bound to the module (``ag.tanh``, ``autograd.tanh``).
 Enum members are not checked: the program reaches them by value, from the
 records it reads.
+
+A second scan holds the defaults to the same rule: every parameter with a
+default of a function, method or constructor in ``src/msivd``, and every
+field of its ``*Config`` dataclasses, must receive a value from some call in
+``src/``, ``scripts/`` or ``bench/``: by keyword, by position, through
+``*args`` or ``**mapping``, as a keyword of ``dataclasses.replace``, or
+through ``cls(...)`` in a classmethod. Calls match by the callee's name
+alone, as above. A default that only tests override is a knob that only
+tests turn, and ``KNOBS_ALLOWED`` gives the reason for each one kept.
 """
 import ast
 import json
@@ -144,6 +153,141 @@ def _unused() -> list[str]:
             if used <= 0:
                 unused.append(qualified)
     return unused
+
+
+# --- knobs: defaults that something outside the tests sets --------------------------
+
+KNOBS_ALLOWED = {
+    # the test harness of every kernel's gradcheck: its step and tolerance
+    "autograd.grad_check(h)",
+    "autograd.grad_check(tol)",
+    # the seam the CLI tests drive; the console entry point passes nothing
+    "cli.main(argv)",
+    # moving it into the 42 test call sites that set it would not be a reduction
+    "autograd.Tensor(dtype)",
+    # the checkpoint records the vocabulary width, and a learned byte-pair
+    # vocabulary will set it from its merge table
+    "lm.TransformerConfig(vocab_size)",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    targets = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any("dataclass" in (getattr(t, "id", None), getattr(t, "attr", None)) for t in targets)
+
+
+def _knobs(module: str, tree) -> list[tuple[str, str, str, int | None]]:
+    """(qualified knob, callee name, parameter, positional index or None for
+    keyword-only) for every parameter with a default of a function, method or
+    constructor of ``tree``, and every field of its ``*Config`` dataclasses.
+    A method's index does not count ``self`` or ``cls``; a constructor is
+    called by its class's name."""
+    knobs = []
+
+    def function(fn: ast.FunctionDef, owner: ast.ClassDef | None, qualifier: str):
+        is_static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        positional = fn.args.posonlyargs + fn.args.args
+        skip = 1 if owner is not None and not is_static else 0
+        constructor = owner is not None and fn.name == "__init__"
+        callee = owner.name if constructor else fn.name
+        name = f"{module}.{owner.name}" if constructor else f"{module}.{qualifier}"
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            knobs.append((f"{name}({arg.arg})", callee, arg.arg, i - skip))
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                knobs.append((f"{name}({arg.arg})", callee, arg.arg, None))
+
+    def visit(node, owner: ast.ClassDef | None, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child) and child.name.endswith("Config"):
+                    fields = [n.target.id for n in child.body
+                              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+                    knobs.extend((f"{module}.{child.name}({f})", child.name, f, i) for i, f in enumerate(fields))
+                visit(child, child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                function(child, owner, f"{prefix}{child.name}")
+                visit(child, None, f"{prefix}{child.name}.")
+            else:
+                visit(child, owner, prefix)
+
+    visit(tree, None, "")
+    return knobs
+
+
+def _calls(tree) -> list[tuple[str, int, int | None, set[str], bool]]:
+    """(callee name, positional count, index of the first ``*args`` or None,
+    keywords, whether a ``**mapping`` is passed) of every call in ``tree``,
+    matched by name alone. ``cls(...)`` in a classmethod calls its class, and
+    ``replace(x, ...)`` calls every dataclass. A call inside a function of
+    the callee's name, a function's own recursion, is not counted."""
+    found = []
+
+    def visit(node, enclosing: tuple[str, ...], cls_name: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, enclosing + (child.name,), child.name)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                classmethod_ = any(getattr(d, "id", None) == "classmethod" for d in child.decorator_list)
+                visit(child, enclosing + (child.name,), cls_name if classmethod_ else None)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee == "cls" and cls_name:
+                    callee = cls_name
+                if callee and callee not in enclosing[-1:]:
+                    starred = [i for i, a in enumerate(child.args) if isinstance(a, ast.Starred)]
+                    found.append((
+                        callee,
+                        len(child.args),
+                        starred[0] if starred else None,
+                        {k.arg for k in child.keywords if k.arg},
+                        any(k.arg is None for k in child.keywords),
+                    ))
+            visit(child, enclosing, cls_name)
+
+    visit(tree, (), None)
+    return found
+
+
+def _sets(call, callee: str, param: str, index: int | None) -> bool:
+    """Whether ``call`` passes a value for ``param`` of ``callee``: by
+    keyword, by position, through ``*args`` or ``**mapping``, or as a
+    keyword of ``replace`` when ``callee`` is a class."""
+    name, n_positional, starred, keywords, mapping = call
+    if name == "replace" and callee[0].isupper():
+        return param in keywords
+    if name != callee:
+        return False
+    if param in keywords or mapping:
+        return True
+    return index is not None and (n_positional > index or starred is not None and starred <= index)
+
+
+def _unset_knobs() -> list[str]:
+    trees = _trees()
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    return [
+        qualified
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, callee, param, index in _knobs(path.stem, trees[path])
+        if not any(_sets(call, callee, param, index) for call in calls)
+    ]
+
+
+def test_every_default_is_set_outside_tests():
+    """A parameter default that only tests override is a knob only tests
+    turn: it goes, and its default becomes a constant."""
+    unset = [knob for knob in _unset_knobs() if knob not in KNOBS_ALLOWED]
+    assert not unset, f"defaults that nothing in src/, scripts/ or bench/ sets: {unset}"
+
+
+def test_knob_allowlist_holds_only_unset_defaults():
+    stale = sorted(KNOBS_ALLOWED - set(_unset_knobs()))
+    assert not stale, f"allowlisted knobs that are gone or now set: {stale}"
 
 
 def test_every_public_name_has_a_caller_outside_tests():

@@ -13,7 +13,7 @@ from helpers_gnn import gru_update
 from msivd import autograd as ag
 from msivd.autograd import Tensor
 from msivd.dialogue import build_dialogues
-from msivd.lm import ByteTokenizer, LmModel, LoraAdapter, LoraConfig, TransformerConfig, lora_forward
+from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
 from msivd.train import TrainConfig, render_training_streams, sift_batch_loss
 
@@ -332,10 +332,7 @@ def _lora_case(w0_frozen):
         w0 = rand((5, 4), rng, scale=0.5, dtype=np.float64, requires_grad=not w0_frozen)
         xs = [rand((3, 4), rng), rand((2, 4), rng, scale=0.5), rand((5, 2), rng, scale=0.5)]
         if w0_frozen:
-            return (
-                lambda x, a, b: ag.sum_all(ag.sigmoid(lora_forward(x, w0, LoraAdapter(a=a, b=b, rank=2, alpha=3.0)))),
-                xs,
-            )
+            return lambda x, a, b: ag.sum_all(ag.sigmoid(ag.lora_linear(x, w0, a, b, 1.5))), xs
         return lambda x, w, a, b: ag.sum_all(ag.sigmoid(ag.lora_linear(x, w, a, b, 1.5))), [xs[0], w0, *xs[1:]]
 
     return case
@@ -358,7 +355,7 @@ FUSED_CASES = {
         [rand((3, 4), rng), rand((5, 4), rng)],
     ),
     "linear_frozen_w": _linear_frozen_w_case,
-    "lora_forward": _lora_case(w0_frozen=True),
+    "lora_linear_frozen_w0": _lora_case(w0_frozen=True),
     "lora_linear_trainable_w0": _lora_case(w0_frozen=False),
     "mlp": _mlp_case,
 }

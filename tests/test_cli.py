@@ -181,10 +181,13 @@ def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
         ({"context_window": 0}, "invalid settings: d_model, n_layers, n_heads and context_window must be >= 1"),
         ({"gnn_steps": -1}, "invalid settings: GGNN steps must be >= 0"),
         ({"lora_alpha": float("nan")}, "invalid settings: LoRA needs a finite alpha"),
+        ({"seed": -1}, "invalid settings: seed must be >= 0, got -1"),
+        ({"gnn_steps": 65}, "invalid settings: GGNN steps must be >= 0 and at most 64, got 65"),
     ],
     ids=["unknown_keys", "array", "string", "ratios_int", "ratios_short", "epochs_str", "bool_seed",
          "bool_float", "int_bool", "batch_size_zero", "d_model_indivisible", "learning_rate_nan",
-         "learning_rate_inf", "n_heads_zero", "context_window_zero", "gnn_steps_negative", "lora_alpha_nan"],
+         "learning_rate_inf", "n_heads_zero", "context_window_zero", "gnn_steps_negative", "lora_alpha_nan",
+         "seed_negative", "gnn_steps_past_bound"],
 )
 def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     cfg_path = tmp_path / "config.json"

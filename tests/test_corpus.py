@@ -296,6 +296,30 @@ def test_window_contains_changed_lines():
     assert len(sample.code.encode()) <= 2048
 
 
+def test_changed_blank_last_line_stays_in_the_window(tmp_path):
+    """Pre-fix code of 7 lines by ``splitlines`` whose last is blank, with the
+    changed range [7, 7] on it: the window's text keeps that blank line, so
+    the positive's vulnerable lines lie inside its code, it reads back from
+    samples JSONL, and the dump's other patch ingests too."""
+    pre = "int f(int n) {\n  buf = read_input(n);\n  len = n + 1;\n  copy_input(buf, len);\n  return len;\n}\n\n"
+    assert len(pre.splitlines()) == 7
+    entry = fixture_entry(
+        patches=[
+            {"path": "blank.c", "pre_code": pre, "post_code": VULN_POST, "changed_ranges": [[7, 7]]},
+            {"path": "other.c", "pre_code": VULN_PRE, "post_code": VULN_POST, "changed_ranges": [[4, 4]]},
+        ]
+    )
+    (rec,) = parse_nvd_dump(fixture_dump([entry]))
+    result = ingest_records([rec])
+    blank, other = result.positives
+    assert (blank.sample_id, other.sample_id) == ("CVE-2023-0001:blank.c:pos", "CVE-2023-0001:other.c:pos")
+    assert blank.code == pre and (blank.vuln_line_start, blank.vuln_line_end) == (7, 7)
+    assert result.dropped == {} and len(result.negatives) == 2
+    path = tmp_path / "samples.jsonl"
+    write_samples_jsonl(result.positives, path)
+    assert read_samples_jsonl(path) == result.positives
+
+
 def test_record_with_no_patches_gives_no_samples():
     (rec,) = parse_nvd_dump(fixture_dump([fixture_entry(patches=[])]))
     assert ingest_records([rec]) == IngestResult(records_with_patch_links=1)

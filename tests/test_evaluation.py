@@ -70,8 +70,9 @@ def test_random_baseline_table_rows():
     assert low.f1 == pytest.approx(0.11, abs=0.005)
     mid = random_baseline(0.20)
     assert mid.f1 == pytest.approx(0.29, abs=0.005)
-    full = random_baseline(1.0, 1.0)
-    assert (full.precision, full.recall, full.f1) == (1.0, 1.0, 1.0)
+    full = random_baseline(1.0)
+    assert (full.precision, full.recall) == (1.0, 0.5)
+    assert full.f1 == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_random_baseline_matches_simulation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_lm import generate_greedy
+from helpers_lm import cast, generate_greedy
 from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
 from msivd.autograd import Tensor, backward
@@ -16,11 +16,8 @@ from msivd.lm import (
     KvPrefix,
     LmModel,
     LmOutput,
-    LoraAdapter,
     LoraConfig,
     TransformerConfig,
-    lora_forward,
-    make_adapter,
 )
 from msivd.dialogue import prompt_scaffold
 from msivd.fusion import ReadOut
@@ -56,11 +53,17 @@ def test_empty_string_encodes_empty():
 
 
 def test_zero_init_adapter_equals_base_exactly():
+    """Every adapter starts with a Gaussian A and a zero B, so each adapted
+    projection's output is the base projection's."""
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(0, 1, (5, 8)).astype(np.float32))
-    w0 = Tensor(rng.normal(0, 0.3, (6, 8)).astype(np.float32))
-    ad = make_adapter(8, 6, LoraConfig(rank=2), rng)
-    assert np.array_equal(lora_forward(x, w0, ad).data, lora_forward(x, w0, None).data)
+    model = LmModel(replace(TINY, n_layers=2), seed=0, lora=LoraConfig(rank=2))
+    assert sorted(model.adapters) == ["layer0.wq", "layer0.wv", "layer1.wq", "layer1.wv"]
+    x = Tensor(rng.normal(0, 1, (5, 16)).astype(np.float32))
+    for name, (a, b) in model.adapters.items():
+        assert a.shape == (2, 16) and b.shape == (16, 2) and a.data.all() and not b.data.any()
+        layer, proj = name.split(".")
+        w0 = model.layers[int(layer[len("layer"):])][proj]
+        assert np.array_equal(ag.lora_linear(x, w0, a, b, model.lora_scale).data, ag.linear(x, w0).data)
 
 
 @pytest.mark.parametrize("t, d", [(5, 8), (512, 64)])
@@ -70,39 +73,37 @@ def test_zero_b_is_bitwise_the_base_linear(t, d):
     rng = np.random.default_rng(t)
     x = Tensor(rng.normal(0, 1, (t, d)).astype(np.float32))
     w0 = Tensor(rng.normal(0, d**-0.5, (d, d)).astype(np.float32))
-    ad = make_adapter(d, d, LoraConfig(rank=8, init_std=0.5), rng)
-    assert not ad.b.data.any() and ad.a.data.any()
-    assert lora_forward(x, w0, ad).data.tobytes() == ag.linear(x, w0).data.tobytes()
+    a = Tensor(rng.normal(0, 0.5, (8, d)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros((d, 8), dtype=np.float32), requires_grad=True)
+    assert ag.lora_linear(x, w0, a, b, 2.0).data.tobytes() == ag.linear(x, w0).data.tobytes()
 
 
 def test_lora_matches_dense_materialization():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(0, 1, (4, 8)).astype(np.float32))
     w0 = Tensor(rng.normal(0, 0.3, (6, 8)).astype(np.float32))
-    ad = make_adapter(8, 6, LoraConfig(rank=3, alpha=16.0), rng)
-    ad.b.data[:] = rng.normal(0, 0.3, ad.b.shape).astype(np.float32)
-    dense = w0.data + (ad.alpha / ad.rank) * (ad.b.data @ ad.a.data)
-    assert np.max(np.abs(lora_forward(x, w0, ad).data - x.data @ dense.T)) <= 1e-5
+    a = Tensor(rng.normal(0, 0.02, (3, 8)).astype(np.float32))
+    b = Tensor(rng.normal(0, 0.3, (6, 3)).astype(np.float32))
+    scale = 16.0 / 3
+    dense = w0.data + scale * (b.data @ a.data)
+    assert np.max(np.abs(ag.lora_linear(x, w0, a, b, scale).data - x.data @ dense.T)) <= 1e-5
 
 
 def test_gradient_reaches_adapters_not_base():
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(0, 1, (4, 8)).astype(np.float32))
-    w0 = Tensor(rng.normal(0, 0.3, (6, 8)).astype(np.float32), requires_grad=False)
-    ad = make_adapter(8, 6, LoraConfig(rank=2), rng)
-    backward(ag.sum_all(lora_forward(x, w0, ad)))
-    assert w0.grad is None
-    assert ad.a.grad is not None and ad.b.grad is not None
+    model = LmModel(TINY, seed=2, lora=LoraConfig(rank=2))
+    backward(ag.sum_all(model.forward([1, 2, 3]).logits))
+    assert all(t.grad is None for t in model.base_parameters().values())
+    assert all(t.grad is not None for t in model.adapter_parameters().values())
 
 
 def test_rank_mismatch_errors():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(0, 1, (4, 8)).astype(np.float32))
     w0 = Tensor(rng.normal(0, 0.3, (6, 8)).astype(np.float32))
-    ad = make_adapter(8, 6, LoraConfig(rank=2), rng)
-    ad.a = Tensor(np.zeros((3, 8), dtype=np.float32), requires_grad=True)
-    with pytest.raises(ag.ShapeError, match="rank mismatch"):
-        lora_forward(x, w0, ad)
+    a = Tensor(np.zeros((3, 8), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros((6, 2), dtype=np.float32), requires_grad=True)
+    with pytest.raises(ag.ShapeError, match="do not fit weight"):
+        ag.lora_linear(x, w0, a, b, 1.0)
 
 
 def test_lora_layer_gradcheck():
@@ -113,7 +114,7 @@ def test_lora_layer_gradcheck():
     b = Tensor(rng.normal(0, 0.2, (5, 2)), requires_grad=True, dtype=np.float64)
 
     def f(x_, a_, b_):
-        return ag.sum_all(ag.sigmoid(lora_forward(x_, w0, LoraAdapter(a=a_, b=b_, rank=2, alpha=16.0))))
+        return ag.sum_all(ag.sigmoid(ag.lora_linear(x_, w0, a_, b_, 16.0 / 2)))
 
     assert ag.grad_check(f, [x64, a, b], h=1e-4) <= 1e-4
 
@@ -139,12 +140,16 @@ def test_causal_mask_is_exact():
 
 
 def test_zero_init_lora_model_matches_base_model():
+    """As built, the adapters leave the logits bitwise those of the base
+    model: the same model with every A zeroed too, whose adapter path adds
+    exact zeros."""
     with_lora = LmModel(TINY, seed=2, lora=LoraConfig(rank=4))
-    base = LmModel(TINY, seed=2, lora=None)
     ids = [7, 8, 9]
     a = with_lora.forward(ids).logits.data
-    b = base.forward(ids).logits.data
-    assert np.max(np.abs(a - b)) <= 1e-6
+    for lora_a, _ in with_lora.adapters.values():
+        lora_a.data[:] = 0.0
+    b = with_lora.forward(ids).logits.data
+    assert np.array_equal(a, b)
 
 
 def test_overlength_errors():
@@ -187,7 +192,7 @@ def _item(n_tokens):
 
 
 def test_single_task_reduces_to_cross_entropy():
-    model = LmModel(TINY, seed=5, dtype=np.float64)
+    model = cast(LmModel(TINY, seed=5), np.float64)
     ids = [10, 11, 12, 13]
     mask = [False, False, True, True]
     loss = sift_batch_loss(model, task_streams([[(ids, mask)]]))
@@ -223,7 +228,7 @@ def test_mean_of_task_means():
 
 
 def test_duplication_invariance():
-    model = LmModel(TINY, seed=6, dtype=np.float64)
+    model = cast(LmModel(TINY, seed=6), np.float64)
     a = ([1, 2, 3, 4], [False, True, True, False])
     b = ([5, 6, 7], [False, False, True])
     c = ([8, 9, 10], [False, True, True])
@@ -310,16 +315,16 @@ def test_model_forward_gradcheck_through_adapter():
     query adapter; with two layers, the gradient also passes through layer 1's
     attention keys."""
     rng = np.random.default_rng(12)
-    model = LmModel(replace(TINY, n_layers=2), seed=12, lora=LoraConfig(rank=2), dtype=np.float64)
-    adapter = model.adapters["layer0.wq"]
-    adapter.b.data[:] = rng.normal(0, 0.5, adapter.b.shape)
+    model = cast(LmModel(replace(TINY, n_layers=2), seed=12, lora=LoraConfig(rank=2)), np.float64)
+    a, b = model.adapters["layer0.wq"]
+    b.data[:] = rng.normal(0, 0.5, b.shape)
     ids = [3, 1, 4, 1, 5, 9]
 
     def f(a_, b_):
-        model.adapters["layer0.wq"] = LoraAdapter(a=a_, b=b_, rank=adapter.rank, alpha=adapter.alpha)
+        model.adapters["layer0.wq"] = (a_, b_)
         return _next_token_loss(model, ids)
 
-    assert ag.grad_check(f, [adapter.a, adapter.b], h=1e-5) <= 1e-4
+    assert ag.grad_check(f, [a, b], h=1e-5) <= 1e-4
 
 
 def _tape_nodes(out: Tensor) -> int:
@@ -432,10 +437,10 @@ def test_first_row_matches_rows_of_full_forward(r, n_layers, with_prefix, dtype)
     under one of min(r, 100) ids."""
     t = 300
     cfg = replace(TINY, n_layers=n_layers, context_window=t)
-    model = LmModel(cfg, seed=18, dtype=dtype)
+    model = cast(LmModel(cfg, seed=18), dtype)
     rng = np.random.default_rng(r)
-    for ad in model.adapters.values():
-        ad.b.data[:] = rng.normal(0, 0.3, ad.b.shape)
+    for _, b in model.adapters.values():
+        b.data[:] = rng.normal(0, 0.3, b.shape)
     ids = rng.integers(0, cfg.vocab_size, size=t)
     prefix = None
     if with_prefix:
@@ -508,7 +513,7 @@ def test_backward_peak_stays_near_the_forward_graph():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert all(ad.b.grad is not None for ad in model.adapters.values())
+    assert all(b.grad is not None for _, b in model.adapters.values())
     assert peak <= BACKWARD_PEAK_RATIO * held, (peak, held)
 
 
@@ -552,10 +557,10 @@ def test_prefix_forward_matches_full_forward(t, n_layers):
 def test_prefix_forward_needs_every_parameter_frozen():
     model, prefix = _prefixed()
     ids = np.append(SCAFFOLD, 7)
-    model.adapters["layer1.wv"].b.requires_grad = True
+    model.adapters["layer1.wv"][1].requires_grad = True
     with pytest.raises(ag.TapeError, match="frozen"):
         model.forward(ids, prefix=prefix, first_row=len(ids) - 1)
-    model.adapters["layer1.wv"].b.requires_grad = False
+    model.adapters["layer1.wv"][1].requires_grad = False
     model.tok_emb.requires_grad = True
     with pytest.raises(ag.TapeError, match="frozen"):
         model.forward(ids, prefix=prefix, first_row=len(ids) - 1)

@@ -223,6 +223,8 @@ BAD_CONFIGS = {
                             r"train\.gnn_config"),
     "seed-not-integer": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "seed": "x"}},
                          "checkpoint train key 'seed' must be int, got \"x\""),
+    "negative-seed": (build_bundle_from_checkpoint, {"stage": "fused", "train": {**TRAIN, "seed": -1}},
+                      "checkpoint train seed must be >= 0, got -1"),
     "float-d-model": (build_lm_from_checkpoint,
                       {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "d_model": 32.0}}},
                       r"train\.lm_config key 'd_model' must be int, got 32\.0"),
@@ -244,18 +246,15 @@ BAD_CONFIGS = {
     "zero-layers": (build_lm_from_checkpoint,
                     {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_layers": 0}}},
                     r"train\.lm_config .*n_layers, n_heads and context_window must be >= 1"),
-    "negative-lora-init-std": (build_lm_from_checkpoint,
-                               {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "init_std": -1}}},
-                               r"train\.lora_config .*finite init_std >= 0"),
     "nan-lora-alpha": (build_lm_from_checkpoint,
                        {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "alpha": float("nan")}}},
                        r"train\.lora_config .*needs a finite alpha"),
     "huge-lora-rank": (build_lm_from_checkpoint,
                        {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 10**300}}},
-                       "checkpoint train config builds no model: Maximum allowed dimension exceeded"),
+                       r"train\.lora_config would build a model of \d{80} values, more than the \d+ that its lm\. tensors hold"),
     "huge-gnn-state-dim": (build_bundle_from_checkpoint,
                            {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 10**300}}},
-                           "checkpoint train config builds no model"),
+                           r"train\.gnn_config would build a model of \d{80} values, more than the 0 that its gnn\. tensors hold"),
     "negative-gnn-steps": (build_bundle_from_checkpoint,
                            {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "steps": -1}}},
                            r"train\.gnn_config .*steps must be >= 0"),
@@ -269,6 +268,48 @@ def test_bad_header_config_raises_checkpoint_error(tmp_path, case):
     save_checkpoint(dataclasses.replace(_sift_checkpoint(), config=config), p)
     with pytest.raises(CheckpointError, match=names):
         build(load_checkpoint(p))
+
+
+def _interrupt(signum, frame):
+    raise TimeoutError("still building after a second")
+
+
+@pytest.mark.parametrize("key, size", [("lm_config", "n_layers"), ("gnn_config", "steps")])
+def test_absurd_header_size_raises_before_building(tmp_path, key, size):
+    """A header asking for 10^300 LM layers or GGNN steps, loaded as
+    ``predict`` loads it, with no expected config, raises CheckpointError
+    within a second: the LM's size is checked against the file's tensors
+    before any model is built, and no tensor holds the steps, so GgnnConfig
+    bounds them. An alarm stops a build that has not raised by then."""
+    train_cfg = {**TRAIN, key: {**TRAIN[key], size: 10**300}}
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(dataclasses.replace(_sift_checkpoint(), config={"stage": "fused", "train": train_cfg}), p)
+    ckpt = load_checkpoint(p)
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(CheckpointError, match=rf"train\.{key}"):
+            build_bundle_from_checkpoint(ckpt)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lm, rank, gnn", [
+    (TINY_LM, 4, TINY_GNN),
+    (TransformerConfig(d_model=24, n_layers=3, n_heads=3, context_window=40, vocab_size=300), 5,
+     GgnnConfig(state_dim=7, mlp_hidden=11)),
+])
+def test_header_size_check_counts_every_parameter(lm, rank, gnn):
+    """The sizes that the loaders check against a file's payload are the
+    numbers of values in the models' parameters."""
+    from msivd import train
+    from msivd.gnn import Ggnn
+    from msivd.lm import LmModel
+
+    lora = LoraConfig(rank=rank)
+    assert train._lm_size(lm, lora) == sum(t.data.size for t in LmModel(lm, lora=lora).parameters().values())
+    assert train._ggnn_size(gnn) == sum(t.data.size for t in Ggnn(gnn).parameters().values())
 
 
 def _saved_header() -> tuple[bytes, dict, bytes]:
@@ -421,8 +462,8 @@ def _seed4_loss_and_grads(mode, loss_fn):
     streams = render_training_streams(dialogues, ByteTokenizer(), config)
     model = LmModel(lm_config, seed=2, lora=config.lora_config)
     rng = np.random.default_rng(0)
-    for ad in model.adapters.values():
-        ad.b.data[:] = rng.normal(0, 0.05, ad.b.shape)
+    for _, b in model.adapters.values():
+        b.data[:] = rng.normal(0, 0.05, b.shape)
     loss = loss_fn(model, streams)
     return loss, {k: t.grad for k, t in model.adapter_parameters().items()}
 
@@ -487,28 +528,29 @@ def test_sift_loss_gradcheck_of_last_layer_adapters_across_a_tile_edge():
     start below the tile edge at position 128. The loss forwards from row 60
     as ``sift_batch_loss`` does, and its gradient is the one that
     ``sift_batch_loss`` accumulates."""
+    from helpers_lm import cast
     from helpers_loss import task_streams
     from msivd import autograd as ag
-    from msivd.lm import LmModel, LoraAdapter
+    from msivd.lm import LmModel
 
     t, first = 200, 60
     cfg = TransformerConfig(d_model=8, n_layers=2, n_heads=2, context_window=t)
-    model = LmModel(cfg, seed=5, lora=LoraConfig(rank=2), dtype=np.float64)
+    model = cast(LmModel(cfg, seed=5, lora=LoraConfig(rank=2)), np.float64)
     rng = np.random.default_rng(5)
-    for ad in model.adapters.values():
-        ad.b.data[:] = rng.normal(0, 0.5, ad.b.shape)
+    for _, b in model.adapters.values():
+        b.data[:] = rng.normal(0, 0.5, b.shape)
     ids = rng.integers(0, 256, size=t)
     mask = np.arange(t) > first
     sift_batch_loss(model, task_streams([[(ids, mask)]]))
     names = ["layer1.wq", "layer1.wv"]
-    tensors = [x for n in names for x in (model.adapters[n].a, model.adapters[n].b)]
+    tensors = [x for n in names for x in model.adapters[n]]
     accumulated = [x.grad.copy() for x in tensors]
     targets = np.append(ids[first + 1 :], 0)
     weights = np.append(np.full(t - first - 1, 1.0 / (t - first - 1)), 0.0)
 
     def f(*ts):
         for i, n in enumerate(names):
-            model.adapters[n] = LoraAdapter(a=ts[2 * i], b=ts[2 * i + 1], rank=2, alpha=model.adapters[n].alpha)
+            model.adapters[n] = ts[2 * i : 2 * i + 2]
         return ag.cross_entropy(model.forward(ids, first_row=first).logits, targets, weights)
 
     clones = [ag.Tensor(x.data.copy(), requires_grad=True) for x in tensors]
@@ -525,8 +567,8 @@ def _desk_model_and_streams(seed):
     config = TrainConfig(stage="sift", sift_mode="multi-round")
     model = LmModel(config.lm_config, seed=seed, lora=config.lora_config)
     rng = np.random.default_rng(seed)
-    for ad in model.adapters.values():
-        ad.b.data[:] = rng.normal(0, 0.05, ad.b.shape)
+    for _, b in model.adapters.values():
+        b.data[:] = rng.normal(0, 0.05, b.shape)
     dialogues = build_dialogues(make_synthetic_corpus(n=8, seed=0))
     return model, render_training_streams(dialogues, ByteTokenizer(), config)
 
@@ -739,8 +781,10 @@ def test_overfit_single_dialogue_reproduces_teacher_answer():
     d = build_negative_dialogue(neg)
     tok = ByteTokenizer()
     cfg = TransformerConfig(d_model=32, n_layers=1, n_heads=2, context_window=384)
-    lora = LoraConfig(rank=32, alpha=64.0, init_std=0.2)
+    lora = LoraConfig(rank=32, alpha=64.0)
     model = LmModel(cfg, seed=0, lora=lora)
+    for a, _ in model.adapters.values():
+        a.data *= 10.0  # A at ten times its drawn scale, so that 300 steps memorize the answer
     tc = TrainConfig(stage="sift", lm_config=cfg, lora_config=lora, epochs=1, batch_size=1)
     streams = render_training_streams([d], tok, tc)
     opt = Sgd(model.adapter_parameters(), lr=5.0)
