@@ -4,17 +4,19 @@ Each command only reads its inputs, calls the library and writes its
 artifacts; ``ingest``, for one, hands the parsed records to
 ``corpus.ingest_records`` and prints the summary of what it returns.
 
-Settings merge three layers: built-in defaults, an optional JSON config file,
-then explicit flags (flags win). The MSIVD_PROFILE environment variable
-selects the desk or paper profile defaults. Every command writes a
-``*.provenance.json`` sidecar next to its primary artifact recording the
-merged configuration and seed that produced it.
+Settings merge three layers: the defaults of the library classes and
+functions that own them, an optional JSON config file, then explicit flags
+(flags win). Every value is checked where its owner is built, before any
+command runs. Every command writes a ``*.provenance.json`` sidecar next to
+its primary artifact recording the merged configuration and seed that
+produced it.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import os
@@ -25,8 +27,8 @@ from pathlib import Path
 
 from ._jsontypes import json_fields
 from .corpus import (
+    MIX_PRESETS,
     CodeSample,
-    CorpusError,
     CweCategory,
     SplitSpec,
     ingest_records,
@@ -59,58 +61,48 @@ log = logging.getLogger("msivd.cli")
 
 @dataclass
 class RunConfig:
-    """Merged settings for one CLI run; serialized into provenance sidecars."""
+    """Merged settings for one CLI run; serialized into provenance sidecars.
+    Each default is the one of the class or function that owns the setting;
+    a rate, batch size or epoch count left unset takes ``TrainConfig``'s."""
 
     command: str
-    profile: str = "desk"
-    seed: int = 0
+    seed: int = TrainConfig.seed
     learning_rate: float | None = None
     batch_size: int | None = None
     epochs: int | None = None
-    sift_mode: str = "multi-round"
-    use_gnn: bool = True
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    context_window: int = 512
-    gnn_state_dim: int = 16
-    gnn_steps: int = 5
-    lora_rank: int = 8
-    lora_alpha: float = 16.0
-    window_tokens: int = 2048
+    sift_mode: str = TrainConfig.sift_mode
+    use_gnn: bool = TrainConfig.use_gnn
+    d_model: int = TransformerConfig.d_model
+    n_layers: int = TransformerConfig.n_layers
+    n_heads: int = TransformerConfig.n_heads
+    context_window: int = TransformerConfig.context_window
+    gnn_state_dim: int = GgnnConfig.state_dim
+    gnn_steps: int = GgnnConfig.steps
+    lora_rank: int = LoraConfig.rank
+    lora_alpha: float = LoraConfig.alpha
+    window_tokens: int = inspect.signature(ingest_records).parameters["window_tokens"].default
     mix_preset: str | None = None
-    cutoff: str = "2023-01-01"
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-
-    def lm_config(self) -> TransformerConfig:
-        if self.profile == "paper":
-            return TransformerConfig.paper()
-        return TransformerConfig(
-            d_model=self.d_model, n_layers=self.n_layers, n_heads=self.n_heads,
-            context_window=self.context_window,
-        )
-
-    def gnn_config(self) -> GgnnConfig:
-        if self.profile == "paper":
-            return GgnnConfig.paper()
-        return GgnnConfig(state_dim=self.gnn_state_dim, steps=self.gnn_steps)
-
-    def lora_config(self) -> LoraConfig:
-        return LoraConfig(rank=self.lora_rank, alpha=self.lora_alpha)
+    cutoff: str = SplitSpec.cutoff_date.isoformat()
+    ratios: tuple[float, float, float] = SplitSpec.ratios
 
     def train_config(self, stage: str) -> TrainConfig:
+        given = {k: v for k in ("learning_rate", "batch_size", "epochs") if (v := getattr(self, k)) is not None}
         return TrainConfig(
             stage=stage,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size if self.batch_size is not None else 4,
-            epochs=self.epochs,
+            **given,
             seed=self.seed,
             sift_mode=self.sift_mode,
             use_gnn=self.use_gnn,
-            lm_config=self.lm_config(),
-            gnn_config=self.gnn_config(),
-            lora_config=self.lora_config(),
+            lm_config=TransformerConfig(
+                d_model=self.d_model, n_layers=self.n_layers, n_heads=self.n_heads,
+                context_window=self.context_window,
+            ),
+            gnn_config=GgnnConfig(state_dim=self.gnn_state_dim, steps=self.gnn_steps),
+            lora_config=LoraConfig(rank=self.lora_rank, alpha=self.lora_alpha),
         )
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(ratios=self.ratios, cutoff_date=self.cutoff, seed=self.seed)
 
     def to_obj(self) -> dict:
         obj = {k: v for k, v in self.__dict__.items()}
@@ -125,7 +117,6 @@ class UsageError(Exception):
 def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
     field_names = RunConfig.__dataclass_fields__
     settings: dict = {"command": command}
-    settings["profile"] = os.environ.get("MSIVD_PROFILE", "desk")
     config_path = getattr(args, "config", None)
     if config_path:
         file_cfg = _read_json_object(config_path, "config file")
@@ -142,9 +133,15 @@ def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
     if "ratios" in settings and not isinstance(settings["ratios"], tuple):
         settings["ratios"] = tuple(settings["ratios"])
     run = RunConfig(**settings)
+    # each owner checks its own values: build every config class, and call
+    # the ingest functions on no data
     try:
-        run.train_config("sift")  # builds every config class, so each checks its values here
-    except ValueError as exc:
+        run.train_config("sift")
+        run.split_spec()
+        ingest_records([], window_tokens=run.window_tokens)
+        if run.mix_preset is not None:
+            mix_to_ratio([], [], preset=run.mix_preset)
+    except ValueError as exc:  # CorpusError included
         raise UsageError(f"invalid settings: {exc}") from exc
     return run
 
@@ -218,11 +215,7 @@ def cmd_ingest(args: argparse.Namespace, run: RunConfig) -> int:
 def cmd_prepare(args: argparse.Namespace, run: RunConfig) -> int:
     samples_path = _require_file(args.samples, "samples file")
     samples = read_samples_jsonl(samples_path)
-    try:
-        spec = SplitSpec(ratios=run.ratios, cutoff_date=run.cutoff, seed=run.seed)
-    except CorpusError as exc:
-        raise UsageError(str(exc))
-    train, eval_set, test_set = make_split(samples, spec)
+    train, eval_set, test_set = make_split(samples, run.split_spec())
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--nvd-dump", required=True)
     p_ingest.add_argument("--out", default="samples.jsonl")
     p_ingest.add_argument("--cpp-only", action="store_true")
-    p_ingest.add_argument("--mix-preset", dest="mix_preset", choices=("bigvul", "precisebugs"))
+    p_ingest.add_argument("--mix-preset", dest="mix_preset", choices=sorted(MIX_PRESETS))
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_prepare = sub.add_parser("prepare", help="split samples and build dialogues")

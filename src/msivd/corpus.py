@@ -288,7 +288,10 @@ def ingest_records(
     positive and, when the patch has post-fix code, the fixed code as a
     negative. Both pass ``apply_exclusion_filters`` with the patch's changed
     fraction, and a positive whose fix is blank is dropped as ``NO_FIX``;
-    ``cpp_only`` skips files without a C/C++ suffix."""
+    ``cpp_only`` skips files without a C/C++ suffix. A window of under 64
+    bytes, a line or two of code, raises CorpusError."""
+    if window_tokens < 64:
+        raise CorpusError(f"window_tokens must be >= 64, got {window_tokens}")
     result = IngestResult()
     for record in records:
         if not any("/commit/" in url for url in record.patch_links):

@@ -47,17 +47,12 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class MetricValues:
     precision: float
     recall: float
     f1: float
-    zero_division: bool = False
 
 
 def confusion(labels, predictions) -> ConfusionCounts:
@@ -77,24 +72,14 @@ def confusion(labels, predictions) -> ConfusionCounts:
 
 
 def metrics(counts: ConfusionCounts) -> MetricValues:
-    """Precision, recall, F1 from counts; zero denominators give 0 with a flag."""
+    """Precision, recall, F1 from counts; a zero denominator gives 0."""
     if min(counts.tp, counts.fp, counts.tn, counts.fn) < 0:
         raise ValueError("negative confusion counts")
-    zero = False
-    if counts.tp + counts.fp == 0:
-        precision, zero = 0.0, True
-    else:
-        precision = counts.tp / (counts.tp + counts.fp)
-    if counts.tp + counts.fn == 0:
-        recall, zero = 0.0, True
-    else:
-        recall = counts.tp / (counts.tp + counts.fn)
+    precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
+    recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
     denom = counts.tp + 0.5 * (counts.fp + counts.fn)
-    if denom == 0:
-        f1, zero = 0.0, True
-    else:
-        f1 = counts.tp / denom
-    return MetricValues(precision=precision, recall=recall, f1=f1, zero_division=zero)
+    f1 = counts.tp / denom if denom else 0.0
+    return MetricValues(precision=precision, recall=recall, f1=f1)
 
 
 def random_baseline(prevalence: float) -> MetricValues:

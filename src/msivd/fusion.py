@@ -4,11 +4,11 @@ Code becomes two inputs: the frozen language model's hidden row at the
 ``<|teacher|>`` marker of the round-1 prompt (``ReadOut``, which caches the
 keys and values of the scaffold that every prompt starts with, so a read-out
 forwards only the code rows), and the mini-C CFG with its dataflow node
-features (``graph_inputs``). ``fused_vector`` concatenates each row with the
-mean-pooled GGNN embedding of its graph; a linear projection onto the yes/no
-label pair plus LogSoftmax yields the vulnerable/safe prediction. Code that
-the mini-C analyzer cannot parse falls back to a zero graph embedding and the
-prediction is flagged. Everything after the two inputs takes a batch of rows:
+features and in-edge adjacency (``graph_inputs``). ``fused_vector``
+concatenates each row with the mean-pooled GGNN embedding of its graph; a
+linear projection onto the yes/no label pair plus LogSoftmax yields the
+vulnerable/safe prediction. Code that the mini-C analyzer cannot parse falls
+back to a zero graph embedding and the prediction is flagged. Everything after the two inputs takes a batch of rows:
 ``train.train_fused`` computes the inputs once per sample and, on every step,
 one ``Ggnn.embed`` and one classifier pass over the mini-batch; ``predict``
 runs the whole path on a batch of one.
@@ -24,7 +24,7 @@ from .autograd import Tensor
 from .corpus import CodeSample
 from .dfa import build_node_features, reaching_definitions
 from .dialogue import prompt_scaffold, render_prompt
-from .gnn import Ggnn, GgnnConfig, GraphInputs
+from .gnn import Ggnn, GgnnConfig, GraphInputs, adjacency
 from .lm import ByteTokenizer, KvPrefix, LmModel, LmOutput, TransformerConfig
 from .minic import MiniCError, parse_mini_c
 
@@ -123,13 +123,15 @@ class ReadOut:
 
 
 def graph_inputs(code: str, width: int) -> GraphInputs | None:
-    """The code's CFG and its reaching-definitions node features, ``width``
-    wide; None when the mini-C analyzer rejects the code."""
+    """The code's CFG, its reaching-definitions node features, ``width``
+    wide, and its in-edge adjacency; None when the mini-C analyzer rejects
+    the code."""
     try:
         cfg = parse_mini_c(code)
     except MiniCError:
         return None
-    return cfg, build_node_features(cfg, reaching_definitions(cfg), width=width)
+    features = build_node_features(cfg, reaching_definitions(cfg), width=width)
+    return cfg, features, adjacency(len(cfg.nodes), cfg.edges)
 
 
 def graph_embedding(graph: GraphInputs | None, gnn: Ggnn) -> Tensor:

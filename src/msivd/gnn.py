@@ -1,8 +1,9 @@
 """Gated graph network over CFG nodes carrying dataflow features.
 
-A batch of graphs runs as one disjoint union: the node features stack, the
-in-edge counts form one block-diagonal adjacency, and a [B x N] mean-pool
-matrix turns the final node states into one row per graph. Each propagation
+A batch of graphs runs as one disjoint union: the node features stack, each
+graph's in-edge counts (``adjacency``, built once with its features) form
+one block-diagonal adjacency, and a [B x N] mean-pool matrix turns the final
+node states into one row per graph. Each propagation
 step is three tape nodes: the message MLP (``autograd.mlp``) on every node
 state, the sum of the messages along in-edges (one ``matmul`` with the
 adjacency) and a GRU step (``autograd.gru``).
@@ -23,7 +24,8 @@ __all__ = [
     "adjacency",
 ]
 
-GraphInputs = tuple[ControlFlowGraph, np.ndarray]  # CFG, node features [n x state_dim]
+# CFG, node features [n x state_dim], in-edge counts [n x n] (``adjacency``)
+GraphInputs = tuple[ControlFlowGraph, np.ndarray, np.ndarray]
 
 # GgnnConfig's bound on ``steps``: no tensor holds the step count, so a
 # checkpoint's payload cannot bound the work a forward does
@@ -41,11 +43,6 @@ class GgnnConfig:
             raise ValueError("GGNN dims must be positive")
         if not 0 <= self.steps <= MAX_STEPS:
             raise ValueError(f"GGNN steps must be >= 0 and at most {MAX_STEPS}, got {str(self.steps)[:80]}")
-
-    @classmethod
-    def paper(cls) -> "GgnnConfig":
-        """The paper's dimensions: 256-wide states and one 256-wide MLP hidden layer."""
-        return cls(state_dim=256, mlp_hidden=256)
 
 
 def adjacency(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
@@ -102,13 +99,15 @@ class Ggnn:
         for i, (graph, n) in enumerate(zip(graphs, sizes)):
             if graph is None:
                 continue
-            cfg, features = graph
+            _, features, graph_adj = graph
             if features.shape[0] != n:
                 raise ValueError(f"features rows {features.shape[0]} != node count {n}")
+            if graph_adj.shape != (n, n):
+                raise ValueError(f"adjacency shape {graph_adj.shape} != node count {n}")
             if features.shape[1] != d:
                 raise ValueError(f"feature width {features.shape[1]} != state dim {d}")
             h.data[start : start + n] = features
-            adj_t[start : start + n, start : start + n] = adjacency(n, cfg.edges)
+            adj_t[start : start + n, start : start + n] = graph_adj
             pool[i, start : start + n] = 1.0 / n
             start += n
         adj = Tensor(adj_t)
@@ -116,6 +115,6 @@ class Ggnn:
             h = ag.gru(h, ag.matmul(adj, ag.mlp(h, *self.mlp)), *self.gru)
         return ag.matmul(Tensor(pool), h)
 
-    def forward(self, cfg: ControlFlowGraph, features: np.ndarray) -> Tensor:
+    def forward(self, cfg: ControlFlowGraph, features: np.ndarray, adj_t: np.ndarray) -> Tensor:
         """The [1 x state_dim] embedding of one graph: ``embed`` of a batch of one."""
-        return self.embed([(cfg, features)])
+        return self.embed([(cfg, features, adj_t)])

@@ -85,15 +85,10 @@ class TransformerConfig:
     vocab_size: int = ByteTokenizer.vocab_size
 
     def __post_init__(self):
-        if min(self.d_model, self.n_layers, self.n_heads, self.context_window) < 1:
-            raise ValueError("d_model, n_layers, n_heads and context_window must be >= 1")
+        if min(self.d_model, self.n_layers, self.n_heads) < 1 or self.context_window < 8:
+            raise ValueError("d_model, n_layers and n_heads must be >= 1, and context_window >= 8")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-
-    @classmethod
-    def paper(cls) -> "TransformerConfig":
-        """The paper's dimensions: d_model 4096, 8 layers, a 2048-token window."""
-        return cls(d_model=4096, n_layers=8, n_heads=32, context_window=2048)
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("LoRA rank must be >= 1")
-        if not -np.inf < self.alpha < np.inf:
-            raise ValueError(f"LoRA needs a finite alpha: {self.alpha}")
+        if not 0 < self.alpha < np.inf:  # alpha 0 scales every adapter gradient to zero
+            raise ValueError(f"LoRA needs a finite alpha > 0: {self.alpha}")
 
 
 LORA_INIT_STD = 0.02  # std of the Gaussian draw of every adapter's A; B starts at zero

@@ -20,7 +20,7 @@ import struct
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cache
 
 import numpy as np
@@ -70,8 +70,8 @@ SIFT_MODES = ("multi-round", "single-round", "label-only")
 CLIP_NORM = 1.0  # global gradient-norm bound of both stages
 
 CKPT_MAGIC = b"MSIVDCKP"
-CKPT_VERSION = 5
-CKPT_DTYPES = {"<f4": np.float32, "<f8": np.float64}
+CKPT_VERSION = 6
+CKPT_DTYPE = "<f4"  # every model is float32, and so is every checkpoint tensor
 
 
 @dataclass
@@ -132,26 +132,27 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
-    config: dict
+    config: dict  # {"train": TrainConfig.snapshot()} of the run that wrote it
     tensors: dict[str, np.ndarray]
     metrics_history: list[dict] = field(default_factory=list)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Binary container: magic, u32 version, u32 header length, JSON header
-    (config + tensor directory), raw little-endian float payload. A tensor
-    holding a non-finite value raises CheckpointError before the file opens."""
+    """Binary container: magic, u32 ``CKPT_VERSION``, u32 header length, JSON
+    header (config + tensor directory), raw little-endian float32 payload. A
+    tensor that is not float32 or holds a non-finite value raises
+    CheckpointError before the file opens."""
     directory = {}
     offset = 0
     payloads = []
     for name in sorted(ckpt.tensors):
-        arr = _finite(name, ckpt.tensors[name])
-        dtype = "<f8" if arr.dtype == np.float64 else "<f4"
-        blob = np.ascontiguousarray(arr).astype(dtype).tobytes()
+        arr = ckpt.tensors[name]
+        if arr.dtype != np.float32:
+            raise CheckpointError(f"tensor {name!r} is {arr.dtype}, not float32")
+        blob = np.ascontiguousarray(_finite(name, arr)).astype(CKPT_DTYPE).tobytes()
         directory[name] = {
             "shape": list(arr.shape),
-            "dtype": dtype,
+            "dtype": CKPT_DTYPE,
             "offset": offset,
             "nbytes": len(blob),
         }
@@ -163,7 +164,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     ).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
+        fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for blob in payloads:
@@ -199,7 +200,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("checkpoint header needs a config, a tensor directory and a metrics history")
     payload = raw[payload_start:]
     return Checkpoint(
-        version=version,
         config=header["config"],
         tensors={name: _read_tensor(name, meta, payload) for name, meta in header["tensors"].items()},
         metrics_history=header["metrics_history"],
@@ -219,8 +219,8 @@ class _TensorEntry:
 def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
     """One tensor of the directory, checked against its shape and the payload."""
     t = _TensorEntry(**json_fields(meta, _TensorEntry, f"tensor {name!r}", CheckpointError))
-    if t.dtype not in CKPT_DTYPES:
-        raise CheckpointError(f"tensor {name!r}: dtype must be one of {sorted(CKPT_DTYPES)}")
+    if t.dtype != CKPT_DTYPE:
+        raise CheckpointError(f"tensor {name!r}: dtype must be {CKPT_DTYPE!r}, got {json.dumps(t.dtype)[:80]}")
     if min(t.shape, default=0) < 0:
         raise CheckpointError(f"tensor {name!r}: negative dimension in shape {t.shape}")
     if not 0 <= t.offset <= t.offset + t.nbytes <= len(payload):
@@ -228,7 +228,7 @@ def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
     if t.nbytes != math.prod(t.shape) * np.dtype(t.dtype).itemsize:
         raise CheckpointError(f"tensor {name!r}: {t.nbytes} bytes do not hold shape {t.shape} of {t.dtype}")
     blob = payload[t.offset : t.offset + t.nbytes]
-    return _finite(name, np.frombuffer(blob, dtype=t.dtype).reshape(t.shape).astype(CKPT_DTYPES[t.dtype]))
+    return _finite(name, np.frombuffer(blob, dtype=CKPT_DTYPE).reshape(t.shape).astype(np.float32))
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -458,6 +458,8 @@ if hasattr(os, "register_at_fork"):
 
 def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Checkpoint, LossCurve]:
     """Fine-tune the LoRA adapters under the task-averaged dialogue loss."""
+    if config.stage != "sift":
+        raise ValueError(f"train_sift needs a sift-stage config, got {config.stage!r}")
     if not dialogues:
         raise ValueError("train_sift needs at least one dialogue")
     tokenizer = ByteTokenizer()
@@ -475,15 +477,13 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
         len(streams), config, optimizer, lambda batch: sift_batch_loss(model, [streams[i] for i in batch])
     )
     ckpt = Checkpoint(
-        version=CKPT_VERSION,
-        config={"stage": "sift", "train": config.snapshot()},
+        config={"train": config.snapshot()},
         tensors={f"lm.{k}": t.data.copy() for k, t in model.parameters().items()},
         metrics_history=[
             {
                 "stage": "sift",
                 "mode": config.sift_mode,
                 "n_tasks": n_tasks,
-                "masked_rounds": n_tasks,
                 "steps": len(curve.rows),
                 "final_loss": curve.rows[-1][1],
             }
@@ -492,27 +492,33 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
     return ckpt, curve
 
 
-def _header_train(ckpt: Checkpoint) -> tuple[dict, int]:
-    """The ``train`` section of a checkpoint's config, checked against
-    ``TrainConfig``, and its seed, which must be >= 0 as there."""
-    train_cfg = ckpt.config.get("train")
-    json_fields(train_cfg, TrainConfig, "checkpoint train", CheckpointError)
-    seed = train_cfg.get("seed", 0)
-    if seed < 0:
-        raise CheckpointError(f"checkpoint train seed must be >= 0, got {str(seed)[:80]}")
-    return train_cfg, seed
+def _header_config(ckpt: Checkpoint) -> TrainConfig:
+    """The ``TrainConfig`` of the run that wrote a checkpoint, nested configs
+    included, built from the header's ``train`` section, its only section.
+    A missing section or nested config, a key of no field, a value of the
+    wrong type or one that a config class rejects raises CheckpointError
+    naming its section; a train key that is missing takes its default."""
+    train = ckpt.config.get("train")
+    json_fields(train, TrainConfig, "checkpoint train", CheckpointError)
+    nested = {}
+    for key, cls in (("lm_config", TransformerConfig), ("gnn_config", GgnnConfig), ("lora_config", LoraConfig)):
+        json_fields(train.get(key), cls, f"checkpoint train.{key}", CheckpointError)
+        nested[key] = _built(cls, train[key], f"checkpoint train.{key}")
+    config = _built(TrainConfig, train, "checkpoint train", **nested)
+    other = sorted(set(ckpt.config) - {"train"})
+    if other:
+        raise CheckpointError(f"checkpoint config holds {json.dumps(other)[:80]} besides its train section")
+    return config
 
 
-def _header_config(train_cfg: dict, key: str, cls):
-    """``cls`` built from the checkpoint's ``train.<key>`` object; a missing
-    object, an unknown key, or a value of the wrong type or that ``cls``
-    rejects raises CheckpointError naming ``key``."""
-    fields = train_cfg.get(key)
-    json_fields(fields, cls, f"checkpoint train.{key}", CheckpointError)
+def _built(cls, fields: dict, where: str, **built):
+    """``cls`` of the JSON object ``fields``, the configs in ``built`` in place
+    of their objects; a key of no field or a value that ``cls`` rejects
+    raises CheckpointError naming ``where`` and echoing ``fields``."""
     try:
-        return cls(**fields)
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown key
-        raise CheckpointError(f"checkpoint train.{key} {json.dumps(fields)[:80]}: {exc}") from exc
+        return cls(**{**fields, **built})
+    except (TypeError, ValueError) as exc:  # TypeError: a key of no field
+        raise CheckpointError(f"{where} {json.dumps(fields)[:80]}: {exc}") from exc
 
 
 def _lm_size(lm: TransformerConfig, lora: LoraConfig) -> int:
@@ -541,17 +547,20 @@ def _check_size(keys: str, size: int, tensors: dict[str, np.ndarray], prefix: st
 
 
 def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None = None) -> LmModel:
-    train_cfg, seed = _header_train(ckpt)
-    lm_cfg = _header_config(train_cfg, "lm_config", TransformerConfig)
-    if expect is not None and expect != lm_cfg:
+    config = _header_config(ckpt)
+    if expect is not None and expect != config.lm_config:
         raise CheckpointError(
             f"dimension mismatch between checkpoint and config: "
-            f"checkpoint d_model={lm_cfg.d_model}, config d_model={expect.d_model}"
+            f"checkpoint d_model={config.lm_config.d_model}, config d_model={expect.d_model}"
         )
-    lora_cfg = _header_config(train_cfg, "lora_config", LoraConfig)
-    _check_size("train.lm_config and train.lora_config", _lm_size(lm_cfg, lora_cfg), ckpt.tensors, "lm.")
-    model = LmModel(lm_cfg, seed=seed, lora=lora_cfg)
-    _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, ckpt.tensors)
+    return _lm_from(config, ckpt.tensors)
+
+
+def _lm_from(config: TrainConfig, tensors: dict[str, np.ndarray]) -> LmModel:
+    """The LM of ``config`` holding ``tensors``, every one of which it must consume."""
+    _check_size("train.lm_config and train.lora_config", _lm_size(config.lm_config, config.lora_config), tensors, "lm.")
+    model = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
+    _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, tensors)
     return model
 
 
@@ -570,6 +579,8 @@ def train_fused(
     loop, so each step runs only the GGNN, over the disjoint union of the
     mini-batch's graphs, and the classifier, over the batch's fused rows.
     """
+    if config.stage != "fused":
+        raise ValueError(f"train_fused needs a fused-stage config, got {config.stage!r}")
     if not samples:
         raise ValueError("train_fused needs at least one sample")
     tokenizer = ByteTokenizer()
@@ -607,8 +618,7 @@ def train_fused(
     if gnn is not None:
         tensors.update({k: t.data.copy() for k, t in gnn.parameters().items()})
     ckpt = Checkpoint(
-        version=CKPT_VERSION,
-        config={"stage": "fused", "train": config.snapshot(), "use_gnn": config.use_gnn},
+        config={"train": config.snapshot()},
         tensors=tensors,
         metrics_history=(sift_checkpoint.metrics_history if sift_checkpoint else [])
         + [
@@ -626,16 +636,16 @@ def train_fused(
 def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     """Reconstruct the inference bundle (LM + optional GNN + classifier),
     every tensor frozen, so that ``predict`` records no tape."""
-    if ckpt.config.get("stage") != "fused":
+    config = _header_config(ckpt)
+    if config.stage != "fused":
         raise CheckpointError("inference needs a fused-stage checkpoint")
-    train_cfg, seed = _header_train(ckpt)
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
-    lm = build_lm_from_checkpoint(replace(ckpt, tensors=lm_tensors))
-    gnn_cfg = _header_config(train_cfg, "gnn_config", GgnnConfig) if ckpt.config.get("use_gnn", True) else None
+    lm = _lm_from(config, lm_tensors)
+    gnn_cfg = config.gnn_config if config.use_gnn else None
     if gnn_cfg:
         _check_size("train.gnn_config", _ggnn_size(gnn_cfg), ckpt.tensors, "gnn.")
-    gnn = Ggnn(gnn_cfg, seed=seed) if gnn_cfg else None
-    classifier = FusedClassifier(fused_input_width(lm.config, gnn_cfg), seed=seed + 1)
+    gnn = Ggnn(gnn_cfg, seed=config.seed) if gnn_cfg else None
+    classifier = FusedClassifier(fused_input_width(lm.config, gnn_cfg), seed=config.seed + 1)
     heads = dict(classifier.parameters())
     if gnn is not None:
         heads.update(gnn.parameters())

@@ -6,7 +6,17 @@ import numpy as np
 
 from msivd import autograd as ag
 from msivd.autograd import Tensor
-from msivd.gnn import adjacency
+from msivd.gnn import GgnnConfig, adjacency
+
+# The paper's GGNN: 256-wide states and one 256-wide MLP hidden layer.
+# Bookkeeping only, as ``helpers_lm.PAPER_LM``.
+PAPER_GGNN = GgnnConfig(state_dim=256, mlp_hidden=256)
+
+
+def with_adjacency(cfg, features):
+    """The graph inputs of ``cfg`` and its node features, as
+    ``fusion.graph_inputs`` builds them."""
+    return cfg, features, adjacency(len(cfg.nodes), cfg.edges)
 
 
 def linear(x, w, b):
@@ -38,7 +48,7 @@ def reference_embedding(gnn, graph):
     dtype = gnn.mlp[0].dtype
     if graph is None:
         return Tensor(np.zeros((1, gnn.config.state_dim), dtype=dtype))
-    cfg, features = graph
+    cfg, features, _ = graph
     n = len(cfg.nodes)
     h = Tensor(np.asarray(features, dtype=dtype))
     adj_t = Tensor(adjacency(n, cfg.edges).astype(dtype))

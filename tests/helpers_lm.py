@@ -1,9 +1,14 @@
 """Greedy decoding over ``LmModel``, for tests that check what a model
-learned, and the cast of a model's parameters for checks in 64 bits."""
+learned, the cast of a model's parameters for checks in 64 bits, and the
+paper's LM dimensions."""
 import numpy as np
 
 from msivd import autograd as ag
-from msivd.lm import ByteTokenizer, LmModel
+from msivd.lm import ByteTokenizer, LmModel, TransformerConfig
+
+# The paper's LM: d_model 4096, 8 layers, a 2048-token window. Bookkeeping
+# only: no test builds it, and no command can.
+PAPER_LM = TransformerConfig(d_model=4096, n_layers=8, n_heads=32, context_window=2048)
 
 
 def generate_greedy(model: LmModel, prompt_ids, max_new: int) -> list[int]:

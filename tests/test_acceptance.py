@@ -12,7 +12,8 @@ import numpy as np
 
 from helpers_corpus import uniform_samples
 from helpers_dfa import enumerate_reaching, random_cfg
-from helpers_lm import cast
+from helpers_gnn import PAPER_GGNN
+from helpers_lm import PAPER_LM, cast
 from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
 from msivd import evaluation
@@ -40,7 +41,6 @@ from msivd.gnn import GgnnConfig
 from msivd.lm import LmModel, LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
 from msivd.train import (
-    CKPT_VERSION,
     Checkpoint,
     TrainConfig,
     build_bundle_from_checkpoint,
@@ -163,7 +163,7 @@ def test_lora_zero_init_equivalence():
         start = time.monotonic()
         # the base model is the same model with every A zeroed too: its
         # adapter paths add exact zeros
-        cfg = TransformerConfig()  # desk profile
+        cfg = TransformerConfig()  # desk dimensions
         with_lora = LmModel(cfg, seed=7, lora=LoraConfig())
         base = LmModel(cfg, seed=7, lora=LoraConfig())
         for a, _ in base.adapters.values():
@@ -207,13 +207,11 @@ def test_eq2_multitask_loss_laws():
 
 def test_dimension_bookkeeping():
     with criterion("dimension-bookkeeping"):
-        lm_cfg = TransformerConfig.paper()
-        gnn_cfg = GgnnConfig.paper()
-        assert fused_input_width(lm_cfg, gnn_cfg) == 4096 + 256 == 4352
+        assert fused_input_width(PAPER_LM, PAPER_GGNN) == 4096 + 256 == 4352
         # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
-        assert lm_cfg.n_layers == 8
-        assert gnn_cfg.mlp_hidden == 256
-        assert lm_cfg.context_window == 2048
+        assert PAPER_LM.n_layers == 8
+        assert PAPER_GGNN.mlp_hidden == 256
+        assert PAPER_LM.context_window == 2048
 
 
 def test_end_to_end_desk_training():
@@ -277,11 +275,11 @@ def test_ablation_harness_all_modes(monkeypatch):
         # round-masking contract of the two SIFT shapes
         dialogues = build_dialogues(train)
         multi_ckpt, _ = train_sift(dialogues, sift_cfg)
-        assert multi_ckpt.metrics_history[0]["masked_rounds"] == 3
+        assert multi_ckpt.metrics_history[0]["n_tasks"] == 3
         from dataclasses import replace
 
         label_ckpt, _ = train_sift(dialogues, replace(sift_cfg, sift_mode="label-only"))
-        assert label_ckpt.metrics_history[0]["masked_rounds"] == 1
+        assert label_ckpt.metrics_history[0]["n_tasks"] == 1
 
 
 def test_corpus_laws():
@@ -325,8 +323,7 @@ def test_checkpoint_and_determinism(tmp_path):
         # bitwise round-trip
         rng = np.random.default_rng(1)
         ckpt = Checkpoint(
-            version=CKPT_VERSION,
-            config={"stage": "sift", "train": {"seed": 0}},
+            config={"train": {"seed": 0}},
             tensors={"lm.w": rng.standard_normal((5, 3)).astype(np.float32)},
             metrics_history=[],
         )

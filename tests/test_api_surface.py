@@ -168,6 +168,10 @@ KNOBS_ALLOWED = {
     # the checkpoint records the vocabulary width, and a learned byte-pair
     # vocabulary will set it from its merge table
     "lm.TransformerConfig(vocab_size)",
+    # the checkpoint records the hidden width, which the header reader sets
+    # through ``cls(**fields)``, a call the scan cannot resolve; the paper's
+    # GGNN is 256 wide there (helpers_gnn.PAPER_GGNN), the desk's 16
+    "gnn.GgnnConfig(mlp_hidden)",
 }
 
 
@@ -308,3 +312,91 @@ def test_benchmark_pinned_names_are_in_its_per_op_list():
               if m["name"].startswith("autograd.") and m["name"].count(".") == 2}
     unpinned = sorted(BENCHMARK_PINNED - pinned)
     assert not unpinned, f"allowlisted autograd names that BENCHMARK.json does not pin: {unpinned}"
+
+
+# --- environment: every variable the package reads, each with its reason ------------
+
+ENV_READS = {
+    "MSIVD_LOG": "the CLI's log level (cli.main)",
+    "OPENBLAS_NUM_THREADS": "BLAS threads: set to 1 unless the caller set it, as SIFT runs a stream per core",
+    "OMP_NUM_THREADS": "as OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS": "as OPENBLAS_NUM_THREADS",
+    "MALLOC_MMAP_THRESHOLD_": "a caller's own malloc tuning wins over the SIFT heap policy",
+    "MALLOC_TRIM_THRESHOLD_": "as MALLOC_MMAP_THRESHOLD_",
+    "MALLOC_TOP_PAD_": "as MALLOC_MMAP_THRESHOLD_",
+    "GLIBC_TUNABLES": "as MALLOC_MMAP_THRESHOLD_, for its glibc.malloc.* entries",
+}
+
+
+def _is_environ(node) -> bool:
+    """``os.environ`` or ``os.environb``."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb")
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _env_reads(tree, where: str) -> set[str]:
+    """The names of the environment variables that ``tree`` reads: the key of
+    ``os.environ[k]``, ``os.environ.get(k)``, ``os.environ.setdefault(k)``,
+    ``k in os.environ`` and ``os.getenv(k)``. A key is a string, a module
+    constant holding a tuple of strings, or a loop or comprehension variable
+    over one; any other key, any other use of ``os.environ`` and an import of
+    ``environ`` or ``getenv`` raise AssertionError naming ``where``, so that
+    no read escapes the list."""
+    constants = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Tuple, ast.Constant)):
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            strings = (value,) if isinstance(value, str) else value
+            if isinstance(strings, tuple) and all(isinstance(v, str) for v in strings):
+                constants.update((t.id, set(strings)) for t in node.targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):  # `for v in NAMES` and `... for v in NAMES`
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+            if isinstance(node.iter, ast.Name) and node.iter.id in constants:
+                constants[node.target.id] = constants[node.iter.id]
+
+    def keys(key, line) -> set[str]:
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            return {key.value}
+        if isinstance(key, ast.Name) and key.id in constants:
+            return constants[key.id]
+        raise AssertionError(f"{where}:{line}: environment key {ast.unparse(key)} is not a string or a string constant")
+
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            bad = [a.name for a in node.names if a.name in ("environ", "environb", "getenv", "getenvb")]
+            assert not bad, f"{where}:{node.lineno}: imports {bad} from os"
+        if isinstance(node, ast.Attribute) and node.attr in ("getenv", "getenvb") and getattr(node.value, "id", None) == "os":
+            call = parents[node]
+            assert isinstance(call, ast.Call) and call.func is node, f"{where}:{node.lineno}: os.getenv not called"
+            found |= keys(call.args[0], node.lineno)
+        elif _is_environ(node):
+            use = parents[node]
+            if isinstance(use, ast.Subscript) and use.value is node:
+                found |= keys(use.slice, node.lineno)
+            elif isinstance(use, ast.Attribute) and use.attr in ("get", "setdefault"):
+                found |= keys(parents[use].args[0], node.lineno)
+            elif isinstance(use, ast.Compare) and use.comparators == [node] and isinstance(use.ops[0], (ast.In, ast.NotIn)):
+                found |= keys(use.left, node.lineno)
+            else:
+                raise AssertionError(f"{where}:{node.lineno}: os.environ used as {ast.unparse(use)[:80]}")
+    return found
+
+
+def test_every_environment_variable_read_is_listed():
+    """A setting that an environment variable turns is an option no parameter
+    or config field shows, so each one the package reads is listed with its
+    reason, and none other is read."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name in _env_reads(tree, path.name):
+            found.setdefault(name, path.name)
+    unlisted = {name: where for name, where in found.items() if name not in ENV_READS}
+    assert not unlisted, f"environment variables read but not in ENV_READS: {unlisted}"
+    stale = sorted(set(ENV_READS) - set(found))
+    assert not stale, f"ENV_READS names variables that the package no longer reads: {stale}"

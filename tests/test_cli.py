@@ -150,17 +150,6 @@ def test_default_cutoff_is_2023_01_01(tmp_path):
             assert by_id[sid].origin_date >= date(2023, 1, 1)
 
 
-def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
-    corpus = make_synthetic_corpus(n=20, seed=5)
-    samples_path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(corpus, samples_path)
-    out = tmp_path / "out"
-    monkeypatch.setenv("MSIVD_PROFILE", "paper")
-    assert main(["prepare", "--samples", str(samples_path), "--out-dir", str(out)]) == 0
-    prov = json.loads((out / "splits.json.provenance.json").read_text())
-    assert prov["config"]["profile"] == "paper"
-
-
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -177,17 +166,18 @@ def test_profile_env_var_selects_paper_defaults(tmp_path, monkeypatch, capsys):
         ({"d_model": 65}, "invalid settings: d_model 65 not divisible by n_heads 4"),
         ({"learning_rate": float("nan")}, "invalid settings: learning rate, batch size and epochs must be positive"),
         ({"learning_rate": float("inf")}, "invalid settings: learning rate, batch size and epochs must be positive"),
-        ({"n_heads": 0}, "invalid settings: d_model, n_layers, n_heads and context_window must be >= 1"),
-        ({"context_window": 0}, "invalid settings: d_model, n_layers, n_heads and context_window must be >= 1"),
+        ({"n_heads": 0}, "invalid settings: d_model, n_layers and n_heads must be >= 1, and context_window >= 8"),
+        ({"context_window": 0}, "invalid settings: d_model, n_layers and n_heads must be >= 1, and context_window >= 8"),
         ({"gnn_steps": -1}, "invalid settings: GGNN steps must be >= 0"),
         ({"lora_alpha": float("nan")}, "invalid settings: LoRA needs a finite alpha"),
         ({"seed": -1}, "invalid settings: seed must be >= 0, got -1"),
         ({"gnn_steps": 65}, "invalid settings: GGNN steps must be >= 0 and at most 64, got 65"),
+        ({"profile": "paper"}, "unknown keys ['profile']"),
     ],
     ids=["unknown_keys", "array", "string", "ratios_int", "ratios_short", "epochs_str", "bool_seed",
          "bool_float", "int_bool", "batch_size_zero", "d_model_indivisible", "learning_rate_nan",
          "learning_rate_inf", "n_heads_zero", "context_window_zero", "gnn_steps_negative", "lora_alpha_nan",
-         "seed_negative", "gnn_steps_past_bound"],
+         "seed_negative", "gnn_steps_past_bound", "profile_key"],
 )
 def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     cfg_path = tmp_path / "config.json"
@@ -232,7 +222,7 @@ def test_config_file_with_every_key_accepted(tmp_path):
     """Numbers may be JSON integers where the field is a float, and optional
     fields may be null."""
     settings = {
-        "profile": "desk", "seed": 3, "learning_rate": 1, "batch_size": None, "epochs": 2,
+        "seed": 3, "learning_rate": 1, "batch_size": None, "epochs": 2,
         "sift_mode": "single-round", "use_gnn": False, "d_model": 32, "n_layers": 1, "n_heads": 2,
         "context_window": 384, "gnn_state_dim": 8, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8,
         "window_tokens": 2048, "mix_preset": None, "cutoff": "2023-01-01", "ratios": [1, 0, 0],
@@ -247,7 +237,7 @@ def test_config_file_with_every_key_accepted(tmp_path):
 
 
 FULL_CONFIG = {
-    "profile": "desk", "seed": 3, "learning_rate": 0.5, "batch_size": 4, "epochs": 2,
+    "seed": 3, "learning_rate": 0.5, "batch_size": 4, "epochs": 2,
     "sift_mode": "single-round", "use_gnn": False, "d_model": 32, "n_layers": 1, "n_heads": 2,
     "context_window": 384, "gnn_state_dim": 8, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8.0,
     "window_tokens": 2048, "mix_preset": "bigvul", "cutoff": "2023-01-01", "ratios": [0.8, 0.1, 0.1],
@@ -269,13 +259,61 @@ def test_fuzzed_config_file_is_usage_error_or_merges(tmp_path, case):
     assert run.command == "ingest"
 
 
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas" / "run_config.schema.json").read_text("utf-8"))
+
+
+def _outside_schema_bounds(properties: dict) -> list[tuple[str, str, object]]:
+    """(key, bound, value) for a value of each key just outside each of its
+    bounds, and for a lower bound also -5: below a ``minimum`` or at an
+    ``exclusiveMinimum``, above a ``maximum``, outside an ``enum``, not a
+    date under ``format: date``. An array's item bounds give the run's
+    default array with its first item replaced."""
+    cases = []
+    for key, spec in properties.items():
+        item = spec.get("items")
+        if item is not None:
+            default = list(getattr(RunConfig, key))
+            cases += [(key, f"items.{bound}", [value] + default[1:])
+                      for _, bound, value in _outside_schema_bounds({key: item})]
+            continue
+        values = {
+            "minimum": lambda m: [m - 1, -5],
+            "exclusiveMinimum": lambda m: [m, -5],
+            "maximum": lambda m: [m + 1],
+            "enum": lambda names: ["not-" + "|".join(map(str, names))],
+            "format": lambda fmt: ["banana"] if fmt == "date" else [],
+        }
+        for bound, derive in values.items():
+            if bound in spec:
+                cases += [(key, bound, v) for v in dict.fromkeys(derive(spec[bound]))]
+    return cases
+
+
+SCHEMA_BOUND_CASES = _outside_schema_bounds(SCHEMA["properties"])
+
+
 def test_config_schema_lists_exactly_the_config_file_keys():
     from msivd.train import SIFT_MODES
 
-    schema_path = Path(__file__).resolve().parents[1] / "schemas" / "run_config.schema.json"
-    schema = json.loads(schema_path.read_text(encoding="utf-8"))
-    assert set(schema["properties"]) == set(RunConfig.__dataclass_fields__) - {"command"}
-    assert schema["properties"]["sift_mode"]["enum"] == list(SIFT_MODES)
+    assert set(SCHEMA["properties"]) == set(RunConfig.__dataclass_fields__) - {"command"}
+    assert SCHEMA["properties"]["sift_mode"]["enum"] == list(SIFT_MODES)
+    bounds = {bound.removeprefix("items.") for _, bound, _ in SCHEMA_BOUND_CASES}
+    assert bounds == {"minimum", "exclusiveMinimum", "maximum", "enum", "format"}
+
+
+@pytest.mark.parametrize("key, bound, value", SCHEMA_BOUND_CASES,
+                         ids=[f"{key}.{bound}={json.dumps(value)}" for key, bound, value in SCHEMA_BOUND_CASES])
+def test_config_value_outside_a_schema_bound_is_usage_error(tmp_path, capsys, key, bound, value):
+    """The program's bounds are the schema's: a --config value outside one is
+    a usage error whichever command runs, before that command reads its input."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "samples.jsonl"
+    code = main(["ingest", "--nvd-dump", str(make_dump(tmp_path)), "--out", str(out), "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error: invalid settings: " in err
+    assert not out.exists()
 
 
 def test_unknown_eval_mode_lists_valid(tmp_path, capsys):

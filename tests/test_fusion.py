@@ -64,12 +64,13 @@ def test_read_out_is_last_hidden_row_of_prompt():
 
 
 def test_paper_profile_dimension_bookkeeping():
-    lm_cfg = TransformerConfig.paper()
-    gnn_cfg = GgnnConfig.paper()
-    assert fused_input_width(lm_cfg, gnn_cfg) == 4096 + 256 == 4352
+    from helpers_gnn import PAPER_GGNN
+    from helpers_lm import PAPER_LM
+
+    assert fused_input_width(PAPER_LM, PAPER_GGNN) == 4096 + 256 == 4352
     # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
-    assert lm_cfg.n_layers == 8
-    assert gnn_cfg.mlp_hidden == 256
+    assert PAPER_LM.n_layers == 8
+    assert PAPER_GGNN.mlp_hidden == 256
 
 
 def test_classify_symmetric_logits():

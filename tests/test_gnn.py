@@ -3,7 +3,7 @@ import pytest
 
 from msivd import autograd as ag
 from msivd.autograd import Tensor
-from helpers_gnn import reference_embedding, tape_nodes
+from helpers_gnn import PAPER_GGNN, reference_embedding, tape_nodes, with_adjacency
 from msivd.gnn import Ggnn, GgnnConfig, adjacency
 from msivd.minic import CfgNode, ControlFlowGraph
 
@@ -116,7 +116,7 @@ def test_forward_zero_steps_mean_pools_features():
     cfg = chain_cfg(3)
     g = Ggnn(GgnnConfig(state_dim=4, steps=0), seed=0)
     feats = np.arange(12, dtype=np.float32).reshape(3, 4)
-    out = g.forward(cfg, feats)
+    out = g.forward(*with_adjacency(cfg, feats))
     assert out.shape == (1, 4)
     assert np.allclose(out.data, feats.mean(axis=0, keepdims=True), atol=1e-6)
 
@@ -128,7 +128,7 @@ def test_single_node_zero_steps_identity():
     )
     g = Ggnn(GgnnConfig(state_dim=4, steps=0), seed=1)
     feats = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
-    out = g.forward(cfg, feats)
+    out = g.forward(*with_adjacency(cfg, feats))
     assert np.allclose(out.data, feats[0], atol=1e-6)
 
 
@@ -140,7 +140,7 @@ def test_permutation_invariance_of_pooled_embedding():
     cfg = ControlFlowGraph(nodes=nodes, edges=edges, entry=0, exit=n - 1)
     feats = rng.normal(0, 1, (n, 8)).astype(np.float32)
     g = Ggnn(GgnnConfig(state_dim=8, steps=3), seed=2)
-    base = g.forward(cfg, feats).data
+    base = g.forward(*with_adjacency(cfg, feats)).data
 
     perm = [2, 0, 4, 1, 3]  # new id of old node i
     inv = np.argsort(perm)
@@ -149,7 +149,7 @@ def test_permutation_invariance_of_pooled_embedding():
     edges_p = [(perm[s], perm[d]) for s, d in edges]
     cfg_p = ControlFlowGraph(nodes=nodes_p, edges=edges_p, entry=perm[0], exit=perm[n - 1])
     feats_p = feats[inv]
-    permuted = g.forward(cfg_p, feats_p).data
+    permuted = g.forward(*with_adjacency(cfg_p, feats_p)).data
     assert np.allclose(base, permuted, atol=1e-6)
 
 
@@ -159,7 +159,7 @@ def test_two_step_forward_matches_dense_unroll():
     dim = 4
     g = Ggnn(GgnnConfig(state_dim=dim, steps=2), seed=3)
     feats = rng.normal(0, 1, (3, dim)).astype(np.float32)
-    out = g.forward(cfg, feats).data
+    out = g.forward(*with_adjacency(cfg, feats)).data
 
     # dense reference with the same parameters
     w1, b1, w2, b2 = (t.data for t in g.mlp)
@@ -191,7 +191,7 @@ def test_zero_weight_closed_form_decay():
     for t in g.parameters().values():
         t.data[:] = 0
     feats = np.arange(16, dtype=np.float32).reshape(4, 4)
-    out = g.forward(cfg, feats)
+    out = g.forward(*with_adjacency(cfg, feats))
     assert np.allclose(out.data, (0.5**k) * feats.mean(axis=0), atol=1e-6)
 
 
@@ -223,16 +223,18 @@ def test_two_step_ggnn_gradients():
 
 
 def test_paper_profile_layer_bookkeeping():
-    cfg = GgnnConfig.paper()
-    assert cfg.state_dim == 256
-    # two MLP linears around one hidden layer, plus the GRU: 3 layers
-    assert cfg.mlp_hidden == 256
+    """The paper's GGNN, 3 layers (two MLP linears around one 256-wide hidden
+    layer, and a GRU over 256-wide states), holds 2·256² + 256 + 6·256² +
+    4·256 parameters."""
+    from msivd.train import _ggnn_size
+
+    assert _ggnn_size(PAPER_GGNN) == 525_568
 
 
 def test_width_mismatch_without_projection_errors():
     g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
     with pytest.raises(ValueError, match="state dim"):
-        g.forward(chain_cfg(3), np.ones((3, 4), dtype=np.float32))
+        g.forward(*with_adjacency(chain_cfg(3), np.ones((3, 4), dtype=np.float32)))
 
 
 
@@ -251,7 +253,7 @@ def _parity_batch(width):
              CfgNode(id=2, kind="assign", defines="y"), CfgNode(id=3, kind="exit")]
     odd = ControlFlowGraph(nodes=nodes, edges=[(0, 1), (0, 1), (1, 3)], entry=0, exit=3)
     feats = np.random.default_rng(10).normal(0, 1, (4, width)).astype(np.float32)
-    return [parsed[0], None, (odd, feats), parsed[1]]
+    return [parsed[0], None, with_adjacency(odd, feats), parsed[1]]
 
 
 def _rows_and_grads(g, rows, upstream):
@@ -305,10 +307,14 @@ def test_embed_records_at_most_three_tape_nodes_per_step(steps):
 
 
 def test_embed_rejects_features_that_do_not_fit():
+    """Features or an adjacency of another node count, and, where a graph's
+    inputs are built, an edge to a missing node."""
     g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
-    good = (chain_cfg(3), np.ones((3, 6), dtype=np.float32))
-    with pytest.raises(ValueError, match="node count"):
-        g.embed([good, (chain_cfg(3), np.ones((4, 6), dtype=np.float32))])
+    good = with_adjacency(chain_cfg(3), np.ones((3, 6), dtype=np.float32))
+    with pytest.raises(ValueError, match="features rows 4 != node count 3"):
+        g.embed([good, (chain_cfg(3), np.ones((4, 6), dtype=np.float32), good[2])])
+    with pytest.raises(ValueError, match=r"adjacency shape \(1, 1\) != node count 3"):
+        g.embed([good, (*good[:2], np.ones((1, 1), dtype=np.float32))])
     with pytest.raises(ValueError, match=r"edge \(0, 3\) references missing node \(n=3\)"):
-        g.embed([good, (ControlFlowGraph(nodes=chain_cfg(3).nodes, edges=[(0, 3)], entry=0, exit=2),
-                        np.ones((3, 6), dtype=np.float32)), good])
+        g.embed([good, with_adjacency(ControlFlowGraph(nodes=chain_cfg(3).nodes, edges=[(0, 3)], entry=0, exit=2),
+                                      np.ones((3, 6), dtype=np.float32)), good])

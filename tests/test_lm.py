@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_lm import cast, generate_greedy
+from helpers_lm import PAPER_LM, cast, generate_greedy
 from helpers_loss import eq2_reference, task_streams
 from msivd import autograd as ag
 from msivd.autograd import Tensor, backward
@@ -165,8 +165,12 @@ def test_base_weights_never_require_grad():
 
 
 def test_paper_profile_pins_dimensions():
-    cfg = TransformerConfig.paper()
-    assert (cfg.d_model, cfg.n_layers, cfg.context_window) == (4096, 8, 2048)
+    """The paper's LM is a config only: with the desk's LoRA it would hold
+    1.6 G values, 6.5 GB in float32."""
+    from msivd.train import _lm_size
+
+    assert (PAPER_LM.d_model, PAPER_LM.n_layers, PAPER_LM.context_window) == (4096, 8, 2048)
+    assert _lm_size(PAPER_LM, LoraConfig()) * 4 == 6_490_062_848
 
 
 # --- task-averaged SIFT loss (Eq. 2) over the LM ------------------------------------

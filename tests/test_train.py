@@ -88,8 +88,7 @@ def test_invalid_config_rejected():
 def test_checkpoint_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     ckpt = Checkpoint(
-        version=CKPT_VERSION,
-        config={"stage": "sift", "train": {"seed": 1}},
+        config={"train": {"seed": 1}},
         tensors={
             "lm.a": rng.standard_normal((3, 4)).astype(np.float32),
             "lm.b": rng.standard_normal(7).astype(np.float32),
@@ -99,7 +98,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, p)
     again = load_checkpoint(p)
-    assert again.version == ckpt.version
+    assert struct.unpack_from("<I", p.read_bytes(), 8) == (CKPT_VERSION,)
     assert again.config == ckpt.config
     assert again.metrics_history == ckpt.metrics_history
     for name in ckpt.tensors:
@@ -109,7 +108,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 def test_corrupted_magic_errors(tmp_path):
     p = tmp_path / "bad.ckpt"
-    save_checkpoint(Checkpoint(1, {}, {"x": np.zeros(2, dtype=np.float32)}), p)
+    save_checkpoint(Checkpoint({}, {"x": np.zeros(2, dtype=np.float32)}), p)
     raw = bytearray(p.read_bytes())
     raw[:8] = b"NOTMAGIC"
     p.write_bytes(bytes(raw))
@@ -118,26 +117,48 @@ def test_corrupted_magic_errors(tmp_path):
 
 
 def test_version_mismatch_errors(tmp_path):
-    p = tmp_path / "v9.ckpt"
-    save_checkpoint(Checkpoint(9, {}, {"x": np.zeros(2, dtype=np.float32)}), p)
-    with pytest.raises(CheckpointError, match="version mismatch"):
-        load_checkpoint(p)
+    """A file of the previous version, or of a later one, is refused."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(Checkpoint({}, {"x": np.zeros(2, dtype=np.float32)}), p)
+    for version in (CKPT_VERSION - 1, CKPT_VERSION + 3):
+        raw = bytearray(p.read_bytes())
+        raw[8:12] = struct.pack("<I", version)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"version mismatch: file {version}, supported {CKPT_VERSION}"):
+            load_checkpoint(p)
 
 
 def test_save_checkpoint_refuses_a_non_finite_tensor(tmp_path):
     p = tmp_path / "nan.ckpt"
     tensors = {"lm.a": np.zeros(3, dtype=np.float32), "lm.b": np.array([1.0, np.nan], dtype=np.float32)}
     with pytest.raises(CheckpointError, match="'lm.b'.*non-finite"):
-        save_checkpoint(Checkpoint(CKPT_VERSION, {}, tensors), p)
+        save_checkpoint(Checkpoint({}, tensors), p)
     assert not p.exists()
+
+
+def test_save_checkpoint_refuses_a_tensor_that_is_not_float32(tmp_path):
+    p = tmp_path / "f8.ckpt"
+    tensors = {"lm.a": np.zeros(3, dtype=np.float32), "lm.b": np.ones(2, dtype=np.float64)}
+    with pytest.raises(CheckpointError, match="'lm.b' is float64, not float32"):
+        save_checkpoint(Checkpoint({}, tensors), p)
+    assert not p.exists()
+
+
+def test_load_checkpoint_refuses_a_float64_entry(tmp_path):
+    """An entry that reads the bytes of four float32 zeros as two float64
+    ones is well-formed but for its dtype."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(Checkpoint({}, {"lm.a": np.zeros(4, dtype=np.float32)}), p)
+    p.write_bytes(_rewrite(lambda h: h["tensors"]["lm.a"].update(dtype="<f8", shape=[2]))(p.read_bytes()))
+    with pytest.raises(CheckpointError, match="tensor 'lm.a': dtype must be '<f4', got \"<f8\""):
+        load_checkpoint(p)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_load_checkpoint_refuses_a_non_finite_tensor(tmp_path, value):
     """The last float of the payload belongs to the last tensor by name."""
     p = tmp_path / "m.ckpt"
-    save_checkpoint(Checkpoint(CKPT_VERSION, {}, {"lm.a": np.zeros(3, dtype=np.float32),
-                                                  "lm.b": np.ones(2, dtype=np.float32)}), p)
+    save_checkpoint(Checkpoint({}, {"lm.a": np.zeros(3, dtype=np.float32), "lm.b": np.ones(2, dtype=np.float32)}), p)
     raw = bytearray(p.read_bytes())
     raw[-4:] = np.float32(value).tobytes()
     p.write_bytes(bytes(raw))
@@ -152,7 +173,7 @@ def _sift_checkpoint():
     config = tiny_config()
     model = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
     tensors = {f"lm.{k}": t.data.copy() for k, t in model.parameters().items()}
-    return Checkpoint(CKPT_VERSION, {"stage": "sift", "train": config.snapshot()}, tensors)
+    return Checkpoint({"train": config.snapshot()}, tensors)
 
 
 def _first_entry(header: dict) -> dict:
@@ -209,55 +230,71 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, corruption):
 
 
 TRAIN = tiny_config().snapshot()
+FUSED = {**TRAIN, "stage": "fused"}
 BAD_CONFIGS = {
     "empty": (build_lm_from_checkpoint, {}, "checkpoint train must be a JSON object, got null"),
     "fused-without-train": (build_bundle_from_checkpoint, {"stage": "fused"}, "checkpoint train must be a JSON object"),
-    "train-not-object": (build_lm_from_checkpoint, {"stage": "sift", "train": [1]},
+    "train-not-object": (build_lm_from_checkpoint, {"train": [1]},
                          r"checkpoint train must be a JSON object, got \[1\]"),
-    "ill-typed-dimension": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "lm_config": {"d_model": "x"}}},
+    "ill-typed-dimension": (build_lm_from_checkpoint, {"train": {**TRAIN, "lm_config": {"d_model": "x"}}},
                             r"train\.lm_config"),
-    "unknown-lm-setting": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "lm_config": {"bogus": 1}}},
+    "unknown-lm-setting": (build_lm_from_checkpoint, {"train": {**TRAIN, "lm_config": {"bogus": 1}}},
                            r"train\.lm_config"),
     "unknown-gnn-setting": (build_bundle_from_checkpoint,
-                            {"stage": "fused", "train": {**TRAIN, "gnn_config": {"bogus": 1}}},
+                            {"train": {**FUSED, "gnn_config": {"bogus": 1}}},
                             r"train\.gnn_config"),
-    "seed-not-integer": (build_lm_from_checkpoint, {"stage": "sift", "train": {**TRAIN, "seed": "x"}},
+    "seed-not-integer": (build_lm_from_checkpoint, {"train": {**TRAIN, "seed": "x"}},
                          "checkpoint train key 'seed' must be int, got \"x\""),
-    "negative-seed": (build_bundle_from_checkpoint, {"stage": "fused", "train": {**TRAIN, "seed": -1}},
-                      "checkpoint train seed must be >= 0, got -1"),
+    "negative-seed": (build_bundle_from_checkpoint, {"train": {**FUSED, "seed": -1}},
+                      r"checkpoint train \{.*: seed must be >= 0, got -1"),
     "float-d-model": (build_lm_from_checkpoint,
-                      {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "d_model": 32.0}}},
+                      {"train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "d_model": 32.0}}},
                       r"train\.lm_config key 'd_model' must be int, got 32\.0"),
     "float-lora-rank": (build_lm_from_checkpoint,
-                        {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 2.0}}},
+                        {"train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 2.0}}},
                         r"train\.lora_config key 'rank' must be int, got 2\.0"),
     "bool-lora-rank": (build_lm_from_checkpoint,
-                       {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": True}}},
+                       {"train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": True}}},
                        r"train\.lora_config key 'rank' must be int, got true"),
     "float-mlp-hidden": (build_bundle_from_checkpoint,
-                         {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": 16.0}}},
+                         {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": 16.0}}},
                          r"train\.gnn_config key 'mlp_hidden' must be int, got 16\.0"),
     "list-mlp-hidden": (build_bundle_from_checkpoint,
-                        {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16]}}},
+                        {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16]}}},
                         r"train\.gnn_config key 'mlp_hidden' must be int, got \[16\]"),
     "zero-heads": (build_lm_from_checkpoint,
-                   {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_heads": 0}}},
-                   r"train\.lm_config .*n_layers, n_heads and context_window must be >= 1"),
+                   {"train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_heads": 0}}},
+                   r"train\.lm_config .*n_layers and n_heads must be >= 1"),
     "zero-layers": (build_lm_from_checkpoint,
-                    {"stage": "sift", "train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_layers": 0}}},
-                    r"train\.lm_config .*n_layers, n_heads and context_window must be >= 1"),
+                    {"train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_layers": 0}}},
+                    r"train\.lm_config .*n_layers and n_heads must be >= 1"),
     "nan-lora-alpha": (build_lm_from_checkpoint,
-                       {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "alpha": float("nan")}}},
+                       {"train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "alpha": float("nan")}}},
                        r"train\.lora_config .*needs a finite alpha"),
     "huge-lora-rank": (build_lm_from_checkpoint,
-                       {"stage": "sift", "train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 10**300}}},
+                       {"train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 10**300}}},
                        r"train\.lora_config would build a model of \d{80} values, more than the \d+ that its lm\. tensors hold"),
     "huge-gnn-state-dim": (build_bundle_from_checkpoint,
-                           {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 10**300}}},
+                           {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 10**300}}},
                            r"train\.gnn_config would build a model of \d{80} values, more than the 0 that its gnn\. tensors hold"),
     "negative-gnn-steps": (build_bundle_from_checkpoint,
-                           {"stage": "fused", "train": {**TRAIN, "gnn_config": {**TRAIN["gnn_config"], "steps": -1}}},
+                           {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "steps": -1}}},
                            r"train\.gnn_config .*steps must be >= 0"),
+    # TrainConfig checks the values of the train section itself
+    "zero-batch-size": (build_lm_from_checkpoint, {"train": {**TRAIN, "batch_size": 0}},
+                        r"checkpoint train \{.*: learning rate, batch size and epochs must be positive"),
+    "unknown-stage": (build_lm_from_checkpoint, {"train": {**TRAIN, "stage": "nope"}},
+                      r"checkpoint train \{.*: unknown stage 'nope'"),
+    "unknown-sift-mode": (build_lm_from_checkpoint, {"train": {**TRAIN, "sift_mode": "bogus"}},
+                          r"checkpoint train \{.*: unknown sift_mode 'bogus'"),
+    "negative-learning-rate": (build_lm_from_checkpoint, {"train": {**TRAIN, "learning_rate": -1}},
+                               r"checkpoint train \{.*: learning rate, batch size and epochs must be positive"),
+    "zero-epochs": (build_lm_from_checkpoint, {"train": {**TRAIN, "epochs": 0}},
+                    r"checkpoint train \{.*: learning rate, batch size and epochs must be positive"),
+    # a version-5 fused header: stage and use_gnn also outside the train section, which they contradict
+    "settings-outside-train": (build_bundle_from_checkpoint,
+                               {"stage": "fused", "train": {**FUSED, "use_gnn": False}, "use_gnn": True},
+                               r'checkpoint config holds \["stage", "use_gnn"\] besides its train section'),
 }
 
 
@@ -283,7 +320,7 @@ def test_absurd_header_size_raises_before_building(tmp_path, key, size):
     bounds them. An alarm stops a build that has not raised by then."""
     train_cfg = {**TRAIN, key: {**TRAIN[key], size: 10**300}}
     p = tmp_path / "m.ckpt"
-    save_checkpoint(dataclasses.replace(_sift_checkpoint(), config={"stage": "fused", "train": train_cfg}), p)
+    save_checkpoint(dataclasses.replace(_sift_checkpoint(), config={"train": {**train_cfg, "stage": "fused"}}), p)
     ckpt = load_checkpoint(p)
     previous = signal.signal(signal.SIGALRM, _interrupt)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
@@ -393,7 +430,6 @@ def test_label_only_mode_masks_one_round(small_corpus):
     dialogues = build_dialogues(small_corpus[:8])
     config = tiny_config(sift_mode="label-only", epochs=1)
     ckpt, _ = train_sift(dialogues, config)
-    assert ckpt.metrics_history[0]["masked_rounds"] == 1
     assert ckpt.metrics_history[0]["n_tasks"] == 1
 
 
@@ -401,7 +437,6 @@ def test_multi_round_mode_masks_three_rounds(small_corpus):
     dialogues = build_dialogues(small_corpus[:8])
     config = tiny_config(sift_mode="multi-round", epochs=1)
     ckpt, _ = train_sift(dialogues, config)
-    assert ckpt.metrics_history[0]["masked_rounds"] == 3
     assert ckpt.metrics_history[0]["n_tasks"] == 3
 
 
@@ -840,6 +875,15 @@ def test_diverging_fused_run_stops_naming_stage_and_step(small_corpus):
     config = tiny_config(stage="fused", learning_rate=1e30, batch_size=6, epochs=3)
     with pytest.raises(FloatingPointError, match=r"^fused step 1 diverged: batch loss is nan$"):
         train_fused(small_corpus, None, config)
+
+
+def test_trainers_refuse_a_config_of_the_other_stage(small_corpus):
+    """So the stage that a checkpoint's train section records is the stage
+    that wrote it."""
+    with pytest.raises(ValueError, match="train_sift needs a sift-stage config, got 'fused'"):
+        train_sift(build_dialogues(small_corpus), tiny_config(stage="fused"))
+    with pytest.raises(ValueError, match="train_fused needs a fused-stage config, got 'sift'"):
+        train_fused(small_corpus, None, tiny_config())
 
 
 def test_non_finite_sift_loss_stops_the_run(small_corpus, monkeypatch):
