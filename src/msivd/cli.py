@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 
@@ -104,11 +104,6 @@ class RunConfig:
     def split_spec(self) -> SplitSpec:
         return SplitSpec(ratios=self.ratios, cutoff_date=self.cutoff, seed=self.seed)
 
-    def to_obj(self) -> dict:
-        obj = {k: v for k, v in self.__dict__.items()}
-        obj["ratios"] = list(self.ratios)
-        return obj
-
 
 class UsageError(Exception):
     """Bad invocation (exit code 2)."""
@@ -149,7 +144,7 @@ def _merge_run_config(command: str, args: argparse.Namespace) -> RunConfig:
 def _write_provenance(artifact: Path, run: RunConfig) -> None:
     sidecar = artifact.parent / (artifact.name + ".provenance.json")
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"command": run.command, "seed": run.seed, "config": run.to_obj()}, fh, indent=2)
+        json.dump({"command": run.command, "seed": run.seed, "config": asdict(run)}, fh, indent=2)
         fh.write("\n")
 
 
@@ -288,7 +283,7 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
     out = Path(args.out)
     reports = run_ablation(dataset, [args.mode], sift_config, fused_config, report_path=out)
     _write_provenance(out, run)
-    print(json.dumps([r.to_obj() for r in reports]))
+    print(json.dumps([asdict(r) for r in reports]))
     return 0
 
 

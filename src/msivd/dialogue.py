@@ -29,6 +29,7 @@ __all__ = [
     "render",
     "prompt_scaffold",
     "render_prompt",
+    "MIN_PROMPT_WINDOW",
     "serialize_jsonl",
     "parse_jsonl",
 ]
@@ -182,24 +183,35 @@ def prompt_scaffold(tokenizer: ByteTokenizer) -> list[int]:
     return [tokenizer.SYSTEM, *tokenizer.encode(SYSTEM_PROMPT), tokenizer.STUDENT, *tokenizer.encode(ROUND1_HEAD)]
 
 
+def _prompt_tail(tokenizer: ByteTokenizer) -> list[int]:
+    """The ids that every classification prompt ends with: the round-1
+    question after the code, and ``<|teacher|>``."""
+    return [*tokenizer.encode(ROUND1_TAIL), tokenizer.TEACHER]
+
+
+# The smallest context window that holds a classification prompt: the
+# scaffold, one code id and the tail. ``train.TrainConfig`` refuses a smaller one.
+MIN_PROMPT_WINDOW = len(prompt_scaffold(ByteTokenizer())) + 1 + len(_prompt_tail(ByteTokenizer()))
+
+
 def render_prompt(code: str, tokenizer: ByteTokenizer, context_window: int = 2048) -> np.ndarray:
     """Classification prompt: the scaffold (``prompt_scaffold``), the code as
     round 1 asks it, and the teacher marker as the read-out position.
 
     Over the window, code tokens are dropped from the left; the scaffold and
     the marker are always kept, so every prompt starts with the scaffold. A
-    window too small for them and one code token raises DialogueError.
+    window under ``MIN_PROMPT_WINDOW``, too small for them and one code
+    token, raises DialogueError.
     """
-    scaffold = prompt_scaffold(tokenizer)
-    tail = [*tokenizer.encode(ROUND1_TAIL), tokenizer.TEACHER]
-    room = context_window - len(scaffold) - len(tail)
-    if room < 1:
+    if context_window < MIN_PROMPT_WINDOW:
         raise DialogueError(
-            f"context window {context_window} cannot hold the {len(scaffold) + len(tail)}-token "
+            f"context window {context_window} cannot hold the {MIN_PROMPT_WINDOW - 1}-token "
             f"prompt scaffold and one code token"
         )
     code_ids = tokenizer.encode(code)
-    return np.asarray(scaffold + code_ids[max(len(code_ids) - room, 0):] + tail, dtype=np.int64)
+    room = context_window - MIN_PROMPT_WINDOW + 1  # the code ids that fit
+    kept = code_ids[max(len(code_ids) - room, 0):]
+    return np.asarray(prompt_scaffold(tokenizer) + kept + _prompt_tail(tokenizer), dtype=np.int64)
 
 
 # --- persistence -------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .corpus import CodeSample
 from .dialogue import build_dialogues
@@ -113,17 +113,10 @@ class MetricsReport:
             mode=mode, dataset=dataset,
         )
 
-    def to_obj(self) -> dict:
-        return {
-            "TP": self.TP, "FP": self.FP, "TN": self.TN, "FN": self.FN,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "mode": self.mode, "dataset": self.dataset,
-        }
-
 
 def write_report_json(reports: list[MetricsReport], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([r.to_obj() for r in reports], fh, indent=2)
+        json.dump([asdict(r) for r in reports], fh, indent=2)
         fh.write("\n")
 
 

@@ -3,10 +3,10 @@
 A batch of graphs runs as one disjoint union: the node features stack, each
 graph's in-edge counts (``adjacency``, built once with its features) form
 one block-diagonal adjacency, and a [B x N] mean-pool matrix turns the final
-node states into one row per graph. Each propagation
-step is three tape nodes: the message MLP (``autograd.mlp``) on every node
-state, the sum of the messages along in-edges (one ``matmul`` with the
-adjacency) and a GRU step (``autograd.gru``).
+node states into one row per graph. Each propagation step is three tape
+nodes: the message MLP (``autograd.mlp``, its one hidden layer as wide as
+the state) on every node state, the sum of the messages along in-edges (one
+``matmul`` with the adjacency) and a GRU step (``autograd.gru``).
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .dfa import N_CELLS
 from .minic import ControlFlowGraph
 
 __all__ = [
@@ -36,11 +37,10 @@ MAX_STEPS = 64
 class GgnnConfig:
     state_dim: int = 16
     steps: int = 5
-    mlp_hidden: int = 16
 
     def __post_init__(self):
-        if self.state_dim <= 0 or self.mlp_hidden <= 0:
-            raise ValueError("GGNN dims must be positive")
+        if self.state_dim < N_CELLS:  # the node features hold N_CELLS dataflow cells
+            raise ValueError(f"GGNN state_dim must be >= {N_CELLS}, got {str(self.state_dim)[:80]}")
         if not 0 <= self.steps <= MAX_STEPS:
             raise ValueError(f"GGNN steps must be >= 0 and at most {MAX_STEPS}, got {str(self.steps)[:80]}")
 
@@ -66,7 +66,7 @@ class Ggnn:
     def __init__(self, config: GgnnConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        d, hidden = config.state_dim, config.mlp_hidden
+        d = config.state_dim
 
         def mat(rows, cols):
             return rng.normal(0.0, cols**-0.5, size=(rows, cols)).astype(np.float32)
@@ -74,8 +74,8 @@ class Ggnn:
         def param(data):
             return Tensor(data, requires_grad=True)
 
-        w1, w2 = mat(hidden, d), mat(d, hidden)
-        self.mlp = (param(w1), param(np.zeros(hidden, np.float32)), param(w2), param(np.zeros(d, np.float32)))
+        w1, w2 = mat(d, d), mat(d, d)
+        self.mlp = (param(w1), param(np.zeros(d, np.float32)), param(w2), param(np.zeros(d, np.float32)))
         wz, uz, wr, ur, wc, uc = (mat(d, d) for _ in range(6))
         self.gru = (param(np.concatenate([wz, wr, wc])), param(np.concatenate([uz, ur, uc])),
                     param(np.zeros(3 * d, np.float32)))

@@ -82,7 +82,6 @@ class TransformerConfig:
     n_layers: int = 2
     n_heads: int = 4
     context_window: int = 512
-    vocab_size: int = ByteTokenizer.vocab_size
 
     def __post_init__(self):
         if min(self.d_model, self.n_layers, self.n_heads) < 1 or self.context_window < 8:
@@ -124,7 +123,8 @@ class KvPrefix:
 
 
 class LmModel:
-    """Decoder-only transformer over the byte vocabulary, built in float32.
+    """Decoder-only transformer over the tokenizer's vocabulary, built in
+    float32: ``tok_emb`` and ``lm_head`` have ``ByteTokenizer.vocab_size`` rows.
 
     Base parameters are created frozen (requires_grad=False); the LoRA
     adapters on the attention query/value projections are the only
@@ -148,7 +148,7 @@ class LmModel:
         def zeros(n):
             return Tensor(np.zeros(n, dtype=np.float32), requires_grad=False)
 
-        self.tok_emb = frozen((config.vocab_size, d), 0.02)
+        self.tok_emb = frozen((ByteTokenizer.vocab_size, d), 0.02)
         self.pos_emb = frozen((config.context_window, d), 0.02)
         self.layers = []
         for _ in range(config.n_layers):
@@ -163,7 +163,7 @@ class LmModel:
             self.layers.append(layer)
         self.ln_f_g = ones(d)
         self.ln_f_b = zeros(d)
-        self.lm_head = frozen((config.vocab_size, d), 0.02)
+        self.lm_head = frozen((ByteTokenizer.vocab_size, d), 0.02)
 
         self.adapters: dict[str, tuple[Tensor, Tensor]] = {}
         for i in range(config.n_layers):

@@ -30,7 +30,7 @@ from . import autograd as ag
 from ._jsontypes import json_fields
 from .autograd import Tensor
 from .corpus import CodeSample
-from .dialogue import DialogueRecord, RenderedDialogue, render
+from .dialogue import MIN_PROMPT_WINDOW, DialogueRecord, RenderedDialogue, render
 from .fusion import (
     FusedClassifier,
     InferenceBundle,
@@ -70,8 +70,8 @@ SIFT_MODES = ("multi-round", "single-round", "label-only")
 CLIP_NORM = 1.0  # global gradient-norm bound of both stages
 
 CKPT_MAGIC = b"MSIVDCKP"
-CKPT_VERSION = 6
-CKPT_DTYPE = "<f4"  # every model is float32, and so is every checkpoint tensor
+CKPT_VERSION = 7
+CKPT_DTYPE = np.dtype("<f4")  # every model is float32, and so is every checkpoint tensor
 
 
 @dataclass
@@ -100,6 +100,11 @@ class TrainConfig:
             raise ValueError(f"unknown sift_mode {self.sift_mode!r}; have {SIFT_MODES}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.lm_config.context_window < MIN_PROMPT_WINDOW:
+            raise ValueError(
+                f"context_window must be >= {MIN_PROMPT_WINDOW}, the length of the shortest read-out prompt, "
+                f"got {self.lm_config.context_window}"
+            )
 
     def snapshot(self) -> dict:
         """JSON-safe view of the full configuration (nested configs included)."""
@@ -139,25 +144,18 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary container: magic, u32 ``CKPT_VERSION``, u32 header length, JSON
-    header (config + tensor directory), raw little-endian float32 payload. A
+    header (config, tensor directory ``{name: shape}`` and metrics history),
+    then the tensors' raw little-endian float32 bytes in directory order. A
     tensor that is not float32 or holds a non-finite value raises
     CheckpointError before the file opens."""
     directory = {}
-    offset = 0
     payloads = []
     for name in sorted(ckpt.tensors):
         arr = ckpt.tensors[name]
         if arr.dtype != np.float32:
             raise CheckpointError(f"tensor {name!r} is {arr.dtype}, not float32")
-        blob = np.ascontiguousarray(_finite(name, arr)).astype(CKPT_DTYPE).tobytes()
-        directory[name] = {
-            "shape": list(arr.shape),
-            "dtype": CKPT_DTYPE,
-            "offset": offset,
-            "nbytes": len(blob),
-        }
-        payloads.append(blob)
-        offset += len(blob)
+        directory[name] = list(arr.shape)
+        payloads.append(np.ascontiguousarray(_finite(name, arr)).astype(CKPT_DTYPE).tobytes())
     header = json.dumps(
         {"config": ckpt.config, "tensors": directory, "metrics_history": ckpt.metrics_history},
         sort_keys=True,
@@ -172,7 +170,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a truncated or malformed file raises CheckpointError."""
+    """Read a checkpoint; a truncated or malformed file, or one whose payload
+    holds bytes past its last tensor, raises CheckpointError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     magic = raw[:8]
@@ -198,37 +197,23 @@ def load_checkpoint(path) -> Checkpoint:
         and isinstance(header.get("metrics_history"), list)
     ):
         raise CheckpointError("checkpoint header needs a config, a tensor directory and a metrics history")
-    payload = raw[payload_start:]
-    return Checkpoint(
-        config=header["config"],
-        tensors={name: _read_tensor(name, meta, payload) for name, meta in header["tensors"].items()},
-        metrics_history=header["metrics_history"],
-    )
-
-
-@dataclass
-class _TensorEntry:
-    """One entry of a checkpoint's tensor directory."""
-
-    shape: list[int]
-    dtype: str
-    offset: int
-    nbytes: int
-
-
-def _read_tensor(name: str, meta, payload: bytes) -> np.ndarray:
-    """One tensor of the directory, checked against its shape and the payload."""
-    t = _TensorEntry(**json_fields(meta, _TensorEntry, f"tensor {name!r}", CheckpointError))
-    if t.dtype != CKPT_DTYPE:
-        raise CheckpointError(f"tensor {name!r}: dtype must be {CKPT_DTYPE!r}, got {json.dumps(t.dtype)[:80]}")
-    if min(t.shape, default=0) < 0:
-        raise CheckpointError(f"tensor {name!r}: negative dimension in shape {t.shape}")
-    if not 0 <= t.offset <= t.offset + t.nbytes <= len(payload):
-        raise CheckpointError(f"tensor {name!r}: bytes {t.offset}+{t.nbytes} outside the {len(payload)}-byte payload")
-    if t.nbytes != math.prod(t.shape) * np.dtype(t.dtype).itemsize:
-        raise CheckpointError(f"tensor {name!r}: {t.nbytes} bytes do not hold shape {t.shape} of {t.dtype}")
-    blob = payload[t.offset : t.offset + t.nbytes]
-    return _finite(name, np.frombuffer(blob, dtype=CKPT_DTYPE).reshape(t.shape).astype(np.float32))
+    tensors = {}
+    offset = payload_start
+    for name, shape in header["tensors"].items():
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"tensor {name!r}: shape must be a list of sizes >= 0, got {json.dumps(shape)[:80]}")
+        count = math.prod(shape)
+        if offset + count * CKPT_DTYPE.itemsize > len(raw):
+            raise CheckpointError(f"tensor {name!r} of shape {str(shape)[:80]} runs past the end of the payload")
+        try:
+            arr = np.frombuffer(raw, CKPT_DTYPE, count, offset).reshape(shape)
+        except ValueError as exc:  # more than 64 dimensions, or sizes numpy cannot index
+            raise CheckpointError(f"tensor {name!r}: no array has shape {str(shape)[:80]}: {exc}") from exc
+        tensors[name] = _finite(name, arr.astype(np.float32))
+        offset += arr.nbytes
+    if offset != len(raw):
+        raise CheckpointError(f"checkpoint payload holds {len(raw) - offset} bytes past its last tensor")
+    return Checkpoint(config=header["config"], tensors=tensors, metrics_history=header["metrics_history"])
 
 
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -523,14 +508,14 @@ def _built(cls, fields: dict, where: str, **built):
 
 def _lm_size(lm: TransformerConfig, lora: LoraConfig) -> int:
     """The number of values in the parameters of ``LmModel(lm, lora=lora)``."""
-    d = lm.d_model
-    return (2 * lm.vocab_size + lm.context_window + 2) * d + lm.n_layers * (12 * d * d + 9 * d + 4 * lora.rank * d)
+    d, vocab = lm.d_model, ByteTokenizer.vocab_size
+    return (2 * vocab + lm.context_window + 2) * d + lm.n_layers * (12 * d * d + 9 * d + 4 * lora.rank * d)
 
 
 def _ggnn_size(gnn: GgnnConfig) -> int:
     """The number of values in the parameters of ``Ggnn(gnn)``."""
-    d, hidden = gnn.state_dim, gnn.mlp_hidden
-    return 2 * hidden * d + hidden + 6 * d * d + 4 * d
+    d = gnn.state_dim
+    return 8 * d * d + 5 * d
 
 
 def _check_size(keys: str, size: int, tensors: dict[str, np.ndarray], prefix: str) -> None:
@@ -583,27 +568,21 @@ def train_fused(
         raise ValueError(f"train_fused needs a fused-stage config, got {config.stage!r}")
     if not samples:
         raise ValueError("train_fused needs at least one sample")
-    tokenizer = ByteTokenizer()
     if sift_checkpoint is not None:
         lm = build_lm_from_checkpoint(sift_checkpoint, expect=config.lm_config)
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
-    read_out = ReadOut(lm, tokenizer)
-    rows = np.concatenate([read_out(s.code).hidden.data for s in samples])
+    model = _fused_model(config, lm)
+    gnn, classifier = model.gnn, model.classifier
+    rows = np.concatenate([model.read_out(s.code).hidden.data for s in samples])
     labels = np.array([s.label for s in samples])
-    gnn: Ggnn | None = None
-    if config.use_gnn:
-        gnn = Ggnn(config.gnn_config, seed=config.seed)
+    if gnn is not None:
         graphs = [graph_inputs(s.code, gnn.config.state_dim) for s in samples]
         n_flagged = sum(g is None for g in graphs)
         if n_flagged:
             log.warning("%d/%d samples fell back to zero graph embeddings", n_flagged, len(samples))
-
-    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=config.seed + 1)
-    trainable: dict[str, Tensor] = dict(classifier.parameters())
-    if gnn is not None:
-        trainable.update(gnn.parameters())
-    optimizer = Sgd(trainable, lr=config.learning_rate)
+    heads = _head_parameters(model)
+    optimizer = Sgd(heads, lr=config.learning_rate)
 
     def batch_loss(batch: list[int]) -> float:
         embeddings = None if gnn is None else gnn.embed([graphs[i] for i in batch])
@@ -614,9 +593,7 @@ def train_fused(
     curve = _run_epochs(len(samples), config, optimizer, batch_loss)
 
     tensors = {f"lm.{k}": t.data.copy() for k, t in lm.parameters().items()}
-    tensors.update({k: t.data.copy() for k, t in classifier.parameters().items()})
-    if gnn is not None:
-        tensors.update({k: t.data.copy() for k, t in gnn.parameters().items()})
+    tensors.update({k: t.data.copy() for k, t in heads.items()})
     ckpt = Checkpoint(
         config={"train": config.snapshot()},
         tensors=tensors,
@@ -633,6 +610,22 @@ def train_fused(
     return ckpt, curve
 
 
+def _fused_model(config: TrainConfig, lm: LmModel) -> InferenceBundle:
+    """The fused model of ``config`` over ``lm``, which ``ReadOut`` freezes:
+    the GGNN drawn from ``config.seed`` when ``config.use_gnn``, and the
+    classifier, as wide as the LM row and the GGNN embedding together, drawn
+    from ``config.seed + 1``."""
+    gnn = Ggnn(config.gnn_config, seed=config.seed) if config.use_gnn else None
+    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=config.seed + 1)
+    return InferenceBundle(read_out=ReadOut(lm, ByteTokenizer()), classifier=classifier, gnn=gnn)
+
+
+def _head_parameters(model: InferenceBundle) -> dict[str, Tensor]:
+    """The classifier's parameters, then the GGNN's: ``Sgd`` sums the
+    gradient norm in this order, so it fixes the bits of a trained model."""
+    return {**model.classifier.parameters(), **(model.gnn.parameters() if model.gnn else {})}
+
+
 def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
     """Reconstruct the inference bundle (LM + optional GNN + classifier),
     every tensor frozen, so that ``predict`` records no tape."""
@@ -641,15 +634,11 @@ def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
         raise CheckpointError("inference needs a fused-stage checkpoint")
     lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
     lm = _lm_from(config, lm_tensors)
-    gnn_cfg = config.gnn_config if config.use_gnn else None
-    if gnn_cfg:
-        _check_size("train.gnn_config", _ggnn_size(gnn_cfg), ckpt.tensors, "gnn.")
-    gnn = Ggnn(gnn_cfg, seed=config.seed) if gnn_cfg else None
-    classifier = FusedClassifier(fused_input_width(lm.config, gnn_cfg), seed=config.seed + 1)
-    heads = dict(classifier.parameters())
-    if gnn is not None:
-        heads.update(gnn.parameters())
+    if config.use_gnn:
+        _check_size("train.gnn_config", _ggnn_size(config.gnn_config), ckpt.tensors, "gnn.")
+    bundle = _fused_model(config, lm)
+    heads = _head_parameters(bundle)
     _apply_state(heads, {k: v for k, v in ckpt.tensors.items() if k not in lm_tensors})
     for t in heads.values():
         t.requires_grad = False
-    return InferenceBundle(read_out=ReadOut(lm, ByteTokenizer()), classifier=classifier, gnn=gnn)
+    return bundle

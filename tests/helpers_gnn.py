@@ -8,9 +8,9 @@ from msivd import autograd as ag
 from msivd.autograd import Tensor
 from msivd.gnn import GgnnConfig, adjacency
 
-# The paper's GGNN: 256-wide states and one 256-wide MLP hidden layer.
+# The paper's GGNN: 256-wide states, so also one 256-wide MLP hidden layer.
 # Bookkeeping only, as ``helpers_lm.PAPER_LM``.
-PAPER_GGNN = GgnnConfig(state_dim=256, mlp_hidden=256)
+PAPER_GGNN = GgnnConfig(state_dim=256)
 
 
 def with_adjacency(cfg, features):

@@ -38,7 +38,7 @@ from msivd.evaluation import (
 )
 from msivd.fusion import fused_input_width, predict
 from msivd.gnn import GgnnConfig
-from msivd.lm import LmModel, LoraConfig, TransformerConfig
+from msivd.lm import ByteTokenizer, LmModel, LoraConfig, TransformerConfig
 from msivd.synth import make_synthetic_corpus
 from msivd.train import (
     Checkpoint,
@@ -169,7 +169,7 @@ def test_lora_zero_init_equivalence():
         for a, _ in base.adapters.values():
             a.data[:] = 0.0
         rng = np.random.default_rng(0)
-        batches = [rng.integers(0, cfg.vocab_size, size=int(rng.integers(4, 24))) for _ in range(50)]
+        batches = [rng.integers(0, ByteTokenizer.vocab_size, size=int(rng.integers(4, 24))) for _ in range(50)]
         for ids in batches:
             assert np.array_equal(with_lora.forward(ids).logits.data, base.forward(ids).logits.data)
         # and the check can fail: a nonzero B moves the logits
@@ -208,9 +208,9 @@ def test_eq2_multitask_loss_laws():
 def test_dimension_bookkeeping():
     with criterion("dimension-bookkeeping"):
         assert fused_input_width(PAPER_LM, PAPER_GGNN) == 4096 + 256 == 4352
-        # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
+        # 8 LM layers + the GGNN's 3 (two MLP linears around one state-wide hidden layer, and the GRU)
         assert PAPER_LM.n_layers == 8
-        assert PAPER_GGNN.mlp_hidden == 256
+        assert PAPER_GGNN.state_dim == 256
         assert PAPER_LM.context_window == 2048
 
 

@@ -165,13 +165,6 @@ KNOBS_ALLOWED = {
     "cli.main(argv)",
     # moving it into the 42 test call sites that set it would not be a reduction
     "autograd.Tensor(dtype)",
-    # the checkpoint records the vocabulary width, and a learned byte-pair
-    # vocabulary will set it from its merge table
-    "lm.TransformerConfig(vocab_size)",
-    # the checkpoint records the hidden width, which the header reader sets
-    # through ``cls(**fields)``, a call the scan cannot resolve; the paper's
-    # GGNN is 256 wide there (helpers_gnn.PAPER_GGNN), the desk's 16
-    "gnn.GgnnConfig(mlp_hidden)",
 }
 
 

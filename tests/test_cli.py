@@ -173,11 +173,15 @@ def test_default_cutoff_is_2023_01_01(tmp_path):
         ({"seed": -1}, "invalid settings: seed must be >= 0, got -1"),
         ({"gnn_steps": 65}, "invalid settings: GGNN steps must be >= 0 and at most 64, got 65"),
         ({"profile": "paper"}, "unknown keys ['profile']"),
+        ({"gnn_state_dim": 8}, "invalid settings: GGNN state_dim must be >= 16, got 8"),
+        ({"context_window": 64}, "invalid settings: context_window must be >= 188, the length of the shortest "
+                                 "read-out prompt, got 64"),
     ],
     ids=["unknown_keys", "array", "string", "ratios_int", "ratios_short", "epochs_str", "bool_seed",
          "bool_float", "int_bool", "batch_size_zero", "d_model_indivisible", "learning_rate_nan",
          "learning_rate_inf", "n_heads_zero", "context_window_zero", "gnn_steps_negative", "lora_alpha_nan",
-         "seed_negative", "gnn_steps_past_bound", "profile_key"],
+         "seed_negative", "gnn_steps_past_bound", "profile_key", "gnn_narrower_than_its_features",
+         "context_window_under_the_prompt"],
 )
 def test_bad_config_file_usage_error(tmp_path, capsys, content, message):
     cfg_path = tmp_path / "config.json"
@@ -224,7 +228,7 @@ def test_config_file_with_every_key_accepted(tmp_path):
     settings = {
         "seed": 3, "learning_rate": 1, "batch_size": None, "epochs": 2,
         "sift_mode": "single-round", "use_gnn": False, "d_model": 32, "n_layers": 1, "n_heads": 2,
-        "context_window": 384, "gnn_state_dim": 8, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8,
+        "context_window": 384, "gnn_state_dim": 16, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8,
         "window_tokens": 2048, "mix_preset": None, "cutoff": "2023-01-01", "ratios": [1, 0, 0],
     }
     assert set(settings) == set(RunConfig.__dataclass_fields__) - {"command"}
@@ -239,7 +243,7 @@ def test_config_file_with_every_key_accepted(tmp_path):
 FULL_CONFIG = {
     "seed": 3, "learning_rate": 0.5, "batch_size": 4, "epochs": 2,
     "sift_mode": "single-round", "use_gnn": False, "d_model": 32, "n_layers": 1, "n_heads": 2,
-    "context_window": 384, "gnn_state_dim": 8, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8.0,
+    "context_window": 384, "gnn_state_dim": 16, "gnn_steps": 0, "lora_rank": 4, "lora_alpha": 8.0,
     "window_tokens": 2048, "mix_preset": "bigvul", "cutoff": "2023-01-01", "ratios": [0.8, 0.1, 0.1],
 }
 

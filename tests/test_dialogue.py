@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers_corpus import make_sample
 from helpers_fuzz import FUZZ, cases, mutate
 from msivd.dialogue import (
+    MIN_PROMPT_WINDOW,
     NEGATIVE_ANSWER,
     ROUND1_STUDENT,
     SYSTEM_PROMPT,
@@ -194,6 +195,7 @@ def _untruncated_prompt(code: str) -> list[int]:
 
 def test_scaffold_is_the_prompt_up_to_the_code():
     assert len(SCAFFOLD) == 186
+    assert MIN_PROMPT_WINDOW == len(SCAFFOLD) + 2 == 188  # one code id and <|teacher|>
     assert TOK.decode(SCAFFOLD) == (
         "<|system|>" + SYSTEM_PROMPT + "<|student|>Does the following code have any security vulnerabilities: "
     )

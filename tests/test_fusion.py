@@ -53,13 +53,13 @@ def test_read_out_is_last_hidden_row_of_prompt():
     assert not any(t.requires_grad for t in model.parameters().values())
     out = read_out(code)
     row = out.hidden.data
-    assert row.shape == (1, TINY.d_model) and out.logits.shape == (1, TINY.vocab_size)
+    assert row.shape == (1, TINY.d_model) and out.logits.shape == (1, ByteTokenizer.vocab_size)
     # the cached read-out multiplies [T - P]-row blocks where the full one
     # multiplies [T]-row blocks, so BLAS sums in another order
     full = model.forward(render_prompt(code, tok, TINY.context_window))
     assert np.max(np.abs(row - full.hidden.data[-1:])) <= READ_OUT_TOL
     assert np.max(np.abs(out.logits.data - full.logits.data[-1:])) <= READ_OUT_TOL
-    gnn = Ggnn(GgnnConfig(state_dim=4, steps=1), seed=0)
+    gnn = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=0)
     assert np.array_equal(fused_vector(row, graph_embedding(None, gnn)).data[:, : TINY.d_model], row)
 
 
@@ -68,9 +68,9 @@ def test_paper_profile_dimension_bookkeeping():
     from helpers_lm import PAPER_LM
 
     assert fused_input_width(PAPER_LM, PAPER_GGNN) == 4096 + 256 == 4352
-    # 8 LM layers + the GGNN's 3 (two MLP linears around one hidden layer, and the GRU)
+    # 8 LM layers + the GGNN's 3 (two MLP linears around one state-wide hidden layer, and the GRU)
     assert PAPER_LM.n_layers == 8
-    assert PAPER_GGNN.mlp_hidden == 256
+    assert PAPER_GGNN.state_dim == 256
 
 
 def test_classify_symmetric_logits():

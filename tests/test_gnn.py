@@ -114,10 +114,10 @@ def test_gru_gradients_match_finite_differences():
 
 def test_forward_zero_steps_mean_pools_features():
     cfg = chain_cfg(3)
-    g = Ggnn(GgnnConfig(state_dim=4, steps=0), seed=0)
-    feats = np.arange(12, dtype=np.float32).reshape(3, 4)
+    g = Ggnn(GgnnConfig(state_dim=16, steps=0), seed=0)
+    feats = np.arange(48, dtype=np.float32).reshape(3, 16)
     out = g.forward(*with_adjacency(cfg, feats))
-    assert out.shape == (1, 4)
+    assert out.shape == (1, 16)
     assert np.allclose(out.data, feats.mean(axis=0, keepdims=True), atol=1e-6)
 
 
@@ -126,8 +126,8 @@ def test_single_node_zero_steps_identity():
         nodes=[CfgNode(id=0, kind="entry"), CfgNode(id=1, kind="exit")],
         edges=[(0, 1)], entry=0, exit=1,
     )
-    g = Ggnn(GgnnConfig(state_dim=4, steps=0), seed=1)
-    feats = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
+    g = Ggnn(GgnnConfig(state_dim=16, steps=0), seed=1)
+    feats = np.tile(np.arange(1.0, 17.0, dtype=np.float32), (2, 1))
     out = g.forward(*with_adjacency(cfg, feats))
     assert np.allclose(out.data, feats[0], atol=1e-6)
 
@@ -138,8 +138,8 @@ def test_permutation_invariance_of_pooled_embedding():
     nodes = [CfgNode(id=0, kind="entry")] + [CfgNode(id=i, kind="assign", defines="x") for i in range(1, n - 1)] + [CfgNode(id=n - 1, kind="exit")]
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
     cfg = ControlFlowGraph(nodes=nodes, edges=edges, entry=0, exit=n - 1)
-    feats = rng.normal(0, 1, (n, 8)).astype(np.float32)
-    g = Ggnn(GgnnConfig(state_dim=8, steps=3), seed=2)
+    feats = rng.normal(0, 1, (n, 16)).astype(np.float32)
+    g = Ggnn(GgnnConfig(state_dim=16, steps=3), seed=2)
     base = g.forward(*with_adjacency(cfg, feats)).data
 
     perm = [2, 0, 4, 1, 3]  # new id of old node i
@@ -156,7 +156,7 @@ def test_permutation_invariance_of_pooled_embedding():
 def test_two_step_forward_matches_dense_unroll():
     rng = np.random.default_rng(8)
     cfg = chain_cfg(3)
-    dim = 4
+    dim = 16
     g = Ggnn(GgnnConfig(state_dim=dim, steps=2), seed=3)
     feats = rng.normal(0, 1, (3, dim)).astype(np.float32)
     out = g.forward(*with_adjacency(cfg, feats)).data
@@ -187,10 +187,10 @@ def test_two_step_forward_matches_dense_unroll():
 def test_zero_weight_closed_form_decay():
     cfg = chain_cfg(4)
     k = 3
-    g = Ggnn(GgnnConfig(state_dim=4, steps=k), seed=4)
+    g = Ggnn(GgnnConfig(state_dim=16, steps=k), seed=4)
     for t in g.parameters().values():
         t.data[:] = 0
-    feats = np.arange(16, dtype=np.float32).reshape(4, 4)
+    feats = np.arange(64, dtype=np.float32).reshape(4, 16)
     out = g.forward(*with_adjacency(cfg, feats))
     assert np.allclose(out.data, (0.5**k) * feats.mean(axis=0), atol=1e-6)
 
@@ -223,18 +223,29 @@ def test_two_step_ggnn_gradients():
 
 
 def test_paper_profile_layer_bookkeeping():
-    """The paper's GGNN, 3 layers (two MLP linears around one 256-wide hidden
-    layer, and a GRU over 256-wide states), holds 2·256² + 256 + 6·256² +
-    4·256 parameters."""
+    """The paper's GGNN, 3 layers (two MLP linears around one hidden layer as
+    wide as its 256-wide states, and a GRU over them), holds 8·256² + 5·256
+    parameters."""
     from msivd.train import _ggnn_size
 
     assert _ggnn_size(PAPER_GGNN) == 525_568
 
 
 def test_width_mismatch_without_projection_errors():
-    g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
+    g = Ggnn(GgnnConfig(state_dim=17, steps=1), seed=6)
     with pytest.raises(ValueError, match="state dim"):
-        g.forward(*with_adjacency(chain_cfg(3), np.ones((3, 4), dtype=np.float32)))
+        g.forward(*with_adjacency(chain_cfg(3), np.ones((3, 16), dtype=np.float32)))
+
+
+def test_config_refuses_states_narrower_than_the_feature_cells():
+    """Every node feature holds ``dfa.N_CELLS`` dataflow cells, so a state
+    narrower than that could not take them."""
+    from msivd.dfa import N_CELLS
+
+    assert GgnnConfig(state_dim=N_CELLS).state_dim == 16
+    for width in (N_CELLS - 1, 8, 1, 0, -3):
+        with pytest.raises(ValueError, match=f"state_dim must be >= 16, got {width}"):
+            GgnnConfig(state_dim=width)
 
 
 
@@ -309,12 +320,12 @@ def test_embed_records_at_most_three_tape_nodes_per_step(steps):
 def test_embed_rejects_features_that_do_not_fit():
     """Features or an adjacency of another node count, and, where a graph's
     inputs are built, an edge to a missing node."""
-    g = Ggnn(GgnnConfig(state_dim=6, steps=1), seed=6)
-    good = with_adjacency(chain_cfg(3), np.ones((3, 6), dtype=np.float32))
+    g = Ggnn(GgnnConfig(state_dim=16, steps=1), seed=6)
+    good = with_adjacency(chain_cfg(3), np.ones((3, 16), dtype=np.float32))
     with pytest.raises(ValueError, match="features rows 4 != node count 3"):
-        g.embed([good, (chain_cfg(3), np.ones((4, 6), dtype=np.float32), good[2])])
+        g.embed([good, (chain_cfg(3), np.ones((4, 16), dtype=np.float32), good[2])])
     with pytest.raises(ValueError, match=r"adjacency shape \(1, 1\) != node count 3"):
         g.embed([good, (*good[:2], np.ones((1, 1), dtype=np.float32))])
     with pytest.raises(ValueError, match=r"edge \(0, 3\) references missing node \(n=3\)"):
         g.embed([good, with_adjacency(ControlFlowGraph(nodes=chain_cfg(3).nodes, edges=[(0, 3)], entry=0, exit=2),
-                                      np.ones((3, 6), dtype=np.float32)), good])
+                                      np.ones((3, 16), dtype=np.float32)), good])

@@ -23,7 +23,7 @@ import json, resource
 import msivd
 import numpy as np
 from msivd.dialogue import RenderedDialogue
-from msivd.lm import LmModel
+from msivd.lm import ByteTokenizer, LmModel
 from msivd.train import TrainConfig, TrainingStream, sift_batch_loss
 
 config = TrainConfig(stage="sift")
@@ -35,7 +35,7 @@ def batch():
     for _ in range(8):
         t = int(rng.integers(400, 512))
         span = (int(0.45 * t), t)
-        ids = rng.integers(0, config.lm_config.vocab_size, t)
+        ids = rng.integers(0, ByteTokenizer.vocab_size, t)
         streams.append(TrainingStream(rendered=RenderedDialogue(ids, [span]), tasks=[(0, span)]))
     return streams
 

@@ -123,10 +123,10 @@ def test_lora_layer_gradcheck():
 
 
 def test_forward_shapes():
-    cfg = TransformerConfig(d_model=64, n_layers=2, n_heads=4, context_window=64, vocab_size=300)
+    cfg = TransformerConfig(d_model=64, n_layers=2, n_heads=4, context_window=64)
     model = LmModel(cfg, seed=0)
     out = model.forward(list(range(16)))
-    assert out.logits.shape == (16, 300)
+    assert out.logits.shape == (16, ByteTokenizer.vocab_size) == (16, 264)
     assert out.hidden.shape == (16, 64)
 
 
@@ -372,13 +372,13 @@ def test_last_only_matches_last_row_of_full_forward(t, n_layers):
     t = 1) matches the last row of the full forward."""
     cfg = replace(TINY, n_layers=n_layers, context_window=512)
     model = _frozen(LmModel(cfg, seed=14))
-    ids = np.random.default_rng(t).integers(0, cfg.vocab_size, size=t)
+    ids = np.random.default_rng(t).integers(0, ByteTokenizer.vocab_size, size=t)
     empty = np.zeros((0, cfg.d_model), dtype=np.float32)
     kv = model.forward(ids[:-1]).kv if t > 1 else [(empty, empty)] * n_layers
     full = model.forward(ids)
     last = model.forward(ids, prefix=KvPrefix(ids=ids[:-1], kv=kv), first_row=t - 1)
     assert last.hidden.shape == (1, cfg.d_model)
-    assert last.logits.shape == (1, cfg.vocab_size)
+    assert last.logits.shape == (1, ByteTokenizer.vocab_size)
     assert np.max(np.abs(last.hidden.data[0] - full.hidden.data[-1])) <= 1e-5
     assert np.max(np.abs(last.logits.data[0] - full.logits.data[-1])) <= 1e-5
 
@@ -403,7 +403,7 @@ def test_last_only_runs_final_layer_and_head_on_one_row(monkeypatch):
     def recording(kernel):
         def run(x, *weights):
             out = kernel(x, *weights)
-            if out.shape[-1] == cfg.vocab_size:
+            if out.shape[-1] == ByteTokenizer.vocab_size:
                 rows["head"].append(out.shape[0])
             return out
 
@@ -445,7 +445,7 @@ def test_first_row_matches_rows_of_full_forward(r, n_layers, with_prefix, dtype)
     rng = np.random.default_rng(r)
     for _, b in model.adapters.values():
         b.data[:] = rng.normal(0, 0.3, b.shape)
-    ids = rng.integers(0, cfg.vocab_size, size=t)
+    ids = rng.integers(0, ByteTokenizer.vocab_size, size=t)
     prefix = None
     if with_prefix:
         _frozen(model)
@@ -456,7 +456,7 @@ def test_first_row_matches_rows_of_full_forward(r, n_layers, with_prefix, dtype)
     full = model.forward(ids)
     part = model.forward(ids, prefix=prefix, first_row=r)
     assert part.hidden.shape == (t - r, cfg.d_model)
-    assert part.logits.shape == (t - r, cfg.vocab_size)
+    assert part.logits.shape == (t - r, ByteTokenizer.vocab_size)
     tol = FIRST_ROW_TOL[dtype]
     assert np.max(np.abs(part.hidden.data - full.hidden.data[r:])) <= tol
     assert np.max(np.abs(part.logits.data - full.logits.data[r:])) <= tol

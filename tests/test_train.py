@@ -80,6 +80,11 @@ def test_invalid_config_rejected():
         TrainConfig(stage="nope")
     with pytest.raises(ValueError):
         TrainConfig(sift_mode="bogus")
+    # the LM's window must hold the classification prompt: scaffold, one code id and <|teacher|>
+    assert TrainConfig(lm_config=TransformerConfig(context_window=188))
+    for window in (187, 64, 8):
+        with pytest.raises(ValueError, match=f"context_window must be >= 188, .*got {window}"):
+            TrainConfig(stage="fused", lm_config=TransformerConfig(context_window=window))
 
 
 # --- checkpoint container -----------------------------------------------------------
@@ -144,16 +149,6 @@ def test_save_checkpoint_refuses_a_tensor_that_is_not_float32(tmp_path):
     assert not p.exists()
 
 
-def test_load_checkpoint_refuses_a_float64_entry(tmp_path):
-    """An entry that reads the bytes of four float32 zeros as two float64
-    ones is well-formed but for its dtype."""
-    p = tmp_path / "m.ckpt"
-    save_checkpoint(Checkpoint({}, {"lm.a": np.zeros(4, dtype=np.float32)}), p)
-    p.write_bytes(_rewrite(lambda h: h["tensors"]["lm.a"].update(dtype="<f8", shape=[2]))(p.read_bytes()))
-    with pytest.raises(CheckpointError, match="tensor 'lm.a': dtype must be '<f4', got \"<f8\""):
-        load_checkpoint(p)
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_load_checkpoint_refuses_a_non_finite_tensor(tmp_path, value):
     """The last float of the payload belongs to the last tensor by name."""
@@ -176,19 +171,27 @@ def _sift_checkpoint():
     return Checkpoint({"train": config.snapshot()}, tensors)
 
 
-def _first_entry(header: dict) -> dict:
-    return header["tensors"][min(header["tensors"])]
+def _reshape_first(edit):
+    """A corruption that replaces the shape of the first tensor of the
+    directory with ``edit`` of it; the payload stays as saved."""
+
+    def corrupt(header: dict) -> None:
+        first = min(header["tensors"])
+        header["tensors"][first] = edit(header["tensors"][first])
+
+    return _rewrite(corrupt)
 
 
-def _rewrite(edit):
-    """A corruption that edits the JSON header; the payload stays as saved."""
+def _rewrite(edit, tail: bytes = b""):
+    """A corruption that edits the JSON header; the payload stays as saved,
+    followed by ``tail``."""
 
     def corrupt(raw: bytes) -> bytes:
         (header_len,) = struct.unpack_from("<I", raw, 12)
         header = json.loads(raw[16 : 16 + header_len])
         edit(header)
         blob = json.dumps(header).encode("utf-8")
-        return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :]
+        return raw[:12] + struct.pack("<I", len(blob)) + blob + raw[16 + header_len :] + tail
 
     return corrupt
 
@@ -201,7 +204,12 @@ def _header_bytes(fill: bytes):
     return corrupt
 
 
-EXTRA = {"lm.extra": {"shape": [2], "dtype": "<f4", "offset": 0, "nbytes": 8}}
+def _zero_byte_entry(shape):
+    """A corruption that adds an entry of ``shape``, whose size is 0, after
+    the last tensor of the directory."""
+    return _rewrite(lambda h: h["tensors"].update({"lm.extra": shape}))
+
+
 CORRUPTIONS = {
     "cut-in-version": lambda raw: raw[:10],
     "cut-in-header-length": lambda raw: raw[:14],
@@ -210,12 +218,26 @@ CORRUPTIONS = {
     "header-not-json": _header_bytes(b"{"),
     "header-nested-too-deeply": lambda raw: raw[:12] + struct.pack("<I", 200_000) + b"[" * 100_000 + b"]" * 100_000,
     "cut-in-payload": lambda raw: raw[:-3],
-    "negative-offset": _rewrite(lambda h: _first_entry(h).update(offset=-4)),
-    "offset-past-payload": _rewrite(lambda h: _first_entry(h).update(offset=10**9)),
-    "nbytes-not-shape": _rewrite(lambda h: _first_entry(h).update(nbytes=4)),
-    "object-dtype": _rewrite(lambda h: _first_entry(h).update(dtype="|O")),
+    "trailing-payload-bytes": lambda raw: raw + bytes(4096),
+    "negative-dimension": _reshape_first(lambda shape: [-1, *shape]),
+    "shape-past-payload": _reshape_first(lambda shape: [10**9, *shape]),
+    "shape-short-of-payload": _reshape_first(lambda shape: shape[1:]),
+    "shape-not-a-list": _reshape_first(lambda shape: {"shape": shape, "dtype": "<f4"}),
+    "zero-bytes-shape-10e300": _zero_byte_entry([0, 10**300]),
+    "zero-bytes-shape-2e63": _zero_byte_entry([0, 2**63]),
+    "zero-bytes-shape-2e40x2e40": _zero_byte_entry([0, 2**40, 2**40]),
+    "zero-bytes-70-dimensions": _zero_byte_entry([0] * 70),
     "no-tensor-directory": _rewrite(lambda h: h.pop("tensors")),
-    "extra-tensor": _rewrite(lambda h: h["tensors"].update(EXTRA)),
+    "extra-tensor": _rewrite(lambda h: h["tensors"].update({"lm.extra": [2]}), tail=bytes(8)),
+}
+# what the error of a case must say, where more than one check could catch it
+NUMPY_CANNOT_SHAPE = r"tensor 'lm\.extra': no array has shape"
+CORRUPTION_MESSAGES = {
+    "trailing-payload-bytes": "payload holds 4096 bytes past its last tensor",
+    "zero-bytes-shape-10e300": NUMPY_CANNOT_SHAPE,
+    "zero-bytes-shape-2e63": NUMPY_CANNOT_SHAPE,
+    "zero-bytes-shape-2e40x2e40": NUMPY_CANNOT_SHAPE,
+    "zero-bytes-70-dimensions": NUMPY_CANNOT_SHAPE,
 }
 
 
@@ -225,7 +247,7 @@ def test_corrupt_checkpoint_raises_checkpoint_error(tmp_path, corruption):
     save_checkpoint(_sift_checkpoint(), p)
     build_lm_from_checkpoint(load_checkpoint(p))  # the intact file loads
     p.write_bytes(CORRUPTIONS[corruption](p.read_bytes()))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=CORRUPTION_MESSAGES.get(corruption)):
         build_lm_from_checkpoint(load_checkpoint(p))
 
 
@@ -256,12 +278,13 @@ BAD_CONFIGS = {
     "bool-lora-rank": (build_lm_from_checkpoint,
                        {"train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": True}}},
                        r"train\.lora_config key 'rank' must be int, got true"),
-    "float-mlp-hidden": (build_bundle_from_checkpoint,
-                         {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": 16.0}}},
-                         r"train\.gnn_config key 'mlp_hidden' must be int, got 16\.0"),
-    "list-mlp-hidden": (build_bundle_from_checkpoint,
-                        {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": [16]}}},
-                        r"train\.gnn_config key 'mlp_hidden' must be int, got \[16\]"),
+    # the MLP's hidden layer is as wide as the state, so a version-6 header's width is a key of no field
+    "mlp-hidden-key": (build_bundle_from_checkpoint,
+                       {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "mlp_hidden": 16}}},
+                       r"train\.gnn_config .*unexpected keyword argument 'mlp_hidden'"),
+    "gnn-narrower-than-its-features": (build_bundle_from_checkpoint,
+                                       {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 8}}},
+                                       r"train\.gnn_config .*state_dim must be >= 16, got 8"),
     "zero-heads": (build_lm_from_checkpoint,
                    {"train": {**TRAIN, "lm_config": {**TRAIN["lm_config"], "n_heads": 0}}},
                    r"train\.lm_config .*n_layers and n_heads must be >= 1"),
@@ -307,6 +330,26 @@ def test_bad_header_config_raises_checkpoint_error(tmp_path, case):
         build(load_checkpoint(p))
 
 
+@pytest.mark.parametrize("key, value, resized", [
+    ("vocab_size", 10, ("lm.tok_emb", "lm.lm_head")),
+    ("context_window", 64, ("lm.pos_emb",)),
+])
+def test_header_of_an_lm_that_cannot_read_a_prompt_raises(tmp_path, key, value, resized):
+    """A header that describes a 10-id vocabulary or a 64-id window, with
+    tensors resized to match, raises CheckpointError naming its config: the
+    vocabulary is the tokenizer's, which the header does not record, and a
+    window shorter than ``MIN_PROMPT_WINDOW`` cannot hold the read-out
+    prompt."""
+    ckpt = _sift_checkpoint()
+    ckpt.config["train"]["lm_config"][key] = value
+    for name in resized:
+        ckpt.tensors[name] = ckpt.tensors[name][:value]
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, p)
+    with pytest.raises(CheckpointError, match=rf"checkpoint train.*{key}"):
+        build_lm_from_checkpoint(load_checkpoint(p))
+
+
 def _interrupt(signum, frame):
     raise TimeoutError("still building after a second")
 
@@ -334,8 +377,7 @@ def test_absurd_header_size_raises_before_building(tmp_path, key, size):
 
 @pytest.mark.parametrize("lm, rank, gnn", [
     (TINY_LM, 4, TINY_GNN),
-    (TransformerConfig(d_model=24, n_layers=3, n_heads=3, context_window=40, vocab_size=300), 5,
-     GgnnConfig(state_dim=7, mlp_hidden=11)),
+    (TransformerConfig(d_model=24, n_layers=3, n_heads=3, context_window=40), 5, GgnnConfig(state_dim=17)),
 ])
 def test_header_size_check_counts_every_parameter(lm, rank, gnn):
     """The sizes that the loaders check against a file's payload are the
@@ -529,7 +571,7 @@ def test_label_only_and_single_round_train_different_targets():
     assert all(not np.array_equal(label_grads[k], round_grads[k]) for k in round_grads)
 
 
-@pytest.mark.parametrize("window", [512, 160], ids=["whole", "cut"])
+@pytest.mark.parametrize("window", [512, 200], ids=["whole", "cut"])
 def test_label_only_stream_is_the_read_out_prompt_and_its_label(window):
     """A label-only stream is round 1 up to and including ``<|teacher|>``,
     which is the prompt ``predict_pretrained`` reads when nothing is cut,
