@@ -531,13 +531,23 @@ def _check_size(keys: str, size: int, tensors: dict[str, np.ndarray], prefix: st
         )
 
 
-def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TransformerConfig | None = None) -> LmModel:
+def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TrainConfig | None = None) -> LmModel:
+    """The LM of ``ckpt``, built under the checkpoint's own header. With
+    ``expect``, the config of the run that reads it out, the header's LM
+    shape and LoRA settings must be ``expect``'s: one CheckpointError names
+    each field that differs, with both values."""
     config = _header_config(ckpt)
-    if expect is not None and expect != config.lm_config:
-        raise CheckpointError(
-            f"dimension mismatch between checkpoint and config: "
-            f"checkpoint d_model={config.lm_config.d_model}, config d_model={expect.d_model}"
-        )
+    if expect is not None:
+        differ = []
+        for key in ("lm_config", "lora_config"):
+            want = asdict(getattr(expect, key))
+            differ += [
+                f"{key}.{name}: checkpoint {have!r}, config {want[name]!r}"
+                for name, have in asdict(getattr(config, key)).items()
+                if have != want[name]
+            ]
+        if differ:
+            raise CheckpointError(f"checkpoint and config build different LMs: {'; '.join(differ)}")
     return _lm_from(config, ckpt.tensors)
 
 
@@ -569,7 +579,7 @@ def train_fused(
     if not samples:
         raise ValueError("train_fused needs at least one sample")
     if sift_checkpoint is not None:
-        lm = build_lm_from_checkpoint(sift_checkpoint, expect=config.lm_config)
+        lm = build_lm_from_checkpoint(sift_checkpoint, expect=config)
     else:
         lm = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
     model = _fused_model(config, lm)

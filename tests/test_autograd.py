@@ -467,9 +467,12 @@ def test_causal_attention_matches_per_head_composition_float32():
         assert np.max(np.abs(a - b)) <= 1e-5
 
 
-# Query-row tiles are 128 rows: one row short of, at and past a tile edge, a
-# ragged third tile, suffix queries straddling an edge, and one query.
-TILE_EDGE_SHAPES = [(127, 127), (128, 128), (129, 129), (257, 257), (300, 300), (129, 133), (1, 1), (1, 300)]
+# Query-row tiles are ag._TILE rows: one row short of, at and past the first
+# and the second tile edge, one row past the fourth, a ragged last tile,
+# suffix queries straddling an edge, and one query.
+_T = ag._TILE
+TILE_EDGE_SHAPES = [(t, t) for t in (_T - 1, _T, _T + 1, 2 * _T - 1, 2 * _T, 2 * _T + 1, 4 * _T + 1, 300)]
+TILE_EDGE_SHAPES += [(2 * _T + 1, 2 * _T + 5), (1, 1), (1, 300)]
 
 
 @pytest.mark.parametrize("tq, tk", TILE_EDGE_SHAPES, ids=[f"tq{tq}_tk{tk}" for tq, tk in TILE_EDGE_SHAPES])
@@ -500,13 +503,27 @@ def test_causal_attention_repeats_bitwise():
 
     config = TrainConfig(stage="sift", sift_mode="multi-round")
     streams = render_training_streams(build_dialogues(make_synthetic_corpus(n=4, seed=0)), ByteTokenizer(), config)
-    assert max(len(s.rendered.token_ids) for s in streams) > 2 * 128
+    assert max(len(s.rendered.token_ids) for s in streams) > 2 * ag._TILE
     runs = []
     for _ in range(2):
         model = LmModel(config.lm_config, seed=0, lora=config.lora_config)
         loss = sift_batch_loss(model, streams)
         runs.append((loss, [t.grad.tobytes() for t in model.adapter_parameters().values()]))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("tq, tk", [(1, 1), (5, 5), (2 * ag._TILE + 1,) * 2], ids=["t1", "t5", "past_two_tiles"])
+def test_causal_attention_query_of_one_key_gets_exactly_zero_grad(tq, tk, dtype):
+    """Query row 0 sees one key and puts probability exactly 1 on it,
+    whatever its score, so its q gradient is exactly 0, and at T=1 so is the
+    k gradient. The kernel's row term Σⱼ dP′ᵢⱼ Eᵢⱼ cancels dP′ bit for bit
+    there; FlashAttention-2's cheaper dO·O row term leaves rounding residue."""
+    _, q_grad, k_grad, v_grad = _attention_grads(ag.causal_attention, tq, 64, 4, tk=tk, dtype=dtype)
+    assert q_grad.dtype == k_grad.dtype == dtype
+    assert np.all(q_grad[0] == 0.0)
+    assert np.all(k_grad == 0.0) if tk == 1 else np.all(k_grad[0] != 0.0)
+    assert np.all(v_grad[0] != 0.0)
 
 
 def test_causal_attention_frozen_key_gets_no_grad():

@@ -415,13 +415,13 @@ HEADER_CASES = [c for c in cases(HEADER) if c[0][0] != "tensors" or c[0][1:2] in
 def test_fuzzed_checkpoint_header_raises_checkpoint_error_or_loads(tmp_path, case):
     """A checkpoint whose header has one value broken raises
     CheckpointError, or loads, as ``train-fused`` loads a SIFT checkpoint:
-    against the LM config it expects. A config key that is gone takes its
+    against the config it expects. A config key that is gone takes its
     default, so a loaded model need not be the one that was saved."""
     header = mutate(HEADER, *case).encode("utf-8")
     p = tmp_path / "m.ckpt"
     p.write_bytes(CKPT_START + struct.pack("<I", len(header)) + header + CKPT_PAYLOAD)
     try:
-        build_lm_from_checkpoint(load_checkpoint(p), expect=TINY_LM)
+        build_lm_from_checkpoint(load_checkpoint(p), expect=tiny_config(stage="fused"))
     except CheckpointError:
         pass
 
@@ -433,8 +433,38 @@ def test_loading_into_different_d_model_errors(tmp_path, small_corpus):
         stage="fused",
         lm_config=TransformerConfig(d_model=16, n_layers=1, n_heads=2, context_window=384),
     )
-    with pytest.raises(CheckpointError, match="dimension mismatch"):
+    with pytest.raises(CheckpointError, match=r"^checkpoint and config build different LMs: "
+                       r"lm_config\.d_model: checkpoint 32, config 16$"):
         train_fused(small_corpus[:6], ckpt, other)
+
+
+def test_lm_mismatch_names_each_field_that_differs():
+    """Only the fields that differ are named, each with both values, also
+    when d_model is equal."""
+    other = tiny_config(stage="fused", lm_config=dataclasses.replace(TINY_LM, n_layers=2, context_window=512))
+    with pytest.raises(CheckpointError) as err:
+        build_lm_from_checkpoint(_sift_checkpoint(), expect=other)
+    assert str(err.value) == (
+        "checkpoint and config build different LMs: "
+        "lm_config.n_layers: checkpoint 1, config 2; lm_config.context_window: checkpoint 384, config 512"
+    )
+
+
+@pytest.mark.parametrize("rank, alpha", [(2, 16.0), (8, 4.0)], ids=["alpha", "rank"])
+def test_fused_run_refuses_a_sift_checkpoint_of_other_lora_settings(small_corpus, rank, alpha):
+    """The fused run reads out the LM under the SIFT checkpoint's LoRA
+    scale and writes its own LoRA settings into the fused header, so the two
+    must agree: a SIFT run at rank 2 and alpha 4 followed by a fused run at
+    alpha 16 would write a bundle that predicts at scale 8 instead of 2."""
+    sift = tiny_config(epochs=1, lora_config=LoraConfig(rank=2, alpha=4.0))
+    ckpt, _ = train_sift(build_dialogues(small_corpus[:4]), sift)
+    fused = tiny_config(stage="fused", lora_config=LoraConfig(rank=rank, alpha=alpha))
+    differ = [f"lora_config.{name}: checkpoint {have!r}, config {want!r}"
+              for name, have, want in (("rank", 2, rank), ("alpha", 4.0, alpha)) if have != want]
+    with pytest.raises(CheckpointError) as err:
+        train_fused(small_corpus[:4], ckpt, fused)
+    assert str(err.value) == "checkpoint and config build different LMs: " + "; ".join(differ)
+    train_fused(small_corpus[:4], ckpt, dataclasses.replace(fused, lora_config=sift.lora_config))
 
 
 # --- SIFT stage ------------------------------------------------------------------------
@@ -601,8 +631,8 @@ def test_label_only_stream_is_the_read_out_prompt_and_its_label(window):
 def test_sift_loss_gradcheck_of_last_layer_adapters_across_a_tile_edge():
     """Finite differences, in float64, of one stream's SIFT loss with respect
     to the last layer's query and value adapters. The first target row is 60
-    of 200, so the last layer's 140 query rows span two attention tiles and
-    start below the tile edge at position 128. The loss forwards from row 60
+    of 200, so the last layer's 140 query rows span three 64-row attention
+    tiles, the last one ragged. The loss forwards from row 60
     as ``sift_batch_loss`` does, and its gradient is the one that
     ``sift_batch_loss`` accumulates."""
     from helpers_lm import cast
