@@ -100,6 +100,19 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+def draw(table, seed: int) -> dict[str, np.ndarray]:
+    """The float32 value of each ``(name, shape, init)`` entry of a parameter
+    table, in order: "zeros" and "ones" draw nothing; a float, or "fan_in" for
+    ``shape[-1] ** -0.5``, is the std of a Gaussian drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    fills = {"zeros": 0.0, "ones": 1.0}
+    return {
+        name: np.full(shape, fills[init], np.float32) if init in fills
+        else rng.normal(0.0, shape[-1] ** -0.5 if init == "fan_in" else init, shape).astype(np.float32)
+        for name, shape, init in table
+    }
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bw) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):

@@ -260,9 +260,8 @@ def _save_training(out: Path, ckpt: Checkpoint, curve: LossCurve, run: RunConfig
 
 def cmd_train_sift(args: argparse.Namespace, run: RunConfig) -> int:
     dialogues = parse_jsonl(_require_file(args.dialogues, "dialogues file"))
-    if args.splits:
-        splits = _read_splits(args.splits)
-        dialogues = [d for d in dialogues if splits.get(d.sample_id) == "train"]
+    splits = _read_splits(args.splits)
+    dialogues = [d for d in dialogues if splits.get(d.sample_id) == "train"]
     ckpt, curve = train_sift(dialogues, run.train_config("sift"))
     _save_training(Path(args.out), ckpt, curve, run)
     return 0
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sift = sub.add_parser("train-sift", help="multitask dialogue fine-tuning (stage 1)")
     add_common(p_sift)
     p_sift.add_argument("--dialogues", required=True)
-    p_sift.add_argument("--splits")
+    p_sift.add_argument("--splits", required=True)
     p_sift.add_argument("--out", default="sift.ckpt")
     p_sift.add_argument("--sift-mode", dest="sift_mode", choices=SIFT_MODES, default=None)
     p_sift.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)

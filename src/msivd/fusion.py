@@ -59,13 +59,18 @@ def fused_input_width(lm_config: TransformerConfig, gnn_config: GgnnConfig | Non
 
 
 class FusedClassifier:
-    """Linear projection from the fused vector onto (yes, no) label logits."""
+    """Linear projection from the fused vector onto (yes, no) label logits,
+    from ``weights`` keyed by the names of ``table``, or drawn from ``seed``."""
 
-    def __init__(self, in_dim: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
+    def __init__(self, in_dim: int, seed: int = 0, weights: dict[str, np.ndarray] | None = None):
         self.in_dim = in_dim
-        self.w = Tensor(rng.normal(0.0, in_dim**-0.5, size=(2, in_dim)).astype(np.float32), requires_grad=True)
-        self.b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        weights = ag.draw(self.table(in_dim), seed) if weights is None else weights
+        self.w, self.b = (Tensor(weights[name], requires_grad=True) for name, _, _ in self.table(in_dim))
+
+    @staticmethod
+    def table(in_dim: int) -> list[tuple[str, tuple[int, ...], str]]:
+        """Each parameter's checkpoint name, shape and initial draw (``autograd.draw``)."""
+        return [("clf.w", (2, in_dim), "fan_in"), ("clf.b", (2,), "zeros")]
 
     def parameters(self) -> dict[str, Tensor]:
         return {"clf.w": self.w, "clf.b": self.b}

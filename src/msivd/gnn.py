@@ -61,28 +61,30 @@ def adjacency(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
 
 class Ggnn:
     """Message-passing network producing one embedding per graph, float32
-    parameters; ``embed`` computes in the dtype of its parameters."""
+    parameters from ``weights`` keyed by ``table``'s names, or drawn from
+    ``seed``; ``embed`` computes in the dtype of its parameters."""
 
-    def __init__(self, config: GgnnConfig, seed: int = 0):
+    def __init__(self, config: GgnnConfig, seed: int = 0, weights: dict[str, np.ndarray] | None = None):
         self.config = config
-        rng = np.random.default_rng(seed)
+        if weights is None:
+            weights = ag.draw(self.table(config), seed)
+            # the GRU's six matrices are drawn wz, uz, wr, ur, wc, uc and pack as [wz; wr; wc] and [uz; ur; uc]
+            gates = np.concatenate([weights["gnn.gru.w"], weights["gnn.gru.u"]]).reshape(6, -1, config.state_dim)
+            weights["gnn.gru.w"], weights["gnn.gru.u"] = (np.concatenate(gates[i::2]) for i in (0, 1))
+        params = [Tensor(weights[name], requires_grad=True) for name, _, _ in self.table(config)]
+        self.mlp, self.gru = tuple(params[:4]), tuple(params[4:])
+
+    @staticmethod
+    def table(config: GgnnConfig) -> list[tuple[str, tuple[int, ...], str]]:
+        """Each parameter's checkpoint name, shape and initial draw (``autograd.draw``)."""
         d = config.state_dim
-
-        def mat(rows, cols):
-            return rng.normal(0.0, cols**-0.5, size=(rows, cols)).astype(np.float32)
-
-        def param(data):
-            return Tensor(data, requires_grad=True)
-
-        w1, w2 = mat(d, d), mat(d, d)
-        self.mlp = (param(w1), param(np.zeros(d, np.float32)), param(w2), param(np.zeros(d, np.float32)))
-        wz, uz, wr, ur, wc, uc = (mat(d, d) for _ in range(6))
-        self.gru = (param(np.concatenate([wz, wr, wc])), param(np.concatenate([uz, ur, uc])),
-                    param(np.zeros(3 * d, np.float32)))
+        return [("gnn.mlp.w1", (d, d), "fan_in"), ("gnn.mlp.b1", (d,), "zeros"),
+                ("gnn.mlp.w2", (d, d), "fan_in"), ("gnn.mlp.b2", (d,), "zeros"),
+                ("gnn.gru.w", (3 * d, d), "fan_in"), ("gnn.gru.u", (3 * d, d), "fan_in"),
+                ("gnn.gru.b", (3 * d,), "zeros")]
 
     def parameters(self) -> dict[str, Tensor]:
-        names = ("gnn.mlp.w1", "gnn.mlp.b1", "gnn.mlp.w2", "gnn.mlp.b2", "gnn.gru.w", "gnn.gru.u", "gnn.gru.b")
-        return dict(zip(names, self.mlp + self.gru))
+        return {name: t for (name, _, _), t in zip(self.table(self.config), self.mlp + self.gru)}
 
     def embed(self, graphs: list[GraphInputs | None]) -> Tensor:
         """The [B x state_dim] embeddings of B graphs: ``steps`` rounds of

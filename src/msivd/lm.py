@@ -8,6 +8,7 @@ over these forwards (the paper's Eq. 2) is ``train.sift_batch_loss``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,14 @@ class LoraConfig:
             raise ValueError(f"LoRA needs a finite alpha > 0: {self.alpha}")
 
 
-LORA_INIT_STD = 0.02  # std of the Gaussian draw of every adapter's A; B starts at zero
+def _layer_table(d: int) -> tuple[tuple[str, tuple[int, ...], str], ...]:
+    """The key, shape and initial draw of each parameter of a layer."""
+    return (
+        ("ln1_g", (d,), "ones"), ("ln1_b", (d,), "zeros"),
+        ("wq", (d, d), "fan_in"), ("wk", (d, d), "fan_in"), ("wv", (d, d), "fan_in"), ("wo", (d, d), "fan_in"),
+        ("ln2_g", (d,), "ones"), ("ln2_b", (d,), "zeros"),
+        ("w1", (4 * d, d), "fan_in"), ("b1", (4 * d,), "zeros"), ("w2", (d, 4 * d), "fan_in"), ("b2", (d,), "zeros"),
+    )
 
 
 @dataclass
@@ -123,8 +131,8 @@ class KvPrefix:
 
 
 class LmModel:
-    """Decoder-only transformer over the tokenizer's vocabulary, built in
-    float32: ``tok_emb`` and ``lm_head`` have ``ByteTokenizer.vocab_size`` rows.
+    """Decoder-only transformer over the tokenizer's vocabulary, in float32
+    from ``weights`` keyed by the names of ``table``, or drawn from ``seed``.
 
     Base parameters are created frozen (requires_grad=False); the LoRA
     adapters on the attention query/value projections are the only
@@ -134,60 +142,50 @@ class LmModel:
     each adds ``lora_scale`` = alpha / r times x·Aᵀ·Bᵀ to its projection.
     """
 
-    def __init__(self, config: TransformerConfig, seed: int = 0, lora: LoraConfig = LoraConfig()):
+    def __init__(self, config: TransformerConfig, seed: int = 0, lora: LoraConfig = LoraConfig(),
+                 weights: dict[str, np.ndarray] | None = None):
         self.config = config
-        rng = np.random.default_rng(seed)
-        d = config.d_model
+        weights = ag.draw(self.table(config, lora), seed) if weights is None else weights
 
-        def frozen(shape, std):
-            return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32), requires_grad=False)
+        def param(name, trainable=False):
+            return Tensor(weights[f"lm.{name}"], requires_grad=trainable)
 
-        def ones(n):
-            return Tensor(np.ones(n, dtype=np.float32), requires_grad=False)
-
-        def zeros(n):
-            return Tensor(np.zeros(n, dtype=np.float32), requires_grad=False)
-
-        self.tok_emb = frozen((ByteTokenizer.vocab_size, d), 0.02)
-        self.pos_emb = frozen((config.context_window, d), 0.02)
-        self.layers = []
-        for _ in range(config.n_layers):
-            layer = {
-                "ln1_g": ones(d), "ln1_b": zeros(d),
-                "wq": frozen((d, d), d**-0.5), "wk": frozen((d, d), d**-0.5),
-                "wv": frozen((d, d), d**-0.5), "wo": frozen((d, d), d**-0.5),
-                "ln2_g": ones(d), "ln2_b": zeros(d),
-                "w1": frozen((4 * d, d), d**-0.5), "b1": zeros(4 * d),
-                "w2": frozen((d, 4 * d), (4 * d) ** -0.5), "b2": zeros(d),
-            }
-            self.layers.append(layer)
-        self.ln_f_g = ones(d)
-        self.ln_f_b = zeros(d)
-        self.lm_head = frozen((ByteTokenizer.vocab_size, d), 0.02)
-
-        self.adapters: dict[str, tuple[Tensor, Tensor]] = {}
-        for i in range(config.n_layers):
-            for proj in ("wq", "wv"):
-                a = rng.normal(0.0, LORA_INIT_STD, size=(lora.rank, d)).astype(np.float32)
-                b = np.zeros((d, lora.rank), dtype=np.float32)
-                self.adapters[f"layer{i}.{proj}"] = (Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        self.tok_emb, self.pos_emb = param("tok_emb"), param("pos_emb")
+        self.layers = [{key: param(f"layer{i}.{key}") for key, _, _ in _layer_table(config.d_model)}
+                       for i in range(config.n_layers)]
+        self.ln_f_g, self.ln_f_b, self.lm_head = param("ln_f_g"), param("ln_f_b"), param("lm_head")
+        self.adapters = {f"layer{i}.{p}": (param(f"layer{i}.{p}.lora_a", True), param(f"layer{i}.{p}.lora_b", True))
+                         for i in range(config.n_layers) for p in ("wq", "wv")}
         self.lora_scale = lora.alpha / lora.rank
+
+    @staticmethod
+    def table(config: TransformerConfig, lora: LoraConfig) -> Iterator[tuple[str, tuple[int, ...], float | str]]:
+        """Each parameter's checkpoint name, shape and initial draw
+        (``autograd.draw``) in draw order, lazily: checking a file against it
+        stops at the first entry that the file lacks."""
+        d, vocab = config.d_model, ByteTokenizer.vocab_size
+        yield "lm.tok_emb", (vocab, d), 0.02
+        yield "lm.pos_emb", (config.context_window, d), 0.02
+        for i in range(config.n_layers):
+            for key, shape, init in _layer_table(d):
+                yield f"lm.layer{i}.{key}", shape, init
+        yield "lm.ln_f_g", (d,), "ones"
+        yield "lm.ln_f_b", (d,), "zeros"
+        yield "lm.lm_head", (vocab, d), 0.02
+        for i in range(config.n_layers):
+            for p in ("wq", "wv"):
+                yield f"lm.layer{i}.{p}.lora_a", (lora.rank, d), 0.02
+                yield f"lm.layer{i}.{p}.lora_b", (d, lora.rank), "zeros"
 
     # --- parameter access --------------------------------------------------
 
-    def base_parameters(self) -> dict[str, Tensor]:
-        params = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb,
-                  "ln_f_g": self.ln_f_g, "ln_f_b": self.ln_f_b, "lm_head": self.lm_head}
-        for i, layer in enumerate(self.layers):
-            for k, t in layer.items():
-                params[f"layer{i}.{k}"] = t
-        return params
-
     def adapter_parameters(self) -> dict[str, Tensor]:
-        return {f"{name}.lora_{part}": t for name, pair in self.adapters.items() for part, t in zip("ab", pair)}
+        return {f"lm.{name}.lora_{part}": t for name, pair in self.adapters.items() for part, t in zip("ab", pair)}
 
     def parameters(self) -> dict[str, Tensor]:
-        return {**self.base_parameters(), **self.adapter_parameters()}
+        layers = {f"lm.layer{i}.{key}": t for i, layer in enumerate(self.layers) for key, t in layer.items()}
+        return {"lm.tok_emb": self.tok_emb, "lm.pos_emb": self.pos_emb, **layers, "lm.ln_f_g": self.ln_f_g,
+                "lm.ln_f_b": self.ln_f_b, "lm.lm_head": self.lm_head, **self.adapter_parameters()}
 
     # --- forward -------------------------------------------------------------
 

@@ -223,23 +223,6 @@ def _finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _apply_state(params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint tensors into model parameters, both keyed by checkpoint
-    name; every tensor must have a parameter and every parameter a tensor."""
-    unknown = sorted(set(tensors) - set(params))
-    if unknown:
-        raise CheckpointError(f"checkpoint tensors that no model part consumes: {unknown}")
-    for key, tensor in params.items():
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {key!r}")
-        arr = tensors[key]
-        if tuple(arr.shape) != tensor.shape:
-            raise CheckpointError(
-                f"dimension mismatch for {key!r}: checkpoint {tuple(arr.shape)}, model {tensor.shape}"
-            )
-        tensor.data[...] = arr.astype(tensor.data.dtype)
-
-
 # --- optimizer ---------------------------------------------------------------------
 
 
@@ -463,7 +446,7 @@ def train_sift(dialogues: list[DialogueRecord], config: TrainConfig) -> tuple[Ch
     )
     ckpt = Checkpoint(
         config={"train": config.snapshot()},
-        tensors={f"lm.{k}": t.data.copy() for k, t in model.parameters().items()},
+        tensors={k: t.data.copy() for k, t in model.parameters().items()},
         metrics_history=[
             {
                 "stage": "sift",
@@ -506,29 +489,28 @@ def _built(cls, fields: dict, where: str, **built):
         raise CheckpointError(f"{where} {json.dumps(fields)[:80]}: {exc}") from exc
 
 
-def _lm_size(lm: TransformerConfig, lora: LoraConfig) -> int:
-    """The number of values in the parameters of ``LmModel(lm, lora=lora)``."""
-    d, vocab = lm.d_model, ByteTokenizer.vocab_size
-    return (2 * vocab + lm.context_window + 2) * d + lm.n_layers * (12 * d * d + 9 * d + 4 * lora.rank * d)
+def _weights(table, tensors: dict[str, np.ndarray] | None, keys: str) -> dict[str, np.ndarray] | None:
+    """A float32 copy of the tensor of each entry of a model's parameter
+    ``table``, which the header ``keys`` size, checked one entry at a time;
+    None without ``tensors``, for a model that draws its own."""
+    if tensors is None:
+        return None
+    weights = {}
+    for name, shape, _ in table:
+        arr = tensors.get(name)
+        if arr is None:
+            raise CheckpointError(f"checkpoint {keys}: the model needs tensor {name!r}, which the file does not hold")
+        if arr.shape != shape:
+            raise CheckpointError(f"checkpoint {keys}: the model needs {name!r} of shape {str(shape)[:80]}, not {arr.shape}")
+        weights[name] = arr.astype(np.float32)
+    return weights
 
 
-def _ggnn_size(gnn: GgnnConfig) -> int:
-    """The number of values in the parameters of ``Ggnn(gnn)``."""
-    d = gnn.state_dim
-    return 8 * d * d + 5 * d
-
-
-def _check_size(keys: str, size: int, tensors: dict[str, np.ndarray], prefix: str) -> None:
-    """Refuse a header whose ``keys`` ask for a model of ``size`` values when
-    the file's ``prefix`` tensors hold fewer, before any model is built: the
-    build then costs no more than the file's own payload, and a model that
-    needs more values than the file holds could not load it anyway."""
-    held = sum(t.size for name, t in tensors.items() if name.startswith(prefix))
-    if size > held:
-        raise CheckpointError(
-            f"checkpoint {keys} would build a model of {str(size)[:80]} values, "
-            f"more than the {held} that its {prefix} tensors hold"
-        )
+def _consumed(tensors: dict[str, np.ndarray], params: dict[str, Tensor]) -> None:
+    """Refuse a file that holds a tensor of no name in ``params``."""
+    unknown = sorted(set(tensors) - set(params))
+    if unknown:
+        raise CheckpointError(f"checkpoint tensors that no model part consumes: {unknown}")
 
 
 def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TrainConfig | None = None) -> LmModel:
@@ -548,15 +530,16 @@ def build_lm_from_checkpoint(ckpt: Checkpoint, expect: TrainConfig | None = None
             ]
         if differ:
             raise CheckpointError(f"checkpoint and config build different LMs: {'; '.join(differ)}")
-    return _lm_from(config, ckpt.tensors)
+    lm = _lm_from(config, ckpt.tensors)
+    _consumed(ckpt.tensors, lm.parameters())
+    return lm
 
 
 def _lm_from(config: TrainConfig, tensors: dict[str, np.ndarray]) -> LmModel:
-    """The LM of ``config`` holding ``tensors``, every one of which it must consume."""
-    _check_size("train.lm_config and train.lora_config", _lm_size(config.lm_config, config.lora_config), tensors, "lm.")
-    model = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
-    _apply_state({f"lm.{k}": t for k, t in model.parameters().items()}, tensors)
-    return model
+    """The LM of ``config`` built from its tensors among ``tensors``."""
+    table = LmModel.table(config.lm_config, config.lora_config)
+    weights = _weights(table, tensors, "train.lm_config and train.lora_config")
+    return LmModel(config.lm_config, lora=config.lora_config, weights=weights)
 
 
 # --- stage 2: fused classifier -------------------------------------------------------------
@@ -602,11 +585,9 @@ def train_fused(
 
     curve = _run_epochs(len(samples), config, optimizer, batch_loss)
 
-    tensors = {f"lm.{k}": t.data.copy() for k, t in lm.parameters().items()}
-    tensors.update({k: t.data.copy() for k, t in heads.items()})
     ckpt = Checkpoint(
         config={"train": config.snapshot()},
-        tensors=tensors,
+        tensors={k: t.data.copy() for k, t in {**lm.parameters(), **heads}.items()},
         metrics_history=(sift_checkpoint.metrics_history if sift_checkpoint else [])
         + [
             {
@@ -620,13 +601,18 @@ def train_fused(
     return ckpt, curve
 
 
-def _fused_model(config: TrainConfig, lm: LmModel) -> InferenceBundle:
+def _fused_model(config: TrainConfig, lm: LmModel, tensors: dict[str, np.ndarray] | None = None) -> InferenceBundle:
     """The fused model of ``config`` over ``lm``, which ``ReadOut`` freezes:
-    the GGNN drawn from ``config.seed`` when ``config.use_gnn``, and the
-    classifier, as wide as the LM row and the GGNN embedding together, drawn
-    from ``config.seed + 1``."""
-    gnn = Ggnn(config.gnn_config, seed=config.seed) if config.use_gnn else None
-    classifier = FusedClassifier(fused_input_width(lm.config, gnn.config if gnn else None), seed=config.seed + 1)
+    the GGNN when ``config.use_gnn``, and the classifier, as wide as the LM
+    row and the GGNN embedding together, each built from ``tensors``, or
+    drawn, the GGNN from ``config.seed`` and the classifier from seed + 1."""
+    gnn = None
+    if config.use_gnn:
+        gnn_weights = _weights(Ggnn.table(config.gnn_config), tensors, "train.gnn_config")
+        gnn = Ggnn(config.gnn_config, seed=config.seed, weights=gnn_weights)
+    in_dim = fused_input_width(lm.config, gnn.config if gnn else None)
+    clf_weights = _weights(FusedClassifier.table(in_dim), tensors, "train.lm_config and train.gnn_config")
+    classifier = FusedClassifier(in_dim, seed=config.seed + 1, weights=clf_weights)
     return InferenceBundle(read_out=ReadOut(lm, ByteTokenizer()), classifier=classifier, gnn=gnn)
 
 
@@ -637,18 +623,14 @@ def _head_parameters(model: InferenceBundle) -> dict[str, Tensor]:
 
 
 def build_bundle_from_checkpoint(ckpt: Checkpoint) -> InferenceBundle:
-    """Reconstruct the inference bundle (LM + optional GNN + classifier),
-    every tensor frozen, so that ``predict`` records no tape."""
+    """The inference bundle (LM + optional GNN + classifier) built from the
+    checkpoint's tensors, every one frozen, so that ``predict`` records no tape."""
     config = _header_config(ckpt)
     if config.stage != "fused":
         raise CheckpointError("inference needs a fused-stage checkpoint")
-    lm_tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("lm.")}
-    lm = _lm_from(config, lm_tensors)
-    if config.use_gnn:
-        _check_size("train.gnn_config", _ggnn_size(config.gnn_config), ckpt.tensors, "gnn.")
-    bundle = _fused_model(config, lm)
+    bundle = _fused_model(config, _lm_from(config, ckpt.tensors), ckpt.tensors)
     heads = _head_parameters(bundle)
-    _apply_state(heads, {k: v for k, v in ckpt.tensors.items() if k not in lm_tensors})
+    _consumed(ckpt.tensors, {**bundle.read_out.lm.parameters(), **heads})
     for t in heads.values():
         t.requires_grad = False
     return bundle

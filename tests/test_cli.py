@@ -328,6 +328,16 @@ def test_unknown_eval_mode_lists_valid(tmp_path, capsys):
     assert "multi-round-sift-gnn" in err
 
 
+def test_train_sift_requires_splits(tmp_path, capsys):
+    """``prepare`` writes a dialogue for every sample, eval and test
+    included, so SIFT without the splits file would train on all of them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train-sift", "--dialogues", str(tmp_path / "dialogues.jsonl"), "--out", str(tmp_path / "m.ckpt")])
+    assert exc.value.code == 2
+    assert "--splits" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_bad_dialogues_file_error_is_one_bounded_line(tmp_path, capsys):
     """A dialogues file whose line holds a huge ill-typed value exits 1 with
     one error line that echoes 80 characters of it."""

@@ -63,6 +63,17 @@ def test_read_out_is_last_hidden_row_of_prompt():
     assert np.array_equal(fused_vector(row, graph_embedding(None, gnn)).data[:, : TINY.d_model], row)
 
 
+@pytest.mark.parametrize("in_dim", [8, 4352])
+def test_classifier_table_lists_exactly_the_parameters(in_dim):
+    """The table names every parameter, in order, with its shape; every
+    parameter is float32 and requires grad."""
+    params = FusedClassifier(in_dim, seed=1).parameters()
+    assert [(name, shape) for name, shape, _ in FusedClassifier.table(in_dim)] == [
+        (name, t.shape) for name, t in params.items()
+    ]
+    assert all(t.dtype == np.float32 and t.requires_grad for t in params.values())
+
+
 def test_paper_profile_dimension_bookkeeping():
     from helpers_gnn import PAPER_GGNN
     from helpers_lm import PAPER_LM

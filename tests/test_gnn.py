@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -226,9 +228,28 @@ def test_paper_profile_layer_bookkeeping():
     """The paper's GGNN, 3 layers (two MLP linears around one hidden layer as
     wide as its 256-wide states, and a GRU over them), holds 8·256² + 5·256
     parameters."""
-    from msivd.train import _ggnn_size
+    assert sum(math.prod(shape) for _, shape, _ in Ggnn.table(PAPER_GGNN)) == 525_568
 
-    assert _ggnn_size(PAPER_GGNN) == 525_568
+
+@pytest.mark.parametrize("config", [GgnnConfig(state_dim=16, steps=2), GgnnConfig(state_dim=17, steps=0)])
+def test_table_lists_exactly_the_parameters(config):
+    """The table names every parameter, in order, with its shape; every
+    parameter is float32 and requires grad."""
+    params = Ggnn(config, seed=1).parameters()
+    assert [(name, shape) for name, shape, _ in Ggnn.table(config)] == [(n, t.shape) for n, t in params.items()]
+    assert all(t.dtype == np.float32 and t.requires_grad for t in params.values())
+
+
+def test_gru_matrices_pack_in_draw_order():
+    """After the MLP's two matrices the GRU's six are drawn wz, uz, wr, ur,
+    wc, uc, and they pack as [wz; wr; wc] and [uz; ur; uc]."""
+    d = 16
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(0.0, d**-0.5, size=(d, d)).astype(np.float32) for _ in range(8)]
+    params = Ggnn(GgnnConfig(state_dim=d), seed=3).parameters()
+    assert params["gnn.mlp.w2"].data.tobytes() == mats[1].tobytes()
+    assert params["gnn.gru.w"].data.tobytes() == np.concatenate(mats[2::2]).tobytes()
+    assert params["gnn.gru.u"].data.tobytes() == np.concatenate(mats[3::2]).tobytes()
 
 
 def test_width_mismatch_without_projection_errors():

@@ -89,10 +89,15 @@ def test_lora_matches_dense_materialization():
     assert np.max(np.abs(ag.lora_linear(x, w0, a, b, scale).data - x.data @ dense.T)) <= 1e-5
 
 
+def _base_parameters(model: LmModel) -> dict:
+    adapters = model.adapter_parameters()
+    return {k: t for k, t in model.parameters().items() if k not in adapters}
+
+
 def test_gradient_reaches_adapters_not_base():
     model = LmModel(TINY, seed=2, lora=LoraConfig(rank=2))
     backward(ag.sum_all(model.forward([1, 2, 3]).logits))
-    assert all(t.grad is None for t in model.base_parameters().values())
+    assert all(t.grad is None for t in _base_parameters(model).values())
     assert all(t.grad is not None for t in model.adapter_parameters().values())
 
 
@@ -160,17 +165,33 @@ def test_overlength_errors():
 
 def test_base_weights_never_require_grad():
     model = LmModel(TINY, seed=4)
-    assert all(not t.requires_grad for t in model.base_parameters().values())
+    assert all(not t.requires_grad for t in _base_parameters(model).values())
     assert all(t.requires_grad for t in model.adapter_parameters().values())
 
 
-def test_paper_profile_pins_dimensions():
-    """The paper's LM is a config only: with the desk's LoRA it would hold
-    1.6 G values, 6.5 GB in float32."""
-    from msivd.train import _lm_size
+@pytest.mark.parametrize("config, rank", [
+    (TINY, 4),
+    (TransformerConfig(d_model=24, n_layers=3, n_heads=3, context_window=40), 5),
+])
+def test_table_lists_exactly_the_parameters(config, rank):
+    """The table names every parameter, in order, with its shape; every
+    parameter is float32, and only the adapters require grad."""
+    lora = LoraConfig(rank=rank)
+    model = LmModel(config, seed=1, lora=lora)
+    params = model.parameters()
+    assert [(name, shape) for name, shape, _ in LmModel.table(config, lora)] == [
+        (name, t.shape) for name, t in params.items()
+    ]
+    assert all(t.dtype == np.float32 for t in params.values())
+    assert [name for name, t in params.items() if t.requires_grad] == list(model.adapter_parameters())
+    assert len(model.adapter_parameters()) == 4 * config.n_layers
 
+
+def test_paper_profile_pins_dimensions():
+    """The paper's LM is a config only: with the desk's LoRA its table holds
+    1.6 G values, 6.5 GB in float32."""
     assert (PAPER_LM.d_model, PAPER_LM.n_layers, PAPER_LM.context_window) == (4096, 8, 2048)
-    assert _lm_size(PAPER_LM, LoraConfig()) * 4 == 6_490_062_848
+    assert sum(math.prod(shape) for _, shape, _ in LmModel.table(PAPER_LM, LoraConfig())) * 4 == 6_490_062_848
 
 
 # --- task-averaged SIFT loss (Eq. 2) over the LM ------------------------------------

@@ -167,7 +167,7 @@ def _sift_checkpoint():
 
     config = tiny_config()
     model = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
-    tensors = {f"lm.{k}": t.data.copy() for k, t in model.parameters().items()}
+    tensors = {k: t.data.copy() for k, t in model.parameters().items()}
     return Checkpoint({"train": config.snapshot()}, tensors)
 
 
@@ -296,10 +296,14 @@ BAD_CONFIGS = {
                        r"train\.lora_config .*needs a finite alpha"),
     "huge-lora-rank": (build_lm_from_checkpoint,
                        {"train": {**TRAIN, "lora_config": {**TRAIN["lora_config"], "rank": 10**300}}},
-                       r"train\.lora_config would build a model of \d{80} values, more than the \d+ that its lm\. tensors hold"),
+                       r"train\.lora_config: the model needs 'lm\.layer0\.wq\.lora_a' of shape \(\d{79}, not \(4, 32\)"),
     "huge-gnn-state-dim": (build_bundle_from_checkpoint,
                            {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 10**300}}},
-                           r"train\.gnn_config would build a model of \d{80} values, more than the 0 that its gnn\. tensors hold"),
+                           r"train\.gnn_config: the model needs tensor 'gnn\.mlp\.w1', which the file does not hold"),
+    # past the float range: a load must not compute a draw's std from the header's width
+    "gnn-state-dim-past-float": (build_bundle_from_checkpoint,
+                                 {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "state_dim": 10**400}}},
+                                 r"train\.gnn_config: the model needs tensor 'gnn\.mlp\.w1'"),
     "negative-gnn-steps": (build_bundle_from_checkpoint,
                            {"train": {**FUSED, "gnn_config": {**TRAIN["gnn_config"], "steps": -1}}},
                            r"train\.gnn_config .*steps must be >= 0"),
@@ -358,9 +362,10 @@ def _interrupt(signum, frame):
 def test_absurd_header_size_raises_before_building(tmp_path, key, size):
     """A header asking for 10^300 LM layers or GGNN steps, loaded as
     ``predict`` loads it, with no expected config, raises CheckpointError
-    within a second: the LM's size is checked against the file's tensors
-    before any model is built, and no tensor holds the steps, so GgnnConfig
-    bounds them. An alarm stops a build that has not raised by then."""
+    within a second: the loader walks the LM's table, which lists the layers
+    lazily, and stops at the first tensor that the file lacks; no tensor
+    holds the steps, so GgnnConfig bounds them. An alarm stops a build that
+    has not raised by then."""
     train_cfg = {**TRAIN, key: {**TRAIN[key], size: 10**300}}
     p = tmp_path / "m.ckpt"
     save_checkpoint(dataclasses.replace(_sift_checkpoint(), config={"train": {**train_cfg, "stage": "fused"}}), p)
@@ -375,20 +380,25 @@ def test_absurd_header_size_raises_before_building(tmp_path, key, size):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("lm, rank, gnn", [
-    (TINY_LM, 4, TINY_GNN),
-    (TransformerConfig(d_model=24, n_layers=3, n_heads=3, context_window=40), 5, GgnnConfig(state_dim=17)),
-])
-def test_header_size_check_counts_every_parameter(lm, rank, gnn):
-    """The sizes that the loaders check against a file's payload are the
-    numbers of values in the models' parameters."""
-    from msivd import train
-    from msivd.gnn import Ggnn
-    from msivd.lm import LmModel
+def test_loaders_build_from_the_file_and_draw_no_random_number(small_corpus, monkeypatch):
+    """Both loaders build each model from copies of the file's tensors,
+    bitwise, and draw no random number doing so."""
+    sift_ckpt = _sift_checkpoint()
+    fused_ckpt, _ = train_fused(small_corpus[:4], None, tiny_config(stage="fused", epochs=1))
 
-    lora = LoraConfig(rank=rank)
-    assert train._lm_size(lm, lora) == sum(t.data.size for t in LmModel(lm, lora=lora).parameters().values())
-    assert train._ggnn_size(gnn) == sum(t.data.size for t in Ggnn(gnn).parameters().values())
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a loader asked for a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    lm = build_lm_from_checkpoint(sift_ckpt)
+    bundle = build_bundle_from_checkpoint(fused_ckpt)
+    for ckpt, params in ((sift_ckpt, lm.parameters()), (fused_ckpt, {
+        **bundle.read_out.lm.parameters(), **bundle.classifier.parameters(), **bundle.gnn.parameters()
+    })):
+        assert sorted(params) == sorted(ckpt.tensors)
+        for name, t in params.items():
+            assert t.data.tobytes() == ckpt.tensors[name].tobytes()
+            assert not np.shares_memory(t.data, ckpt.tensors[name])
 
 
 def _saved_header() -> tuple[bytes, dict, bytes]:
@@ -485,14 +495,16 @@ def test_sift_base_weights_bitwise_unchanged(small_corpus):
     from msivd.lm import LmModel
 
     fresh = LmModel(config.lm_config, seed=config.seed, lora=config.lora_config)
-    before = {k: hashlib.sha256(t.data.tobytes()).hexdigest() for k, t in fresh.base_parameters().items()}
+    adapters = fresh.adapter_parameters()
+    before = {k: hashlib.sha256(t.data.tobytes()).hexdigest()
+              for k, t in fresh.parameters().items() if k not in adapters}
     ckpt, _ = train_sift(dialogues, config)
     for k, digest in before.items():
-        assert hashlib.sha256(ckpt.tensors[f"lm.{k}"].tobytes()).hexdigest() == digest
+        assert hashlib.sha256(ckpt.tensors[k].tobytes()).hexdigest() == digest
     # adapters did move
     moved = any(
-        ckpt.tensors[f"lm.{k}"].any()
-        for k in fresh.adapter_parameters()
+        ckpt.tensors[k].any()
+        for k in adapters
         if k.endswith("lora_b")
     )
     assert moved
